@@ -26,7 +26,6 @@ from .gf import (
     full_space,
     enumerate_grassmannian,
     dilations,
-    sample_dilation,
     format_subspace,
     parse_subspace,
 )
@@ -55,7 +54,6 @@ from .qdist import (
 from .grassproc import (
     ProcessState,
     Trajectory,
-    step,
     simulate,
     exact_pmf,
     log_pmf_by_codim,

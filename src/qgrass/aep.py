@@ -10,15 +10,15 @@ exact rational arithmetic, so set sizes and stop indices are exact; mu and
 Delta live in float since they involve infinite products.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import grassproc
 from .entropy import binary_quadratic_entropy, log_q_int
-from .gf import free_positions, full_space, subspace_from_pattern
+from .gf import _DIGITS, free_positions, full_space, subspace_from_pattern
 from .qcomb import pochhammer_inf, q_binomial
+from .qdist import log_q_neg_inv_pochhammer
 
 MU_REL_CUT = 1e-15
 CONTINUITY_TOL = 1e-12
@@ -43,20 +43,8 @@ def mu(d, theta, q, rel_tol=1e-15):
     x0 = 0.5 - math.log(theta) / math.log(q)
     expo = -0.5 * (d - x0) ** 2 + 0.5 * x0**2
     euler = pochhammer_inf(qinv, qinv, rel_tol)
-    theta_prod = _neg_inv_theta_pochhammer_inf(theta, q, rel_tol)
+    theta_prod = pochhammer_inf(-1.0 / theta, qinv, rel_tol)
     return q**expo * pochhammer_inf(q ** -(d + 1.0), qinv, rel_tol) / (euler * theta_prod)
-
-
-def _neg_inv_theta_pochhammer_inf(theta, q, rel_tol=1e-15):
-    """(-1/theta; 1/q)_inf = prod_{i>=0} (1 + q^-i / theta)."""
-    out = 1.0
-    i = 0
-    while True:
-        term = q ** -float(i) / theta
-        if term < rel_tol:
-            return out
-        out *= 1.0 + term
-        i += 1
 
 
 @dataclass(frozen=True)
@@ -154,17 +142,33 @@ class TypicalSet:
         return range(self.delta_codim + 1)
 
 
-def _codim_class_probs(n, theta, q):
-    """Per-codim class probabilities, exact Fractions when theta is rational."""
+def _class_mass_stop(n, epsilon, theta, q):
+    """Walk the codimension classes up to a_n, the first whose cumulative
+    mass reaches 1 - epsilon; a_n is n if the float sum never does.
+
+    Returns (a_n, deficit), the mass still missing when class a_n is
+    entered.  The sum runs in exact Fractions when theta is rational and as
+    a compensated sum of the float prefix otherwise (the class masses span
+    a dynamic range of q^-(n^2/2)).
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n!r}")
     if _is_rational(theta):
-        return [
-            grassproc.codim_class_prob_fraction(d, n, Fraction(theta), q)
-            for d in range(n + 1)
-        ]
-    return [
-        float(q) ** grassproc.codim_class_log_prob(d, n, theta, q)
-        for d in range(n + 1)
-    ]
+        need = 1 - Fraction(epsilon).limit_denominator(10**12)
+        acc = Fraction(0)
+        for d in range(n + 1):
+            mass = grassproc.codim_class_prob_fraction(d, n, theta, q)
+            if acc + mass >= need:
+                break
+            acc += mass
+        return d, need - acc
+    need = 1.0 - epsilon
+    masses = []
+    for d in range(n + 1):
+        masses.append(float(q) ** grassproc.codim_class_log_prob(d, n, theta, q))
+        if math.fsum(masses) >= need:
+            break
+    return d, need - math.fsum(masses[:d])
 
 
 def typical_set(n, epsilon, theta, q, table=None):
@@ -183,23 +187,7 @@ def typical_set(n, epsilon, theta, q, table=None):
     limit_delta = delta(p_eps, table)
     discontinuity = not is_continuity_point(p_eps, table)
 
-    probs = _codim_class_probs(n, theta, q)
-    a_n = n
-    if _is_rational(theta):
-        need = 1 - Fraction(epsilon).limit_denominator(10**12)
-        acc = Fraction(0)
-        for d, v in enumerate(probs):
-            acc += v
-            if acc >= need:
-                a_n = d
-                break
-    else:
-        # float fallback: compensated cumulative sums (dynamic range q^-n^2/2)
-        for d in range(n + 1):
-            if math.fsum(probs[: d + 1]) >= p_eps:
-                a_n = d
-                break
-
+    a_n, _ = _class_mass_stop(n, epsilon, theta, q)
     size = sum(q_binomial(n, n - d, q) for d in range(a_n + 1))
     bracket = (limit_delta, limit_delta + 1) if discontinuity else (limit_delta, limit_delta)
     return TypicalSet(
@@ -215,10 +203,11 @@ def check_aep(n, epsilon, delta_tol, theta, q):
     is evaluated through the codimension form of the law, together with the
     g(d, n)/n correction that the gap equals analytically.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     ts = typical_set(n, epsilon, theta, q)
-    lnq = math.log(q)
-    x0 = 0.5 - math.log(theta) / lnq
-    log_tail = sum(math.log1p(q**-i / theta) for i in range(n)) / lnq
+    x0 = 0.5 - math.log(theta) / math.log(q)
+    log_tail = log_q_neg_inv_pochhammer(theta, n, q)
     gaps = []
     g_over_n = []
     for d in ts.member_codims:
@@ -250,46 +239,17 @@ def greedy_min_set_size(n, epsilon, theta, q):
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    rational = _is_rational(theta)
-    if rational:
-        need = 1 - Fraction(epsilon).limit_denominator(10**12)
-        theta_r = Fraction(theta)
+    d, deficit = _class_mass_stop(n, epsilon, theta, q)
+    if _is_rational(theta):
+        space_p = grassproc.exact_pmf_fraction(n - d, n, theta, q)
     else:
-        need = 1.0 - epsilon
-    acc = Fraction(0)
-    class_floats = []  # compensated cumulative masses on the float path
-    size = 0
-    for d in range(n + 1):
-        if rational:
-            space_p = grassproc.exact_pmf_fraction(n - d, n, theta_r, q)
-        else:
-            space_p = float(q) ** grassproc.log_exact_pmf(n - d, n, theta, q)
-        count = q_binomial(n, n - d, q)
-        class_p = count * space_p
-        if rational:
-            reached = acc + class_p >= need
-        else:
-            class_floats.append(class_p)
-            reached = math.fsum(class_floats) >= need
-        if reached:
-            deficit = need - acc if rational else need - math.fsum(class_floats[:-1])
-            if deficit <= 0:
-                partial = 0
-            elif rational:
-                partial = -((-deficit.numerator * space_p.denominator) // (
-                    deficit.denominator * space_p.numerator
-                ))  # ceil(deficit / space_p)
-            else:
-                partial = math.ceil(deficit / space_p)
-            size += partial
-            b_n = d if partial else d - 1
-            a_n = typical_set(n, epsilon, theta, q).delta_codim
-            assert b_n == a_n, f"greedy stop {b_n} != typical-set bound {a_n}"
-            return size, b_n
-        if rational:
-            acc += class_p
-        size += count
-    raise AssertionError("total probability mass below 1 - epsilon")
+        space_p = float(q) ** grassproc.log_exact_pmf(n - d, n, theta, q)
+    partial = math.ceil(deficit / space_p)
+    size = sum(q_binomial(n, n - c, q) for c in range(d)) + partial
+    b_n = d if partial else d - 1
+    a_n = typical_set(n, epsilon, theta, q).delta_codim
+    assert b_n == a_n, f"greedy stop {b_n} != typical-set bound {a_n}"
+    return size, b_n
 
 
 # -- block coding ----------------------------------------------------------
@@ -314,6 +274,8 @@ class BlockCode:
 def make_block_code(ts, field):
     if field.q != ts.q:
         raise ValueError("field order does not match the typical set")
+    if field.q > len(_DIGITS):
+        raise ValueError(f"codewords support q <= {len(_DIGITS)}")
     sizes = tuple(q_binomial(ts.n, ts.n - d, field.q) for d in ts.member_codims)
     total = sum(sizes)
     # ceil(log_q total) in exact integer arithmetic
@@ -324,47 +286,62 @@ def make_block_code(ts, field):
     return BlockCode(ts.n, field, ts.delta_codim, sizes, total, length)
 
 
+def _pivot_block(c, m, n, q, base):
+    """Number of subspaces whose next pivot is c, followed by any m pivots
+    in range(c + 1, n): the sum of q**(free entries) over those pivot sets.
+    base is sum(n - 1 - p) over the pivots p before c, minus k(k - 1)/2."""
+    return q ** (base + n - 1 - c + m * (m - 1) // 2) * q_binomial(n - 1 - c, m, q)
+
+
 def _rank_in_class(v):
-    """Rank of v inside Gr(k, n) under the enumeration order."""
+    """Rank of v inside Gr(k, n) under the enumeration order.
+
+    The shapes before v's pivot set are counted in blocks that share a
+    prefix, so no pivot set is walked one by one."""
     n = v.ambient_dim
     q = v.field.q
     k = v.dim
-    rank = 0
-    for pivots in itertools.combinations(range(n), k):
-        nfree = len(free_positions(pivots, n))
-        if pivots == v.pivot_cols:
-            local = 0
-            for (i, j) in free_positions(pivots, n):
-                local = local * q + v.basis[i][j]
-            return rank + local
-        rank += q**nfree
-    raise AssertionError("pivot columns not found in combination order")
+    rank, base, lo = 0, -k * (k - 1) // 2, 0
+    for i, p in enumerate(v.pivot_cols):
+        for c in range(lo, p):
+            rank += _pivot_block(c, k - 1 - i, n, q, base)
+        base, lo = base + n - 1 - p, p + 1
+    local = 0
+    for (i, j) in free_positions(v.pivot_cols, n):
+        local = local * q + v.basis[i][j]
+    return rank + local
 
 
 def _unrank_in_class(rank, k, n, field):
     q = field.q
-    for pivots in itertools.combinations(range(n), k):
-        free = free_positions(pivots, n)
-        block = q ** len(free)
-        if rank < block:
-            values = []
-            for _ in free:
-                values.append(0)
-            r = rank
-            for idx in range(len(free) - 1, -1, -1):
-                values[idx] = r % q
-                r //= q
-            return subspace_from_pattern(pivots, values, n, field)
-        rank -= block
-    raise ValueError("rank out of range for this Grassmannian")
+    pivots, base, lo = [], -k * (k - 1) // 2, 0
+    for i in range(k):
+        m = k - 1 - i
+        for c in range(lo, n - m):
+            block = _pivot_block(c, m, n, q, base)
+            if rank < block:
+                break
+            rank -= block
+        else:
+            raise ValueError("rank out of range for this Grassmannian")
+        pivots.append(c)
+        base, lo = base + n - 1 - c, c + 1
+    free = free_positions(pivots, n)
+    if rank >= q ** len(free):
+        raise ValueError("rank out of range for this Grassmannian")
+    values = [0] * len(free)
+    for idx in range(len(free) - 1, -1, -1):
+        values[idx] = rank % q
+        rank //= q
+    return subspace_from_pattern(pivots, values, n, field)
 
 
 def _word_from_index(idx, length, q):
     digits = []
     for _ in range(length):
-        digits.append(idx % q)
+        digits.append(_DIGITS[idx % q])
         idx //= q
-    return "".join(str(d) for d in reversed(digits))
+    return "".join(reversed(digits))
 
 
 def _index_from_word(word, length, q):
@@ -372,7 +349,7 @@ def _index_from_word(word, length, q):
         raise ValueError(f"codeword must have {length} digits, got {len(word)}")
     idx = 0
     for ch in word:
-        d = int(ch)
+        d = _DIGITS.find(ch)
         if not 0 <= d < q:
             raise ValueError(f"digit {ch!r} out of range for base {q}")
         idx = idx * q + d

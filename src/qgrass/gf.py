@@ -443,23 +443,6 @@ def dilations(w):
     return out
 
 
-def sample_dilation(w, rng):
-    """Uniform draw from dilations(w).
-
-    Implemented by drawing x uniformly in F_q^(n+1) minus F_q^n and taking
-    span(w, x); every dilation has the same number of generating vectors,
-    so the result is exactly uniform.
-    """
-    n = w.ambient_dim
-    field = w.field
-    q = field.q
-    x = [rng.randrange(q) for _ in range(n)]
-    x.append(rng.randrange(1, q))
-    v = rref(list(w.embedded(1).basis) + [tuple(x)], n + 1, field)
-    assert v.dim == w.dim + 1
-    return v
-
-
 # -- textual format -------------------------------------------------------
 
 def _element_to_text(a, field):

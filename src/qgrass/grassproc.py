@@ -5,9 +5,13 @@ probability theta q^(n-1) / (1 + theta q^(n-1)), in which case V_n is a
 uniform dilation of V_{n-1}; otherwise V_n is V_{n-1} embedded (append a
 zero coordinate).
 
-Simulation is deterministic given a root seed: every step draws from its
-own substream, so trajectories can be replicated or parallelized without
-sharing RNG state.
+`simulate` is the one transition.  Simulation is deterministic given a root
+seed: every step draws from its own substream, so trajectories can be
+replicated or parallelized without sharing RNG state.
+
+The law of V_n lives in `qdist`: the per-subspace and per-class functions
+here adapt it, except for the completed-square codimension form and
+`outcome_tree_law`, which re-derives the law independently as an oracle.
 """
 
 import math
@@ -17,8 +21,9 @@ from fractions import Fraction
 
 from . import qdist
 from .entropy import binary_quadratic_entropy, log_q_int
-from .gf import Subspace, dilations, format_subspace, rref, sample_dilation, zero_subspace
+from .gf import Subspace, dilations, format_subspace, rref, zero_subspace
 from .qcomb import q_binomial
+from .qdist import growth_prob
 
 
 @dataclass(frozen=True)
@@ -48,18 +53,6 @@ def substream(seed, *path):
     return random.Random(label)
 
 
-def step(state, theta, rng):
-    """One transition: Bernoulli growth, then uniform dilation on success."""
-    n = state.step
-    q = state.current.field.q
-    p = theta * q**n / (1.0 + theta * q**n)
-    if rng.random() < p:
-        nxt = sample_dilation(state.current, rng)
-    else:
-        nxt = state.current.embedded(1)
-    return ProcessState(n + 1, nxt)
-
-
 def simulate(n, theta, field, seed, keep_history=False):
     """Run the process to time n; deterministic given the seed.
 
@@ -74,8 +67,7 @@ def simulate(n, theta, field, seed, keep_history=False):
     history = [ProcessState(0, zero_subspace(0, field))] if keep_history else None
     for m in range(n):
         rng = substream(seed, "step", m + 1)
-        p = theta * q**m / (1.0 + theta * q**m)
-        if rng.random() < p:
+        if rng.random() < growth_prob(theta, q, m):
             x = [rng.randrange(q) for _ in range(m)]
             x.append(rng.randrange(1, q))
             rows.append(x)
@@ -103,23 +95,13 @@ def log_exact_pmf(k, n, theta, q):
     """log_q Pr{V_n = v} for any fixed k-dimensional subspace."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if theta == 0:
-        return 0.0 if k == 0 else -math.inf
-    return (
-        k * math.log(theta) / math.log(q)
-        + k * (k - 1) / 2.0
-        - qdist.log_q_neg_pochhammer(theta, n, q)
-    )
+    class_law = qdist.log_pmf(k, qdist.QBinomialParams(n, theta, q))
+    return class_law - log_q_int(q_binomial(n, k, q), q)
 
 
 def exact_pmf_fraction(k, n, theta, q):
     """Exact rational Pr{V_n = v} for rational theta (oracle path)."""
-    t = Fraction(theta)
-    num = t**k * Fraction(q) ** (k * (k - 1) // 2)
-    den = Fraction(1)
-    for i in range(n):
-        den *= 1 + t * q**i
-    return num / den
+    return qdist.pmf_fraction(k, n, theta, q) / q_binomial(n, k, q)
 
 
 def log_pmf_by_codim(d, n, theta, q):
@@ -135,19 +117,18 @@ def log_pmf_by_codim(d, n, theta, q):
         raise ValueError("theta must be positive")
     x0 = 0.5 - math.log(theta) / math.log(q)
     h2_term = (n * n) * binary_quadratic_entropy(d / n) / 2.0 if n else 0.0
-    # log_q (-1/theta; 1/q)_n, a bounded product with factors 1 + q^-i/theta
-    tail = sum(math.log1p(q**-i / theta) for i in range(n)) / math.log(q)
+    tail = qdist.log_q_neg_inv_pochhammer(theta, n, q)
     return -0.5 * (d - x0) ** 2 + 0.5 * x0**2 - h2_term - tail
 
 
 def codim_class_log_prob(d, n, theta, q):
     """log_q Pr{V_n has codimension d} (exact coefficient, float log)."""
-    return log_q_int(q_binomial(n, n - d, q), q) + log_exact_pmf(n - d, n, theta, q)
+    return qdist.log_pmf(n - d, qdist.QBinomialParams(n, theta, q))
 
 
 def codim_class_prob_fraction(d, n, theta, q):
     """Exact rational Pr{V_n in Gr(n-d, n)} for rational theta."""
-    return q_binomial(n, n - d, q) * exact_pmf_fraction(n - d, n, theta, q)
+    return qdist.pmf_fraction(n - d, n, theta, q)
 
 
 def outcome_tree_law(n, theta, field):

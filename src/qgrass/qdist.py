@@ -1,9 +1,11 @@
-"""The q-binomial distribution Bin_q(n, theta).
+"""The q-binomial distribution Bin_q(n, theta), home of the process law.
 
-pmf in the one- and two-parameter forms, exact rational pmf for oracle
-checks, moments, sampling through the heterogeneous Bernoulli chain, and
-maximum-likelihood estimation of theta by bracketing bisection on the
-mean scale.
+The growth probability, the log q-Pochhammer products (-theta; q)_n and
+(-1/theta; 1/q)_n, and the pmf in the one- and two-parameter forms, with
+the exact rational pmf for oracle checks; the subspace and class laws of
+the Grassmannian process derive from these.  Also moments, sampling
+through the heterogeneous Bernoulli chain, and maximum-likelihood
+estimation of theta by bracketing bisection on the mean scale.
 """
 
 import math
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .entropy import log_q_int
-from .qcomb import q_binomial
+from .qcomb import pochhammer, q_binomial
 
 LOG_DOMAIN_THRESHOLD = 30
 MLE_DEFAULT_TOL = 1e-12
@@ -32,10 +34,15 @@ class QBinomialParams:
             raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
 
 
+def growth_prob(theta, q, i):
+    """Growth probability theta q^i / (1 + theta q^i) of step i + 1."""
+    return theta * q**i / (1.0 + theta * q**i)
+
+
 def bernoulli_chain(params):
     """Success probabilities p_i = theta q^(i-1) / (1 + theta q^(i-1)), i = 1..n."""
     t, q = params.theta, params.q
-    return tuple(t * q**i / (1.0 + t * q**i) for i in range(params.n))
+    return tuple(growth_prob(t, q, i) for i in range(params.n))
 
 
 def log_q_neg_pochhammer(theta, n, q):
@@ -52,6 +59,14 @@ def log_q_neg_pochhammer(theta, n, q):
         else:
             total += i + math.log(theta + q**-i) / lnq
     return total
+
+
+def log_q_neg_inv_pochhammer(theta, n, q):
+    """log_q of (-1/theta; 1/q)_n = prod_{i<n} (1 + q^-i / theta), theta > 0.
+
+    Bounded in n: the factors tend to 1 geometrically.
+    """
+    return sum(math.log1p(q**-i / theta) for i in range(n)) / math.log(q)
 
 
 def log_pmf(k, params):
@@ -97,10 +112,7 @@ def pmf_fraction(k, n, theta, q):
     if k < 0 or k > n:
         return Fraction(0)
     num = q_binomial(n, k, q) * Fraction(q) ** (k * (k - 1) // 2) * t**k
-    den = Fraction(1)
-    for i in range(n):
-        den *= 1 + t * q**i
-    return num / den
+    return num / pochhammer(-t, q, n)
 
 
 def _q_binomial_real(n, k, q):
@@ -146,8 +158,7 @@ def pmf_xy(k, n, x, y, q):
 
 def mean(params):
     """Expected dimension: sum_j theta q^j / (1 + theta q^j)."""
-    t, q = params.theta, params.q
-    return sum(t * q**j / (1.0 + t * q**j) for j in range(params.n))
+    return sum(bernoulli_chain(params))
 
 
 def variance(params):

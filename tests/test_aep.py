@@ -1,11 +1,14 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from qgrass import aep, gf, grassproc, qcomb
+from qgrass import aep, gf, grassproc, qcomb, qdist
 
 F2 = gf.FieldSpec(2)
+F16 = gf.FieldSpec(16)
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +189,38 @@ def test_greedy_min_set_size():
     assert b2 == 0 and s2 == 1
 
 
+def test_merged_law_and_lazy_stop():
+    # the subspace law times the class size, the q-binomial pmf and the
+    # codimension class mass are one exact law, summing to 1
+    for q in (2, 3, 4):
+        for theta in (Fraction(1, 2), Fraction(1), Fraction(2)):
+            for n in range(9):
+                masses = [qdist.pmf_fraction(k, n, theta, q) for k in range(n + 1)]
+                assert sum(masses) == 1
+                for k, pk in enumerate(masses):
+                    size = qcomb.q_binomial(n, k, q)
+                    assert pk == size * grassproc.exact_pmf_fraction(k, n, theta, q)
+                    assert pk == grassproc.codim_class_prob_fraction(n - k, n, theta, q)
+    # the lazy stop agrees with a stop index over all n + 1 class masses
+    for theta in (Fraction(7, 10), 1, 0.7):
+        for n in range(1, 61):
+            if isinstance(theta, float):
+                masses = [2.0 ** grassproc.codim_class_log_prob(d, n, theta, 2)
+                          for d in range(n + 1)]
+                cumulative = [math.fsum(masses[: d + 1]) for d in range(n + 1)]
+                need = 1.0 - 0.1
+            else:
+                masses = [grassproc.codim_class_prob_fraction(d, n, theta, 2)
+                          for d in range(n + 1)]
+                cumulative = list(itertools.accumulate(masses))
+                need = Fraction(9, 10)
+            a_n = next((d for d, c in enumerate(cumulative) if c >= need), n)
+            ts = aep.typical_set(n, 0.1, theta, 2)
+            assert ts.delta_codim == a_n, (theta, n)
+            assert ts.exact_size == sum(qcomb.q_binomial(n, n - d, 2) for d in range(a_n + 1))
+            assert aep.greedy_min_set_size(n, 0.1, theta, 2)[1] == a_n
+
+
 def test_greedy_float_path_agrees_with_rational():
     for n in (8, 16, 25, 33):
         s_r, b_r = aep.greedy_min_set_size(n, 0.1, Fraction(7, 10), 2)
@@ -230,15 +265,27 @@ def test_block_code_shape(code4):
     assert 2 ** (code4.codeword_len - 1) < code4.exact_size
 
 
-def test_round_trip_all_typical(code4):
+def _assert_round_trips(code):
     seen = set()
-    for d in range(code4.codim_bound + 1):
-        for v in gf.enumerate_grassmannian(4 - d, 4, F2):
-            w = aep.encode(v, code4)
-            assert len(w) == code4.codeword_len
-            assert aep.decode(w, code4) == v
+    for d in range(code.codim_bound + 1):
+        for v in gf.enumerate_grassmannian(code.n - d, code.n, code.field):
+            w = aep.encode(v, code)
+            assert len(w) == code.codeword_len
+            assert aep.decode(w, code) == v
             seen.add(w)
-    assert len(seen) == code4.exact_size
+    assert len(seen) == code.exact_size
+
+
+def test_round_trip_all_typical(code4):
+    _assert_round_trips(code4)
+
+
+def test_round_trip_all_typical_q16():
+    # digits 10..15 must stay one character each
+    ts = aep.typical_set(2, 0.1, 1, 16)
+    code = aep.make_block_code(ts, F16)
+    assert code.exact_size == 18
+    _assert_round_trips(code)
 
 
 def test_rank_matches_enumeration_order():
@@ -261,6 +308,34 @@ def test_rank_matches_enumeration_order():
             word = "".join(str(d) for d in reversed(digits))
             assert aep.decode(word, code) == v
             assert aep.encode(v, code) == word
+
+
+def test_rank_counts_pivot_blocks():
+    # ranks add up whole blocks of pivot sets: the enumeration order holds
+    # over F_3 too, and the far end of a class at n = 24 is reached at once
+    F3 = gf.FieldSpec(3)
+    for n in (3, 4):
+        code = aep.make_block_code(aep.typical_set(n, 0.2, 1, 3), F3)
+        expected = [
+            v
+            for d in range(code.codim_bound + 1)
+            for v in gf.enumerate_grassmannian(n - d, n, F3)
+        ]
+        for idx, v in enumerate(expected):
+            word = aep.encode(v, code)
+            assert int(word, 3) == idx
+            assert aep.decode(word, code) == v
+    n = 24
+    code = aep.make_block_code(aep.typical_set(n, 0.1, Fraction(1, 256), 2), F2)
+    k = n - code.codim_bound
+    last = gf.subspace_from_pattern(tuple(range(n - k, n)), [], n, F2)
+    word = aep.encode(last, code)
+    assert int(word, 2) == code.exact_size - 1
+    assert aep.decode(word, code) == last
+    rng = random.Random(3)
+    for _ in range(50):
+        word = format(rng.randrange(code.exact_size), f"0{code.codeword_len}b")
+        assert aep.encode(aep.decode(word, code), code) == word
 
 
 def test_atypical_encodes_to_error_word(code4):

@@ -6,11 +6,13 @@ import sys
 import pytest
 
 CLI = [sys.executable, "-m", "qgrass.cli"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(*args, inp=None, env_extra=None):
     env = dict(os.environ)
     env.pop("QGRASS_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -97,6 +99,13 @@ def test_typical_and_aep_check():
             "--theta", "1", "--q", "2")
     rep = json.loads(r.stdout)
     assert rep["pass"] and rep["a_n"] == 2
+
+
+def test_aep_check_n_zero_is_domain_error():
+    r = run("aep-check", "--n", "0", "--epsilon", "0.1", "--delta", "0.5",
+            "--theta", "1", "--q", "2")
+    assert r.returncode == 1 and r.stdout == ""
+    assert json.loads(r.stderr) == {"error": "domain", "detail": "n must be >= 1"}
 
 
 def test_code_round_trip():

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -192,32 +191,6 @@ def test_dilations_against_filter_oracle():
                         if v.contains(we) and not amb.contains(v)
                     }
                     assert set(gf.dilations(w)) == expect
-
-
-def test_sample_dilation_uniform():
-    rng = random.Random(31337)
-    w = gf.rref([(1, 0, 1)], 3, F2)
-    dils = gf.dilations(w)
-    assert len(dils) == 4
-    counts = {v: 0 for v in dils}
-    n_draws = 100_000
-    for _ in range(n_draws):
-        counts[gf.sample_dilation(w, rng)] += 1
-    expect = n_draws / len(dils)
-    sigma = math.sqrt(n_draws * 0.25 * 0.75)
-    for v, c in counts.items():
-        assert abs(c - expect) < 3 * sigma, counts
-
-
-def test_sample_dilation_trivial_and_escape():
-    rng = random.Random(5)
-    z0 = gf.zero_subspace(0, F3)
-    assert gf.sample_dilation(z0, rng) == gf.full_space(1, F3)
-    w = gf.rref([(1, 1)], 2, F3)
-    amb = gf.full_space(2, F3).embedded(1)
-    for _ in range(50):
-        v = gf.sample_dilation(w, rng)
-        assert not amb.contains(v)
 
 
 def test_format_parse_round_trip():

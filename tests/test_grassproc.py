@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -15,34 +14,57 @@ def test_process_state_invariant():
         grassproc.ProcessState(3, gf.zero_subspace(2, F2))
 
 
-def test_step_theta_zero_never_grows():
-    state = grassproc.ProcessState(0, gf.zero_subspace(0, F2))
-    rng = random.Random(0)
-    for _ in range(8):
-        state = grassproc.step(state, 0.0, rng)
-        assert state.current.dim == 0
-    assert state.step == 8
+def test_simulate_theta_zero_never_grows():
+    t = grassproc.simulate(8, 0.0, F2, seed=0, keep_history=True)
+    assert [st.current.dim for st in t.history] == [0] * 9
+    assert t.final.step == 8
 
 
-def test_step_huge_theta_always_grows():
-    state = grassproc.ProcessState(0, gf.zero_subspace(0, F2))
-    rng = random.Random(0)
-    for _ in range(6):
-        state = grassproc.step(state, 1e12, rng)
-    assert state.current.dim == 6
+def test_simulate_huge_theta_always_grows():
+    t = grassproc.simulate(6, 1e12, F2, seed=0)
+    assert t.final.current.dim == 6
 
 
 def test_v1_law_half():
     # Pr{V_1 = F_2} = theta/(1+theta) = 1/2 at theta = 1
-    rng = random.Random(123)
     n_draws = 40_000
-    grew = 0
-    for _ in range(n_draws):
-        st = grassproc.step(
-            grassproc.ProcessState(0, gf.zero_subspace(0, F2)), 1.0, rng
-        )
-        grew += st.current.dim
+    grew = sum(
+        grassproc.simulate(1, 1.0, F2, seed=f"v1:{i}").final.current.dim
+        for i in range(n_draws)
+    )
     assert abs(grew / n_draws - 0.5) < 0.01
+
+
+def test_simulate_growth_escapes_ambient():
+    # a growth step from the zero space gives the whole line; every growth
+    # step is a dilation: it contains the embedded old space and escapes
+    # the old ambient space
+    for seed in range(20):
+        t = grassproc.simulate(5, 1.0, F3, seed=seed, keep_history=True)
+        if t.history[1].current.dim:
+            assert t.history[1].current == gf.full_space(1, F3)
+        for prev, nxt in zip(t.history, t.history[1:]):
+            if nxt.current.dim == prev.current.dim + 1:
+                assert nxt.current.contains(prev.current.embedded(1))
+                amb = gf.full_space(prev.step, F3).embedded(1)
+                assert not amb.contains(nxt.current)
+
+
+def test_simulate_law_matches_outcome_tree():
+    # every subspace's count is within 3 sigma of its exact outcome-tree
+    # probability; at these draw counts the bound is reachable for a
+    # correct sampler
+    n_draws = 20_000
+    for n in (2, 3):
+        counts = Counter(
+            grassproc.simulate(n, 1.0, F2, seed=i).final.current for i in range(n_draws)
+        )
+        law = grassproc.outcome_tree_law(n, Fraction(1), F2)
+        assert set(counts) <= set(law)
+        for v, pr in law.items():
+            p = float(pr)
+            sigma = (n_draws * p * (1 - p)) ** 0.5
+            assert abs(counts[v] - n_draws * p) < 3 * sigma, (n, v, counts[v])
 
 
 def test_simulate_deterministic_replay():
