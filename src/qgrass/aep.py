@@ -234,8 +234,9 @@ def greedy_min_set_size(n, epsilon, theta, q):
 
     Builds B_n by adding whole codimension classes in decreasing per-space
     probability (increasing codimension) and tops up with a partial class;
-    exact rational arithmetic whenever theta is rational.  The stop
-    codimension must agree with the typical set's a_n, which is asserted.
+    exact rational arithmetic whenever theta is rational.  The last
+    codimension b_n is the typical set's a_n: both are the same class-mass
+    stop, whose partial class is never empty, which is asserted.
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
@@ -246,10 +247,8 @@ def greedy_min_set_size(n, epsilon, theta, q):
         space_p = float(q) ** grassproc.log_exact_pmf(n - d, n, theta, q)
     partial = math.ceil(deficit / space_p)
     size = sum(q_binomial(n, n - c, q) for c in range(d)) + partial
-    b_n = d if partial else d - 1
-    a_n = typical_set(n, epsilon, theta, q).delta_codim
-    assert b_n == a_n, f"greedy stop {b_n} != typical-set bound {a_n}"
-    return size, b_n
+    assert partial > 0, f"empty partial class at the class-mass stop {d}"
+    return size, d
 
 
 # -- block coding ----------------------------------------------------------

@@ -5,6 +5,15 @@ overrides the default seed).  Output is JSON by default, CSV for the
 table-shaped commands with --format csv; exact integers are serialized as
 decimal strings, never floats.  Output is buffered and written whole, so
 a failing run never leaves a partial file.
+
+Errors: every failure, argparse usage errors included, writes one JSON
+object {"error": code, "detail": text} to stderr, nothing to stdout, and
+exits with status 1.  ``main`` is the one place that maps exceptions to
+codes: a ``CliError`` carries its own code (usage, bad_theta, bad_seed,
+bad_subspace, bad_word, bad_samples, basis_print_guard, domain),
+``ValueError`` becomes domain, ``OverflowError`` overflow (values beyond
+the float range, e.g. n > 1023 at q = 2) and ``OSError`` io.  Any other
+exception is a bug and keeps its traceback.
 """
 
 import argparse
@@ -28,6 +37,13 @@ class CliError(Exception):
         self.detail = detail
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as CliError instead of printing and exiting 2."""
+
+    def error(self, message):
+        raise CliError("usage", f"{self.prog}: {message}")
+
+
 def _default_seed():
     env = os.environ.get("QGRASS_SEED")
     if env is not None:
@@ -41,9 +57,14 @@ def _default_seed():
 def _emit(text, out_path):
     if out_path:
         tmp = out_path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, out_path)
+        fh = open(tmp, "w")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, out_path)
+        except OSError:
+            os.remove(tmp)
+            raise
     else:
         sys.stdout.write(text)
 
@@ -60,13 +81,16 @@ def _csv(header, rows):
 
 
 def _theta_value(text):
-    """Parse theta, keeping exact rationals exact (e.g. '1', '1/2')."""
-    if "/" in text:
-        return Fraction(text)
-    f = float(text)
-    if f == int(f):
-        return int(f)
-    return f
+    """Parse theta >= 0, keeping exact rationals exact (e.g. '1', '1/2')."""
+    try:
+        value = Fraction(text) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError):
+        value = math.nan
+    if not value >= 0 or value == math.inf:
+        raise CliError("bad_theta", f"theta must be a finite number >= 0, got {text!r}")
+    if isinstance(value, float) and value == int(value):
+        return int(value)
+    return value
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -82,31 +106,27 @@ def _cmd_qcoeff(args):
         if sum(ks) != n:
             raise CliError("domain", f"parts {ks} do not sum to n={n}")
         parts = tuple(ks)
-    try:
-        value = qcomb.q_multinomial(parts, args.q)
-    except ValueError as exc:
-        raise CliError("domain", str(exc))
-    return str(value) + "\n"
+    return str(qcomb.q_multinomial(parts, args.q)) + "\n"
 
 
 def _cmd_simulate(args):
-    field = _field(args.q)
-    theta = _theta_value(args.theta)
+    field = gf.FieldSpec(args.q)
+    theta = float(args.theta)
     if args.samples < 1:
         raise CliError("domain", f"samples must be >= 1, got {args.samples}")
     if args.histogram:
         counts = Counter()
         for i in range(args.samples):
-            traj = grassproc.simulate(args.n, float(theta), field, f"{args.seed}:{i}")
+            traj = grassproc.simulate(args.n, theta, field, f"{args.seed}:{i}")
             counts[traj.final.current.dim] += 1
-        params = qdist.QBinomialParams(args.n, float(theta), args.q)
+        params = qdist.QBinomialParams(args.n, theta, args.q)
         exact = [qdist.pmf(k, params) for k in range(args.n + 1)]
         empirical = [counts.get(k, 0) / args.samples for k in range(args.n + 1)]
         tv = 0.5 * sum(abs(a - b) for a, b in zip(empirical, exact))
         payload = {
             "schema": SCHEMA,
             "n": args.n,
-            "theta": float(theta),
+            "theta": theta,
             "q": args.q,
             "seed": args.seed,
             "samples": args.samples,
@@ -131,15 +151,14 @@ def _cmd_simulate(args):
     lines = []
     for i in range(args.samples):
         traj = grassproc.simulate(
-            args.n, float(theta), field, f"{args.seed}:{i}", keep_history=args.keep_history
+            args.n, theta, field, f"{args.seed}:{i}", keep_history=args.keep_history
         )
         lines.append(json.dumps(grassproc.trajectory_record(traj)))
     return "\n".join(lines) + "\n"
 
 
 def _cmd_mu_table(args):
-    theta = _theta_value(args.theta)
-    table = aep.build_mu_table(float(theta), args.q)
+    table = aep.build_mu_table(float(args.theta), args.q)
     if args.format == "csv":
         rows = [(d, v) for d, v in enumerate(table.values)]
         return _csv(("d", "mu"), rows)
@@ -147,7 +166,7 @@ def _cmd_mu_table(args):
         {
             "schema": SCHEMA,
             "q": args.q,
-            "theta": float(theta),
+            "theta": float(args.theta),
             "mu": list(table.values),
             "tail": table.tail_bound,
             "d_max": table.d_max,
@@ -156,8 +175,7 @@ def _cmd_mu_table(args):
 
 
 def _cmd_typical(args):
-    theta = _theta_value(args.theta)
-    ts = aep.typical_set(args.n, args.epsilon, theta, args.q)
+    ts = aep.typical_set(args.n, args.epsilon, args.theta, args.q)
     return _json(
         {
             "schema": SCHEMA,
@@ -175,19 +193,21 @@ def _cmd_typical(args):
 
 
 def _cmd_aep_check(args):
-    theta = _theta_value(args.theta)
-    report = aep.check_aep(args.n, args.epsilon, args.delta, theta, args.q)
+    report = aep.check_aep(args.n, args.epsilon, args.delta, args.theta, args.q)
     report = dict(report, schema=SCHEMA)
     return _json(report)
 
 
+def _block_code(args):
+    field = gf.FieldSpec(args.q)
+    ts = aep.typical_set(args.n, args.epsilon, args.theta, args.q)
+    return aep.make_block_code(ts, field)
+
+
 def _cmd_code_encode(args):
-    field = _field(args.q)
-    theta = _theta_value(args.theta)
-    ts = aep.typical_set(args.n, args.epsilon, theta, args.q)
-    code = aep.make_block_code(ts, field)
+    code = _block_code(args)
     try:
-        v, canonical = gf.parse_subspace(args.subspace, args.n, field)
+        v, canonical = gf.parse_subspace(args.subspace, args.n, code.field)
     except ValueError as exc:
         raise CliError("bad_subspace", str(exc))
     word = aep.encode(v, code)
@@ -203,10 +223,7 @@ def _cmd_code_encode(args):
 
 
 def _cmd_code_decode(args):
-    field = _field(args.q)
-    theta = _theta_value(args.theta)
-    ts = aep.typical_set(args.n, args.epsilon, theta, args.q)
-    code = aep.make_block_code(ts, field)
+    code = _block_code(args)
     try:
         v = aep.decode(args.word, code)
     except ValueError as exc:
@@ -233,10 +250,7 @@ def _cmd_mle(args):
         raise CliError("bad_samples", str(exc))
     if not samples:
         raise CliError("bad_samples", "no samples provided")
-    try:
-        theta_hat = qdist.mle_theta(samples, args.n, args.q, args.tol)
-    except ValueError as exc:
-        raise CliError("domain", str(exc))
+    theta_hat = qdist.mle_theta(samples, args.n, args.q, args.tol)
     ybar = sum(samples) / len(samples)
     if theta_hat == math.inf:
         residual = abs(args.n - ybar)
@@ -256,11 +270,8 @@ def _cmd_mle(args):
 
 def _cmd_maxent(args):
     energies = [float(t) for t in args.energies.split(",")]
-    try:
-        model = maxent.EnergyModel(tuple(energies), args.mean)
-        sol = maxent.solve(model)
-    except ValueError as exc:
-        raise CliError("domain", str(exc))
+    model = maxent.EnergyModel(tuple(energies), args.mean)
+    sol = maxent.solve(model)
     payload = {
         "schema": SCHEMA,
         "probs": list(sol.probs),
@@ -287,13 +298,10 @@ def _finite_n_payload(model, n, q):
 def _cmd_asymptotics(args):
     probs = [float(t) for t in args.probs.split(",")]
     n_list = [int(t) for t in args.n_list.split(",")]
-    try:
-        if args.q:
-            rows = entropy.check_qmultinomial_asymptotics(probs, args.q, n_list)
-        else:
-            rows = entropy.check_multinomial_asymptotics(probs, n_list)
-    except ValueError as exc:
-        raise CliError("domain", str(exc))
+    if args.q:
+        rows = entropy.check_qmultinomial_asymptotics(probs, args.q, n_list)
+    else:
+        rows = entropy.check_multinomial_asymptotics(probs, n_list)
     if args.format == "csv":
         return _csv(("n", "rate", "target"), rows)
     return _json(
@@ -320,153 +328,109 @@ def _cmd_growth(args):
     )
 
 
-def _field(q):
-    try:
-        return gf.FieldSpec(q)
-    except ValueError as exc:
-        raise CliError("domain", str(exc))
-
-
 # -- parser ----------------------------------------------------------------
 
+# The flags that several subcommands share, by name.
+SHARED_FLAGS = {
+    "n": dict(type=int, required=True),
+    "epsilon": dict(type=float, required=True),
+    "theta": dict(required=True),
+    "q": dict(type=int, required=True),
+}
+
+
 def build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="qgrass",
         description="q-deformed information theory over finite vector spaces",
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False, fmt=True):
-        if seed:
-            p.add_argument("--seed", type=int, default=None)
-        if fmt:
+    def command(name, func, help, flags="", csv=None):
+        """Add a subcommand with the SHARED_FLAGS named in flags and --out;
+        a command with CSV columns also takes --format."""
+        p = sub.add_parser(name, help=help, epilog=csv and f"CSV columns: {csv}")
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **SHARED_FLAGS[flag])
+        if csv:
             p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write output to this path")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("qcoeff", help="exact q-multinomial coefficient")
+    typical_flags = "n epsilon theta q"
+
+    p = command("qcoeff", _cmd_qcoeff, "exact q-multinomial coefficient", "q")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int, nargs="+")
-    p.add_argument("--q", type=int, required=True)
-    common(p, fmt=False)
-    p.set_defaults(func=_cmd_qcoeff)
 
-    p = sub.add_parser(
-        "simulate",
-        help="run the Grassmannian process",
-        epilog="CSV columns (histogram mode): dim,count,empirical,exact",
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--q", type=int, required=True)
+    p = command("simulate", _cmd_simulate, "run the Grassmannian process",
+                "n theta q", csv="dim,count,empirical,exact (histogram mode)")
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--histogram", action="store_true",
                    help="aggregate dimension histogram + TV against the exact pmf")
     p.add_argument("--keep-history", action="store_true")
-    common(p, seed=True)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser(
-        "mu-table",
-        help="limiting codimension law mu(d)",
-        epilog="CSV columns: d,mu",
-    )
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--theta", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_mu_table)
+    command("mu-table", _cmd_mu_table, "limiting codimension law mu(d)", "q theta", csv="d,mu")
+    command("typical", _cmd_typical, "typical subspace set descriptor", typical_flags)
 
-    p = sub.add_parser("typical", help="typical subspace set descriptor")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--q", type=int, required=True)
-    common(p, fmt=False)
-    p.set_defaults(func=_cmd_typical)
-
-    p = sub.add_parser("aep-check", help="equipartition gap report")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p = command("aep-check", _cmd_aep_check, "equipartition gap report", typical_flags)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--q", type=int, required=True)
-    common(p, fmt=False)
-    p.set_defaults(func=_cmd_aep_check)
 
-    p = sub.add_parser("code-encode", help="encode a typical subspace")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--q", type=int, required=True)
+    p = command("code-encode", _cmd_code_encode, "encode a typical subspace", typical_flags)
     p.add_argument("--subspace", required=True, help="RREF rows, e.g. '100;010'")
-    common(p, fmt=False)
-    p.set_defaults(func=_cmd_code_encode)
 
-    p = sub.add_parser("code-decode", help="decode a codeword to a subspace")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--q", type=int, required=True)
+    p = command("code-decode", _cmd_code_decode, "decode a codeword to a subspace",
+                typical_flags)
     p.add_argument("--word", required=True)
-    common(p, fmt=False)
-    p.set_defaults(func=_cmd_code_decode)
 
-    p = sub.add_parser("mle", help="estimate theta from dimension samples")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p = command("mle", _cmd_mle, "estimate theta from dimension samples", "n q")
     p.add_argument("--tol", type=float, default=qdist.MLE_DEFAULT_TOL)
     p.add_argument("--samples-file", default=None,
                    help="one integer per line; default reads stdin")
-    common(p, fmt=False)
-    p.set_defaults(func=_cmd_mle)
 
-    p = sub.add_parser("maxent", help="quadratic-entropy maximization")
+    p = command("maxent", _cmd_maxent, "quadratic-entropy maximization")
     p.add_argument("--energies", required=True, help="comma-separated energies")
     p.add_argument("--mean", type=float, required=True)
     p.add_argument("--finite-n", type=int, default=None)
     p.add_argument("--q", type=int, default=2)
-    common(p, fmt=False)
-    p.set_defaults(func=_cmd_maxent)
 
-    p = sub.add_parser(
-        "asymptotics",
-        help="growth-rate table vs entropy target",
-        epilog="CSV columns: n,rate,target",
-    )
+    p = command("asymptotics", _cmd_asymptotics, "growth-rate table vs entropy target",
+                csv="n,rate,target")
     p.add_argument("--probs", required=True, help="comma-separated probabilities")
     p.add_argument("--n-list", required=True)
     p.add_argument("--q", type=int, default=None,
                    help="q-multinomial rates; omit for classical")
-    common(p)
-    p.set_defaults(func=_cmd_asymptotics)
 
-    p = sub.add_parser(
-        "growth",
-        help="total Grassmannian growth rates",
-        epilog="CSV columns: n,value",
-    )
-    p.add_argument("--q", type=int, required=True)
+    p = command("growth", _cmd_growth, "total Grassmannian growth rates", "q", csv="n,value")
     p.add_argument("--n-list", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_growth)
 
     return top
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
+        if hasattr(args, "theta"):
+            args.theta = _theta_value(args.theta)
+        if args.q is not None and args.q < 2:
+            raise CliError("domain", f"q must be >= 2, got {args.q}")
         text = args.func(args)
         _emit(text, args.out)
         return 0
     except CliError as exc:
-        sys.stderr.write(_json({"error": exc.code, "detail": exc.detail}))
-        return 1
+        code, detail = exc.code, exc.detail
     except ValueError as exc:
-        sys.stderr.write(_json({"error": "domain", "detail": str(exc)}))
-        return 1
+        code, detail = "domain", str(exc)
+    except OverflowError as exc:
+        code, detail = "overflow", str(exc)
+    except OSError as exc:
+        code, detail = "io", str(exc)
+    sys.stderr.write(_json({"error": code, "detail": detail}))
+    return 1
 
 
 if __name__ == "__main__":

@@ -143,6 +143,8 @@ def check_multinomial_asymptotics(probs, n_list):
     target = tsallis_entropy(probs, 1)
     rows = []
     for n in n_list:
+        if n < 1:
+            raise ValueError("n must be >= 1")
         parts = round_to_type(probs, n)
         rate = ln_int(multinomial(parts)) / n
         rows.append((n, rate, target))
@@ -155,6 +157,8 @@ def check_qmultinomial_asymptotics(probs, q, n_list):
     target = quadratic_entropy(probs)
     rows = []
     for n in n_list:
+        if n < 1:
+            raise ValueError("n must be >= 1")
         parts = round_to_type(probs, n)
         rate = 2.0 * log_q_int(q_multinomial(parts, q), q) / (n * n)
         rows.append((n, rate, target))

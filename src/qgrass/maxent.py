@@ -8,6 +8,7 @@ active-set clamping of negative coordinates.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +27,8 @@ class EnergyModel:
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
         if not self.energies:
             raise ValueError("at least one energy level is required")
+        if not all(map(math.isfinite, self.energies)):
+            raise ValueError(f"energies must be finite, got {self.energies}")
         if not min(self.energies) <= self.target_mean <= max(self.energies):
             raise ValueError(
                 f"target mean {self.target_mean} outside the feasible range "

@@ -5,8 +5,11 @@ import sys
 
 import pytest
 
+from qgrass import cli
+
 CLI = [sys.executable, "-m", "qgrass.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def run(*args, inp=None, env_extra=None):
@@ -210,9 +213,12 @@ def test_golden_output(name):
     args, inp = GOLDEN_CASES[name]
     r = run(*args, inp=inp)
     assert r.returncode == 0
-    golden = os.path.join(os.path.dirname(__file__), "golden", f"{name}.txt")
-    with open(golden) as fh:
+    with open(os.path.join(GOLDEN, f"{name}.txt")) as fh:
         assert r.stdout == fh.read()
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(os.listdir(GOLDEN)) == sorted(f"{name}.txt" for name in GOLDEN_CASES)
 
 
 def test_out_file_written_whole(tmp_path):
@@ -224,3 +230,53 @@ def test_out_file_written_whole(tmp_path):
     out2 = tmp_path / "nope.json"
     r = run("qcoeff", "4", "9", "--q", "2", "--out", str(out2))
     assert r.returncode == 1 and not out2.exists()
+
+
+# Bad inputs and the error code each must end in.  "{tmp}" is a fresh
+# directory holding an empty directory "dir" and the file "{samples}" with
+# the one sample "1"; a failing run must leave nothing else in it.
+BAD_INPUTS = [
+    (["mu-table", "--q", "2", "--theta", "inf"], "bad_theta"),
+    (["mu-table", "--q", "2", "--theta", "1e400"], "bad_theta"),
+    (["mu-table", "--q", "2", "--theta", "1/0"], "bad_theta"),
+    (["mu-table", "--q", "2", "--theta", "nan"], "bad_theta"),
+    (["mu-table", "--q", "2", "--theta", "abc"], "bad_theta"),
+    (["mu-table", "--q", "2", "--theta", "-1"], "bad_theta"),
+    (["simulate", "--n", "3", "--theta", "-1", "--q", "2"], "bad_theta"),
+    (["mu-table", "--q", "2", "--theta", "1e-300"], "overflow"),
+    (["mu-table", "--q", "1", "--theta", "1"], "domain"),
+    (["typical", "--n", "8", "--epsilon", "0.1", "--theta", "1", "--q", "1"], "domain"),
+    (["aep-check", "--n", "8", "--epsilon", "0.1", "--delta", "0.5", "--theta", "1",
+      "--q", "1"], "domain"),
+    (["mle", "--n", "8", "--q", "2", "--samples-file", "{tmp}/missing.txt"], "io"),
+    (["mle", "--n", "2000", "--q", "2", "--samples-file", "{samples}"], "overflow"),
+    (["maxent", "--energies", "inf,0", "--mean", "0.5"], "domain"),
+    (["asymptotics", "--probs", "0.5,0.5", "--n-list", "0"], "domain"),
+    (["asymptotics", "--probs", "0.5,0.5", "--n-list", "0", "--q", "2"], "domain"),
+    (["growth", "--q", "2", "--n-list", "4", "--out", "{tmp}/missing/res.json"], "io"),
+    (["growth", "--q", "2", "--n-list", "4", "--out", "{tmp}/dir"], "io"),
+    (["simulate", "--n", "1100", "--theta", "1", "--q", "2", "--histogram"], "overflow"),
+    (["simulate", "--n", "3", "--q", "2"], "usage"),
+    (["growth", "--q", "2", "--n-list", "4", "--format", "xml"], "usage"),
+]
+
+
+@pytest.mark.parametrize("argv,code", BAD_INPUTS, ids=[" ".join(a) for a, _ in BAD_INPUTS])
+def test_bad_input_is_one_json_error(argv, code, tmp_path, capsys):
+    (tmp_path / "dir").mkdir()
+    samples = tmp_path / "samples.txt"
+    samples.write_text("1\n")
+    argv = [a.format(tmp=tmp_path, samples=samples) for a in argv]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    error = json.loads(err)
+    assert set(error) == {"error", "detail"} and error["error"] == code and error["detail"]
+    assert sorted(os.listdir(tmp_path)) == ["dir", "samples.txt"]
+    assert os.listdir(tmp_path / "dir") == []
+
+
+def test_entry_point_usage_error_is_json():
+    r = run("growth", "--q", "2", "--n-list", "4", "--format", "xml")
+    assert r.returncode == 1 and r.stdout == "" and "Traceback" not in r.stderr
+    assert json.loads(r.stderr)["error"] == "usage"

@@ -177,3 +177,11 @@ def test_h2_maximized_by_uniform_on_simplex_grid():
     assert argmax is not None
     assert max(abs(x - 1 / 3) for x in argmax) < 0.01
     assert best <= entropy.quadratic_entropy([1 / 3] * 3) + 1e-12
+
+
+def test_asymptotics_reject_n_below_one():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            entropy.check_multinomial_asymptotics([0.5, 0.5], [4, n])
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            entropy.check_qmultinomial_asymptotics([0.5, 0.5], 2, [4, n])

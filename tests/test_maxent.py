@@ -14,6 +14,8 @@ def test_model_validation():
         maxent.EnergyModel((0.0, 1.0), 1.5)  # infeasible mean
     with pytest.raises(ValueError):
         maxent.EnergyModel((0.0, 1.0), -0.1)
+    with pytest.raises(ValueError):
+        maxent.EnergyModel((float("inf"), 0.0), 0.5)  # non-finite energy
 
 
 def test_two_state_forced():
