@@ -2,8 +2,9 @@
 
 The limiting codimension law mu(d), its quantile function Delta(p), typical
 sets A_n with their exact sizes, the greedy minimal covering set, subspace
-block coding by rank/unrank, the total-Grassmannian growth check, and the
-Pochhammer-quotient bounds used in the tail estimates.
+block coding by rank/unrank (a codeword is its index written in base q with
+the gf digit codec, gf.to_text/gf.from_text), the total-Grassmannian growth
+check, and the Pochhammer-quotient bounds used in the tail estimates.
 
 Whenever theta is rational (int or Fraction), the finite-n tail sums run in
 exact rational arithmetic, so set sizes and stop indices are exact; mu and
@@ -16,7 +17,9 @@ from fractions import Fraction
 
 from . import grassproc
 from .entropy import binary_quadratic_entropy, log_q_int
-from .gf import _DIGITS, free_positions, full_space, subspace_from_pattern
+from .gf import (
+    TEXT_BASE_MAX, free_positions, from_text, full_space, subspace_from_pattern, to_text
+)
 from .qcomb import pochhammer_inf, q_binomial
 from .qdist import log_q_neg_inv_pochhammer
 
@@ -273,8 +276,8 @@ class BlockCode:
 def make_block_code(ts, field):
     if field.q != ts.q:
         raise ValueError("field order does not match the typical set")
-    if field.q > len(_DIGITS):
-        raise ValueError(f"codewords support q <= {len(_DIGITS)}")
+    if field.q > TEXT_BASE_MAX:
+        raise ValueError(f"codewords support q <= {TEXT_BASE_MAX}")
     sizes = tuple(q_binomial(ts.n, ts.n - d, field.q) for d in ts.member_codims)
     total = sum(sizes)
     # ceil(log_q total) in exact integer arithmetic
@@ -335,26 +338,6 @@ def _unrank_in_class(rank, k, n, field):
     return subspace_from_pattern(pivots, values, n, field)
 
 
-def _word_from_index(idx, length, q):
-    digits = []
-    for _ in range(length):
-        digits.append(_DIGITS[idx % q])
-        idx //= q
-    return "".join(reversed(digits))
-
-
-def _index_from_word(word, length, q):
-    if len(word) != length:
-        raise ValueError(f"codeword must have {length} digits, got {len(word)}")
-    idx = 0
-    for ch in word:
-        d = _DIGITS.find(ch)
-        if not 0 <= d < q:
-            raise ValueError(f"digit {ch!r} out of range for base {q}")
-        idx = idx * q + d
-    return idx
-
-
 def encode(v, code):
     """Codeword of a subspace; atypical inputs get the reserved word.
 
@@ -367,15 +350,19 @@ def encode(v, code):
     d = code.n - v.dim
     if d > code.codim_bound:
         reserved = code.exact_size if code.field.q**code.codeword_len > code.exact_size else 0
-        return _word_from_index(reserved, code.codeword_len, code.field.q)
+        return to_text(reserved, code.codeword_len, code.field.q)
     idx = sum(code.class_sizes[:d]) + _rank_in_class(v)
-    return _word_from_index(idx, code.codeword_len, code.field.q)
+    return to_text(idx, code.codeword_len, code.field.q)
 
 
 def decode(word, code):
     """Subspace of a codeword; out-of-range words map to the default
     subspace (the full space, rank 0 in the code order)."""
-    idx = _index_from_word(word, code.codeword_len, code.field.q)
+    if len(word) != code.codeword_len:
+        raise ValueError(
+            f"codeword must have {code.codeword_len} digits, got {len(word)}"
+        )
+    idx = from_text(word, code.field.q)
     if idx >= code.exact_size:
         return full_space(code.n, code.field)
     for d, size in enumerate(code.class_sizes):

@@ -7,9 +7,17 @@ coefficients (value = c_0 + c_1 p + ... + c_{e-1} p^{e-1}).
 Subspaces of F_q^n are kept in reduced row echelon form with pivots
 normalized to 1, which makes the representative unique: two Subspace
 objects are equal iff they describe the same subspace.
+
+Every text form goes through one digit codec, to_text/from_text: an
+integer written as a fixed number of base-b digits over 0-9a-z, most
+significant first.  An element is its e base-p digits; a subspace row
+(c_1..c_n) is the integer sum c_i q^(n-i) written with n*e base-p digits,
+which is each coordinate's e digits in turn; a codeword (module aep) is its
+index written in base q.  Bases above 36 have no text form.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .qcomb import q_binomial
@@ -31,50 +39,36 @@ _TABLE_LIMIT = 256  # build q x q multiplication tables up to this order
 GRASSMANNIAN_GUARD = 10**7
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+TEXT_BASE_MAX = len(_DIGITS)  # largest base the digit alphabet can write
 
 
 def _factor_prime_power(q):
     """Return (p, e) with q = p^e, or raise if q is not a prime power."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"field order must be an integer >= 2, got {q!r}")
-    for p in range(2, q + 1):
-        if not _is_prime(p):
-            continue
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, e
-    raise ValueError(f"{q} is not a prime power")
+    # the smallest divisor >= 2 of q is prime, so it is the characteristic
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    e, m = 0, q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
 
 
 def _poly_mod(num, den, p):
-    """Remainder of polynomial division over F_p (coefficient lists, low first)."""
+    """Remainder of polynomial division by a monic den over F_p
+    (coefficient lists, low first)."""
     num = list(num)
     dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p) if p > 2 else den[-1]
     while len(num) - 1 >= dd and any(num):
         while num and num[-1] == 0:
             num.pop()
         if len(num) - 1 < dd:
             break
         shift = len(num) - 1 - dd
-        factor = (num[-1] * inv_lead) % p
+        factor = num[-1]
         for i, c in enumerate(den):
             num[shift + i] = (num[shift + i] - factor * c) % p
         while num and num[-1] == 0:
@@ -230,13 +224,7 @@ class FieldSpec:
         self._mul_table = [
             [self._mul_slow(a, b) for b in range(q)] for a in range(q)
         ]
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul_table[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._inv_table = inv
+        self._inv_table = [0] + [row.index(1) for row in self._mul_table[1:]]
 
     def elements(self):
         return range(self.q)
@@ -302,15 +290,20 @@ class Subspace:
         )
 
     def __repr__(self):
-        return (
-            f"Subspace(q={self.field.q}, n={self.ambient_dim}, "
-            f"basis={format_subspace(self)!r})"
-        )
+        basis = format_subspace(self) if self.field.p <= TEXT_BASE_MAX else self.basis
+        return f"Subspace(q={self.field.q}, n={self.ambient_dim}, basis={basis!r})"
 
 
 def _check_compatible(v, w):
     if v.field != w.field or v.ambient_dim != w.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
+
+
+def _subtract_multiple(field, row, c, brow, start):
+    """row[j] -= c * brow[j] in place, for j >= start."""
+    for j in range(start, len(row)):
+        if brow[j]:
+            row[j] = field.sub(row[j], field.mul(c, brow[j]))
 
 
 def _reduce_vector(field, vec, basis, pivot_cols):
@@ -319,9 +312,7 @@ def _reduce_vector(field, vec, basis, pivot_cols):
     for row, pc in zip(basis, pivot_cols):
         c = vec[pc]
         if c:
-            for j in range(pc, len(vec)):
-                if row[j]:
-                    vec[j] = field.sub(vec[j], field.mul(c, row[j]))
+            _subtract_multiple(field, vec, c, row, pc)
     return vec
 
 
@@ -336,16 +327,11 @@ def rref(rows, n, field):
         row = tuple(int(c) % field.q for c in row)
         if len(row) != n:
             raise ValueError(f"row length {len(row)} != ambient dimension {n}")
-        work.append(list(row))
+        work.append(row)
 
-    basis = []  # list of (pivot_col, row)
+    basis, pivots = [], []  # reduced rows and their pivot columns, in order found
     for row in work:
-        for pc, brow in basis:
-            c = row[pc]
-            if c:
-                for j in range(pc, n):
-                    if brow[j]:
-                        row[j] = field.sub(row[j], field.mul(c, brow[j]))
+        row = _reduce_vector(field, row, basis, pivots)
         pc = next((j for j, c in enumerate(row) if c), None)
         if pc is None:
             continue
@@ -353,20 +339,19 @@ def rref(rows, n, field):
         if inv != 1:
             row = [field.mul(inv, c) for c in row]
         # clear the new pivot column in the existing rows
-        for old_pc, brow in basis:
+        for brow in basis:
             c = brow[pc]
             if c:
-                for j in range(pc, n):
-                    if row[j]:
-                        brow[j] = field.sub(brow[j], field.mul(c, row[j]))
-        basis.append((pc, row))
+                _subtract_multiple(field, brow, c, row, pc)
+        basis.append(row)
+        pivots.append(pc)
 
-    basis.sort(key=lambda item: item[0])
+    ordered = sorted(zip(pivots, basis))  # pivots are distinct: rows never compared
     return Subspace(
         field,
         n,
-        tuple(tuple(row) for _, row in basis),
-        tuple(pc for pc, _ in basis),
+        tuple(tuple(row) for _, row in ordered),
+        tuple(pc for pc, _ in ordered),
     )
 
 
@@ -445,21 +430,27 @@ def dilations(w):
 
 # -- textual format -------------------------------------------------------
 
-def _element_to_text(a, field):
-    if field.p > len(_DIGITS):
-        raise ValueError(f"text format supports p <= {len(_DIGITS)}")
-    digits = field.to_digits(a)
-    return "".join(_DIGITS[d] for d in reversed(digits))
-
-
-def _element_from_text(chars, field):
+def to_text(x, length, base):
+    """The integer x in range(base**length) as exactly `length` base-`base`
+    digits over 0-9a-z, most significant first."""
+    if base > TEXT_BASE_MAX:
+        raise ValueError(f"text format supports base <= {TEXT_BASE_MAX}")
     digits = []
-    for ch in chars:
-        d = _DIGITS.index(ch.lower())
-        if d >= field.p:
-            raise ValueError(f"digit {ch!r} out of range for p={field.p}")
-        digits.append(d)
-    return field.from_digits(list(reversed(digits)))
+    for _ in range(length):
+        x, d = divmod(x, base)
+        digits.append(_DIGITS[d])
+    return "".join(reversed(digits))
+
+
+def from_text(text, base):
+    """The integer written by to_text; only lowercase digits are accepted."""
+    x = 0
+    for ch in text:
+        d = _DIGITS.find(ch)
+        if not 0 <= d < base:
+            raise ValueError(f"digit {ch!r} out of range for base {base}")
+        x = x * base + d
+    return x
 
 
 def format_subspace(v):
@@ -469,13 +460,19 @@ def format_subspace(v):
     the zero subspace formats as the empty string.
     """
     field = v.field
-    return ";".join(
-        "".join(_element_to_text(c, field) for c in row) for row in v.basis
-    )
+    q, width = field.q, v.ambient_dim * field.e
+    rows = []
+    for row in v.basis:
+        x = 0
+        for c in row:
+            x = x * q + c
+        rows.append(to_text(x, width, field.p))
+    return ";".join(rows)
 
 
 def parse_subspace(text, n, field):
-    """Parse the ';'-joined row format back into a canonical Subspace.
+    """Parse the ';'-joined row format (any letter case) back into a
+    canonical Subspace.
 
     Returns (subspace, was_canonical): input that is not already an RREF
     basis is re-canonicalized and flagged rather than rejected outright.
@@ -489,11 +486,12 @@ def parse_subspace(text, n, field):
                 raise ValueError(
                     f"row {part!r} must have {n * field.e} digits for n={n}"
                 )
-            row = tuple(
-                _element_from_text(part[i * field.e:(i + 1) * field.e], field)
-                for i in range(n)
-            )
-            rows.append(row)
+            x = from_text(part.lower(), field.p)
+            row = []
+            for _ in range(n):
+                x, c = divmod(x, field.q)
+                row.append(c)
+            rows.append(tuple(reversed(row)))
     v = rref(rows, n, field)
     was_canonical = tuple(rows) == v.basis
     return v, was_canonical

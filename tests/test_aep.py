@@ -1,9 +1,12 @@
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgrass import aep, gf, grassproc, qcomb, qdist
 
@@ -286,6 +289,27 @@ def test_round_trip_all_typical_q16():
     code = aep.make_block_code(ts, F16)
     assert code.exact_size == 18
     _assert_round_trips(code)
+
+
+@functools.lru_cache(maxsize=None)
+def _typical_code(n, q):
+    return aep.make_block_code(aep.typical_set(n, 0.1, 1, q), gf.FieldSpec(q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_encode_decode_is_a_bijection(data):
+    q = data.draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 16)))
+    n = data.draw(st.integers(1, 7))
+    code = _typical_code(n, q)
+    d = data.draw(st.integers(0, code.codim_bound))
+    pivots = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=n - d, max_size=n - d)))
+    free = gf.free_positions(pivots, n)
+    values = data.draw(st.lists(st.integers(0, q - 1), min_size=len(free), max_size=len(free)))
+    v = gf.subspace_from_pattern(pivots, values, n, code.field)
+    word = aep.encode(v, code)
+    assert len(word) == code.codeword_len
+    assert aep.decode(word, code) == v
 
 
 def test_rank_matches_enumeration_order():

@@ -258,6 +258,9 @@ BAD_INPUTS = [
     (["simulate", "--n", "1100", "--theta", "1", "--q", "2", "--histogram"], "overflow"),
     (["simulate", "--n", "3", "--q", "2"], "usage"),
     (["growth", "--q", "2", "--n-list", "4", "--format", "xml"], "usage"),
+    (["code-encode", "--n", "4", "--epsilon", "0.2", "--theta", "1", "--q", "2",
+      "--subspace", "1#00;0010"], "bad_subspace"),
+    (["simulate", "--n", "2", "--theta", "1", "--q", "37"], "domain"),
 ]
 
 

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgrass import gf, qcomb
 
@@ -18,6 +20,10 @@ def test_field_spec_validation():
         gf.FieldSpec(1)
     with pytest.raises(ValueError):
         gf.FieldSpec(2**17)  # beyond the supported order envelope
+    with pytest.raises(ValueError):
+        gf.FieldSpec(65535)  # 3 * 5 * 17 * 257
+    big = gf.FieldSpec(65521)  # the largest prime below 2^16
+    assert (big.p, big.e) == (65521, 1)
     with pytest.raises(ValueError):
         gf.FieldSpec(4, modulus=(0, 0, 1))  # x^2, reducible
     with pytest.raises(ValueError):
@@ -213,3 +219,49 @@ def test_format_parse_extension_field():
     assert back == v and canonical
     with pytest.raises(ValueError):
         gf.parse_subspace("10", 3, F2)  # wrong digit count
+    with pytest.raises(ValueError, match="'#'"):
+        gf.parse_subspace("1#00;0010", 4, F2)  # the message names the bad digit
+
+
+def test_format_matches_per_coordinate_reference():
+    # reference: each coordinate written as its e base-p digits in turn
+    alphabet = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+    def coordinate(c, field):
+        digits = [(c // field.p**i) % field.p for i in range(field.e)]
+        return "".join(alphabet[d] for d in reversed(digits))
+
+    rng = random.Random(11)
+    for q in (2, 3, 4, 8, 9, 16, 25, 27, 31):
+        field = gf.FieldSpec(q)
+        spaces = [gf.full_space(5, field), gf.zero_subspace(5, field)]
+        for _ in range(30):
+            n = rng.randint(1, 7)
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            spaces.append(gf.rref(rows, n, field))
+        for v in spaces:
+            expected = ";".join(
+                "".join(coordinate(c, field) for c in row) for row in v.basis
+            )
+            assert gf.format_subspace(v) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_format_parse_is_a_bijection(data):
+    q = data.draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 16)))
+    n = data.draw(st.integers(0, 6))
+    rows = data.draw(
+        st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), max_size=n + 1)
+    )
+    field = gf.FieldSpec(q)
+    v = gf.rref(rows, n, field)
+    text = gf.format_subspace(v)
+    assert gf.parse_subspace(text, n, field) == (v, True)
+    assert gf.parse_subspace(text.upper(), n, field) == (v, True)
+
+
+def test_repr_without_text_form():
+    v = gf.rref([[1, 5, 36]], 3, gf.FieldSpec(37))
+    assert repr(v) == "Subspace(q=37, n=3, basis=((1, 5, 36),))"
+    assert repr(gf.rref([[1, 1]], 2, F2)) == "Subspace(q=2, n=2, basis='11')"
