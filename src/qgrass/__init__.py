@@ -47,7 +47,6 @@ from .qdist import (
     variance,
     c_n,
     c_inf,
-    sample,
     m_qn,
     mle_theta,
 )
@@ -55,7 +54,6 @@ from .grassproc import (
     ProcessState,
     Trajectory,
     simulate,
-    exact_pmf,
     log_pmf_by_codim,
     outcome_tree_law,
 )

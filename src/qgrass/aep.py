@@ -247,7 +247,10 @@ def greedy_min_set_size(n, epsilon, theta, q):
     if _is_rational(theta):
         space_p = grassproc.exact_pmf_fraction(n - d, n, theta, q)
     else:
-        space_p = float(q) ** grassproc.log_exact_pmf(n - d, n, theta, q)
+        log_class_size = log_q_int(q_binomial(n, n - d, q), q)
+        space_p = float(q) ** (
+            grassproc.codim_class_log_prob(d, n, theta, q) - log_class_size
+        )
     partial = math.ceil(deficit / space_p)
     size = sum(q_binomial(n, n - c, q) for c in range(d)) + partial
     assert partial > 0, f"empty partial class at the class-mass stop {d}"

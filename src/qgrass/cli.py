@@ -17,6 +17,7 @@ exception is a bug and keeps its traceback.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -148,6 +149,8 @@ def _cmd_simulate(args):
             f"n={args.n} exceeds the basis-printing guard {BASIS_PRINT_LIMIT}; "
             "use --histogram",
         )
+    if field.p > gf.TEXT_BASE_MAX:  # refuse before any trajectory runs
+        raise CliError("domain", f"text format supports base <= {gf.TEXT_BASE_MAX}")
     lines = []
     for i in range(args.samples):
         traj = grassproc.simulate(
@@ -339,7 +342,10 @@ SHARED_FLAGS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process: it keeps no state between parse_args
+    calls, each of which fills a fresh namespace."""
     top = _Parser(
         prog="qgrass",
         description="q-deformed information theory over finite vector spaces",

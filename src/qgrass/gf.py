@@ -2,7 +2,9 @@
 
 Field elements are plain ints in range(q): for prime fields the residue
 itself, for extension fields the base-p digit encoding of the polynomial
-coefficients (value = c_0 + c_1 p + ... + c_{e-1} p^{e-1}).
+coefficients (value = c_0 + c_1 p + ... + c_{e-1} p^{e-1}).  Prime fields
+multiply and invert modulo p and build no tables; extension fields of
+order up to _TABLE_LIMIT use q x q multiplication and inverse tables.
 
 Subspaces of F_q^n are kept in reduced row echelon form with pivots
 normalized to 1, which makes the representative unique: two Subspace
@@ -34,7 +36,7 @@ _DEFAULT_MODULI = {
     27: (3, (1, 2, 0, 1)),    # x^3 + 2x + 1 over F_3
 }
 
-_TABLE_LIMIT = 256  # build q x q multiplication tables up to this order
+_TABLE_LIMIT = 256  # extension fields up to this order get q x q tables
 
 GRASSMANNIAN_GUARD = 10**7
 
@@ -128,7 +130,7 @@ class FieldSpec:
         self._hash = hash((p, e, modulus))
         self._mul_table = None
         self._inv_table = None
-        if q <= _TABLE_LIMIT:
+        if e > 1 and q <= _TABLE_LIMIT:
             self._build_tables()
 
     def __eq__(self, other):
@@ -185,13 +187,13 @@ class FieldSpec:
         return self.sub(0, a)
 
     def mul(self, a, b):
+        if self.e == 1:
+            return a * b % self.p
         if self._mul_table is not None:
             return self._mul_table[a][b]
         return self._mul_slow(a, b)
 
     def _mul_slow(self, a, b):
-        if self.e == 1:
-            return (a * b) % self.p
         p = self.p
         da, db = self.to_digits(a), self.to_digits(b)
         prod = [0] * (2 * self.e - 1)
@@ -206,6 +208,8 @@ class FieldSpec:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
+        if self.e == 1:
+            return pow(a, -1, self.p)
         if self._inv_table is not None:
             return self._inv_table[a]
         # a^(q-2) = a^(-1) in F_q*

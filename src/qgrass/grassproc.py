@@ -5,13 +5,16 @@ probability theta q^(n-1) / (1 + theta q^(n-1)), in which case V_n is a
 uniform dilation of V_{n-1}; otherwise V_n is V_{n-1} embedded (append a
 zero coordinate).
 
-`simulate` is the one transition.  Simulation is deterministic given a root
-seed: every step draws from its own substream, so trajectories can be
-replicated or parallelized without sharing RNG state.
+`simulate` is the one transition and the one sampler of the chain.
+Simulation is deterministic given a root seed: every step draws from its
+own substream, so trajectories can be replicated or parallelized without
+sharing RNG state.
 
-The law of V_n lives in `qdist`: the per-subspace and per-class functions
-here adapt it, except for the completed-square codimension form and
-`outcome_tree_law`, which re-derives the law independently as an oracle.
+The law of V_n lives in `qdist`; three adapters here restate it: the exact
+rational per-subspace law, which `outcome_tree_law` is checked against, and
+the exact and log codimension-class laws.  The completed-square
+codimension form and `outcome_tree_law`, an independent re-derivation of
+the law used as an oracle, are computed here.
 """
 
 import math
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import qdist
-from .entropy import binary_quadratic_entropy, log_q_int
+from .entropy import binary_quadratic_entropy
 from .gf import Subspace, dilations, format_subspace, rref, zero_subspace
 from .qcomb import q_binomial
 from .qdist import growth_prob
@@ -80,23 +83,6 @@ def simulate(n, theta, field, seed, keep_history=False):
     return Trajectory(
         q, theta, seed, final, tuple(history) if keep_history else None
     )
-
-
-def exact_pmf(v, n, theta, q):
-    """Pr{V_n = v} = theta^k q^(k(k-1)/2) / (-theta; q)_n with k = dim v."""
-    if v.ambient_dim != n:
-        raise ValueError("subspace ambient dimension does not match n")
-    if v.field.q != q:
-        raise ValueError("subspace field order does not match q")
-    return float(q) ** log_exact_pmf(v.dim, n, theta, q)
-
-
-def log_exact_pmf(k, n, theta, q):
-    """log_q Pr{V_n = v} for any fixed k-dimensional subspace."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    class_law = qdist.log_pmf(k, qdist.QBinomialParams(n, theta, q))
-    return class_law - log_q_int(q_binomial(n, k, q), q)
 
 
 def exact_pmf_fraction(k, n, theta, q):

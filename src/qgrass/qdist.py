@@ -3,9 +3,10 @@
 The growth probability, the log q-Pochhammer products (-theta; q)_n and
 (-1/theta; 1/q)_n, and the pmf in the one- and two-parameter forms, with
 the exact rational pmf for oracle checks; the subspace and class laws of
-the Grassmannian process derive from these.  Also moments, sampling
-through the heterogeneous Bernoulli chain, and maximum-likelihood
-estimation of theta by bracketing bisection on the mean scale.
+the Grassmannian process derive from these.  Also the success
+probabilities of the heterogeneous Bernoulli chain (the one sampler of the
+chain is `grassproc.simulate`), moments, and maximum-likelihood estimation
+of theta by bracketing bisection on the mean scale.
 """
 
 import math
@@ -183,15 +184,6 @@ def c_inf(theta, q, tol=1e-12):
         if term < tol:
             return total
         j += 1
-
-
-def sample(params, rng):
-    """One draw: sum of independent Bernoullis along the chain."""
-    k = 0
-    for p in bernoulli_chain(params):
-        if rng.random() < p:
-            k += 1
-    return k
 
 
 def m_qn(theta, n, q):

@@ -283,3 +283,37 @@ def test_entry_point_usage_error_is_json():
     r = run("growth", "--q", "2", "--n-list", "4", "--format", "xml")
     assert r.returncode == 1 and r.stdout == "" and "Traceback" not in r.stderr
     assert json.loads(r.stderr)["error"] == "usage"
+
+
+# Calls of cli.main in one process share one parser; a flag or an error of
+# one call must not reach the next.
+IN_PROCESS_SEQUENCE = [
+    ["simulate", "--n", "4", "--theta", "1", "--q", "2", "--keep-history", "--seed", "2"],
+    ["simulate", "--n", "4", "--theta", "1", "--q", "2", "--seed", "2"],
+    GOLDEN_CASES["maxent"][0],
+    ["maxent", "--energies", "0,1,2", "--mean", "0.5"],
+    ["simulate", "--n", "3", "--q", "2"],
+    GOLDEN_CASES["simulate"][0],
+]
+
+
+def test_repeated_main_matches_entry_point(capsys):
+    for argv in IN_PROCESS_SEQUENCE:
+        rc = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        ref = run(*argv)
+        assert (rc, out, err) == (ref.returncode, ref.stdout, ref.stderr), argv
+    with open(os.path.join(GOLDEN, "simulate.txt")) as fh:
+        assert out == fh.read()
+
+
+@pytest.mark.parametrize("q", ["37", "251"])
+def test_simulate_refuses_text_base_before_running(q, monkeypatch, capsys):
+    def no_trajectory(*args, **kwargs):
+        raise AssertionError("a trajectory ran")
+
+    monkeypatch.setattr(cli.grassproc, "simulate", no_trajectory)
+    assert cli.main(["simulate", "--n", "2", "--theta", "1", "--q", q, "--samples", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "domain", "detail": "text format supports base <= 36"}

@@ -33,14 +33,37 @@ def test_field_spec_validation():
 
 
 def test_field_arithmetic_above_table_limit():
-    # q = 257 exceeds the multiplication-table threshold; exercises the
-    # direct arithmetic path
+    # q = 257 exceeds the table limit, which binds extension fields only
     f = gf.FieldSpec(257)
     assert f.mul(200, 200) == (200 * 200) % 257
     for a in (1, 2, 100, 256):
         assert f.mul(a, f.inv(a)) == 1
     with pytest.raises(ValueError):
         gf.FieldSpec(7**4)  # extension order without a built-in modulus
+
+
+@pytest.mark.parametrize("p", [251, 257, 65521])
+def test_prime_field_arithmetic_is_modular(p):
+    f = gf.FieldSpec(p)
+    assert f._mul_table is None and f._inv_table is None
+    rng = random.Random(p)
+    for _ in range(2000):
+        a, b = rng.randrange(p), rng.randrange(p)
+        assert f.mul(a, b) == a * b % p
+    units = range(1, p) if p == 251 else [rng.randrange(1, p) for _ in range(2000)]
+    for a in units:
+        assert f.mul(a, f.inv(a)) == 1
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+
+
+@pytest.mark.parametrize("q", [4, 9, 16])
+def test_extension_field_tables_match_slow_product(q):
+    f = gf.FieldSpec(q)
+    for a, b in itertools.product(f.elements(), repeat=2):
+        assert f.mul(a, b) == f._mul_slow(a, b)
+    for a in range(1, q):
+        assert f._mul_slow(a, f.inv(a)) == 1
 
 
 @pytest.mark.parametrize("q", [4, 8, 9])

@@ -1,9 +1,11 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from qgrass import gf, grassproc, qcomb, qdist
+from qgrass.entropy import log_q_int
 
 F2 = gf.FieldSpec(2)
 F3 = gf.FieldSpec(3)
@@ -50,6 +52,27 @@ def test_simulate_growth_escapes_ambient():
                 assert not amb.contains(nxt.current)
 
 
+def test_simulate_dimension_law():
+    assert grassproc.simulate(0, 5.0, F2, seed=0).final.current.dim == 0
+    # dimension TV of 20,000 draws of V_5 against the exact law; the bound is
+    # the TV's mean plus 6 sd for a correct sampler at this N, computed from
+    # the exact law as criterion 5 does for the subspace TV
+    n, n_draws = 5, 20_000
+    counts = Counter(
+        grassproc.simulate(n, 1.0, F2, seed=f"dim:{i}").final.current.dim
+        for i in range(n_draws)
+    )
+    tv = tv_mean = tv_var = 0.0
+    for k in range(n + 1):
+        p = float(qdist.pmf_fraction(k, n, 1, 2))
+        spread = p * (1 - p) / n_draws
+        tv += abs(counts[k] / n_draws - p)
+        tv_mean += math.sqrt(2 * spread / math.pi)
+        tv_var += (1 - 2 / math.pi) * spread
+    tv, tv_mean, tv_sd = 0.5 * tv, 0.5 * tv_mean, 0.5 * math.sqrt(tv_var)
+    assert tv < tv_mean + 6 * tv_sd, (tv, tv_mean, tv_sd)
+
+
 def test_simulate_law_matches_outcome_tree():
     # every subspace's count is within 3 sigma of its exact outcome-tree
     # probability; at these draw counts the bound is reachable for a
@@ -94,8 +117,7 @@ def test_simulate_trivial_and_monotone_dims():
 
 
 def test_exact_pmf_values_and_sum():
-    v0 = gf.zero_subspace(1, F2)
-    assert abs(grassproc.exact_pmf(v0, 1, 1.0, 2) - 0.5) < 1e-15
+    assert grassproc.exact_pmf_fraction(0, 1, 1, 2) == Fraction(1, 2)
     # sum over all of Gr(3) is exactly 1 in rationals
     total = Fraction(0)
     for k in range(4):
@@ -104,11 +126,10 @@ def test_exact_pmf_values_and_sum():
     assert total == 1
     # corollary: class mass equals the q-binomial pmf
     for k in range(4):
-        lhs = qcomb.q_binomial(3, k, 2) * grassproc.exact_pmf(
-            next(iter(gf.enumerate_grassmannian(k, 3, F2))), 3, 1.0, 2
-        )
+        lhs = qcomb.q_binomial(3, k, 2) * grassproc.exact_pmf_fraction(k, 3, 1, 2)
+        assert lhs == qdist.pmf_fraction(k, 3, 1, 2)
         rhs = qdist.pmf(k, qdist.QBinomialParams(3, 1.0, 2))
-        assert abs(lhs - rhs) < 1e-12
+        assert abs(float(lhs) - rhs) < 1e-12
 
 
 def test_outcome_tree_reproduces_law_small():
@@ -133,16 +154,18 @@ def test_outcome_tree_dim_marginal_is_qbinomial():
 
 
 def test_log_pmf_by_codim_matches_direct_log():
+    def exact_log(k, n, theta):
+        pr = grassproc.exact_pmf_fraction(k, n, Fraction(theta), 2)
+        return log_q_int(pr.numerator, 2) - log_q_int(pr.denominator, 2)
+
     for n in (5, 12, 25, 40):
         for theta in (0.5, 1.0, 2.0):
             for d in range(min(n, 7)):
                 a = grassproc.log_pmf_by_codim(d, n, theta, 2)
-                b = grassproc.log_exact_pmf(n - d, n, theta, 2)
-                assert abs(a - b) < 1e-9, (n, theta, d)
+                assert abs(a - exact_log(n - d, n, theta)) < 1e-9, (n, theta, d)
     # d = n: theta-free endpoint
     a = grassproc.log_pmf_by_codim(5, 5, 1.0, 2)
-    b = grassproc.log_exact_pmf(0, 5, 1.0, 2)
-    assert abs(a - b) < 1e-9
+    assert abs(a - exact_log(0, 5, 1.0)) < 1e-9
 
 
 def test_h2_square_identity():

