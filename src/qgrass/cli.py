@@ -116,10 +116,12 @@ def _cmd_simulate(args):
     if args.samples < 1:
         raise CliError("domain", f"samples must be >= 1, got {args.samples}")
     if args.histogram:
-        counts = Counter()
-        for i in range(args.samples):
-            traj = grassproc.simulate(args.n, theta, field, f"{args.seed}:{i}")
-            counts[traj.final.current.dim] += 1
+        # dim V_n is the number of growth decisions; no dilation is drawn
+        counts = Counter(
+            sum(rng is not None for rng in grassproc.growth_steps(
+                args.n, theta, field.q, f"{args.seed}:{i}"))
+            for i in range(args.samples)
+        )
         params = qdist.QBinomialParams(args.n, theta, args.q)
         exact = [qdist.pmf(k, params) for k in range(args.n + 1)]
         empirical = [counts.get(k, 0) / args.samples for k in range(args.n + 1)]

@@ -224,9 +224,24 @@ class FieldSpec:
         return out
 
     def _build_tables(self):
+        """Tables from the powers of a primitive element g: a*b is
+        g^(log a + log b), so q - 1 slow products per tried g build them."""
         q = self.q
-        self._mul_table = [
-            [self._mul_slow(a, b) for b in range(q)] for a in range(q)
+        for g in range(2, q):
+            powers = [1]  # g^0, g^1, ... up to the first return to 1
+            x = g
+            while x != 1:
+                powers.append(x)
+                x = self._mul_slow(x, g)
+            if len(powers) == q - 1:
+                break
+        log = [0] * q
+        for i, x in enumerate(powers):
+            log[x] = i
+        exp = powers + powers
+        logs = log[1:]
+        self._mul_table = [[0] * q] + [
+            [0] + [exp[log[a] + lb] for lb in logs] for a in range(1, q)
         ]
         self._inv_table = [0] + [row.index(1) for row in self._mul_table[1:]]
 

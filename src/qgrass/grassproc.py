@@ -5,10 +5,14 @@ probability theta q^(n-1) / (1 + theta q^(n-1)), in which case V_n is a
 uniform dilation of V_{n-1}; otherwise V_n is V_{n-1} embedded (append a
 zero coordinate).
 
-`simulate` is the one transition and the one sampler of the chain.
-Simulation is deterministic given a root seed: every step draws from its
-own substream, so trajectories can be replicated or parallelized without
-sharing RNG state.
+`growth_steps` makes the growth decisions of one chain and `simulate` is
+the one transition.  Simulation is deterministic given a root seed: step m
+draws from its own substream, labelled "<seed>/step/<m>", so trajectories
+can be replicated or parallelized without sharing RNG state.  A chain
+reseeds one generator per step, which gives the same stream as a fresh
+random.Random(label).  dim V_n is the number of growth decisions, so a
+caller that needs only the dimension runs `growth_steps` alone and draws
+no dilation.
 
 The law of V_n lives in `qdist`; three adapters here restate it: the exact
 rational per-subspace law, which `outcome_tree_law` is checked against, and
@@ -50,10 +54,27 @@ class Trajectory:
     history: tuple = None
 
 
-def substream(seed, *path):
-    """Independent deterministic RNG substream for a (seed, path) label."""
-    label = str(seed) + "".join("/" + str(p) for p in path)
-    return random.Random(label)
+def substream(rng, label):
+    """Reseed rng to the substream of label: the state of random.Random(label)."""
+    rng.seed(label)
+
+
+def growth_steps(n, theta, q, seed):
+    """The growth decisions of one chain to time n.
+
+    Yields, for each step m + 1 <= n, that step's substream, just after its
+    growth draw, if V grows there, else None.  The chain reseeds one
+    generator, so draw from a yielded substream before the next step.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    # Random.__new__ skips the OS seeding of random.Random(); every step
+    # reseeds the generator before it draws.
+    rng = random.Random.__new__(random.Random)
+    prefix = f"{seed}/step/"
+    for m in range(n):
+        substream(rng, prefix + str(m + 1))
+        yield rng if rng.random() < growth_prob(theta, q, m) else None
 
 
 def simulate(n, theta, field, seed, keep_history=False):
@@ -63,14 +84,11 @@ def simulate(n, theta, field, seed, keep_history=False):
     canonicalizes once at the end; dilations stay uniform because span(w, x)
     does not depend on the basis chosen for w.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     q = field.q
     rows = []  # row i created at ambient m has length m; padded at use
     history = [ProcessState(0, zero_subspace(0, field))] if keep_history else None
-    for m in range(n):
-        rng = substream(seed, "step", m + 1)
-        if rng.random() < growth_prob(theta, q, m):
+    for m, rng in enumerate(growth_steps(n, theta, q, seed)):
+        if rng is not None:
             x = [rng.randrange(q) for _ in range(m)]
             x.append(rng.randrange(1, q))
             rows.append(x)

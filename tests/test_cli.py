@@ -205,6 +205,11 @@ GOLDEN_CASES = {
     ),
     "asymptotics": (["asymptotics", "--probs", "0.5,0.5", "--n-list", "8,16", "--q", "2"], None),
     "growth": (["growth", "--q", "2", "--n-list", "1,10,20", "--format", "csv"], None),
+    "simulate-histogram": (
+        ["simulate", "--n", "8", "--theta", "0.5", "--q", "3", "--samples", "400",
+         "--histogram", "--seed", "9", "--format", "csv"],
+        None,
+    ),
 }
 
 
@@ -256,6 +261,7 @@ BAD_INPUTS = [
     (["growth", "--q", "2", "--n-list", "4", "--out", "{tmp}/missing/res.json"], "io"),
     (["growth", "--q", "2", "--n-list", "4", "--out", "{tmp}/dir"], "io"),
     (["simulate", "--n", "1100", "--theta", "1", "--q", "2", "--histogram"], "overflow"),
+    (["simulate", "--n", "4", "--theta", "1", "--q", "6", "--histogram"], "domain"),
     (["simulate", "--n", "3", "--q", "2"], "usage"),
     (["growth", "--q", "2", "--n-list", "4", "--format", "xml"], "usage"),
     (["code-encode", "--n", "4", "--epsilon", "0.2", "--theta", "1", "--q", "2",
@@ -317,3 +323,18 @@ def test_simulate_refuses_text_base_before_running(q, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err) == {"error": "domain", "detail": "text format supports base <= 36"}
+
+
+def test_histogram_builds_no_subspace(monkeypatch, capsys):
+    def no_subspace(*args, **kwargs):
+        raise AssertionError("a subspace was built")
+
+    monkeypatch.setattr(cli.grassproc, "simulate", no_subspace)
+    monkeypatch.setattr(cli.grassproc, "rref", no_subspace)
+    monkeypatch.setattr(cli.gf, "rref", no_subspace)
+    argv = ["simulate", "--n", "12", "--theta", "1", "--q", "4", "--samples", "300",
+            "--histogram", "--seed", "3"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert sum(json.loads(out)["dim_counts"]) == 300

@@ -57,9 +57,12 @@ def test_prime_field_arithmetic_is_modular(p):
         f.inv(0)
 
 
-@pytest.mark.parametrize("q", [4, 9, 16])
+EXPLICIT_MODULI = {32: (1, 0, 1, 0, 0, 1)}  # x^5 + x^2 + 1 over F_2
+
+
+@pytest.mark.parametrize("q", sorted(gf._DEFAULT_MODULI) + sorted(EXPLICIT_MODULI))
 def test_extension_field_tables_match_slow_product(q):
-    f = gf.FieldSpec(q)
+    f = gf.FieldSpec(q, EXPLICIT_MODULI.get(q))
     for a, b in itertools.product(f.elements(), repeat=2):
         assert f.mul(a, b) == f._mul_slow(a, b)
     for a in range(1, q):

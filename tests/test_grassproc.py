@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -88,6 +89,41 @@ def test_simulate_law_matches_outcome_tree():
             p = float(pr)
             sigma = (n_draws * p * (1 - p)) ** 0.5
             assert abs(counts[v] - n_draws * p) < 3 * sigma, (n, v, counts[v])
+
+
+def _replayed_growth(n, theta, q, seed):
+    """Fresh random.Random per step label; the first draw of each decides."""
+    grown = []
+    for m in range(1, n + 1):
+        rng = random.Random(f"{seed}/step/{m}")
+        p = theta * q ** (m - 1) / (1.0 + theta * q ** (m - 1))
+        grown.append(rng if rng.random() < p else None)
+    return grown
+
+
+@pytest.mark.parametrize("q", [2, 3, 16])
+def test_growth_steps_replays_substreams(q):
+    field = gf.FieldSpec(q)
+    for n in (0, 1, 6, 24, 64):
+        for theta in (0, 1 / 256, 1, 1e6):
+            for seed in (0, 7, "s:3"):
+                steps = list(grassproc.growth_steps(n, theta, q, seed))
+                replay = _replayed_growth(n, theta, q, seed)
+                assert len(steps) == n
+                grown = sum(rng is not None for rng in steps)
+                dim = grassproc.simulate(n, theta, field, seed).final.current.dim
+                assert grown == dim == sum(rng is not None for rng in replay)
+                assert [rng is None for rng in steps] == [rng is None for rng in replay]
+    # the basis of simulate equals the rref of dilations replayed from fresh
+    # generators: each grown step's substream goes on with its randrange draws
+    for n, theta, seed in ((6, 1, 11), (8, 0.5, "b")):
+        rows = []
+        for m, rng in enumerate(_replayed_growth(n, theta, q, seed)):
+            if rng is not None:
+                row = [rng.randrange(q) for _ in range(m)] + [rng.randrange(1, q)]
+                rows.append(row + [0] * (n - m - 1))
+        traj = grassproc.simulate(n, theta, field, seed)
+        assert traj.final.current == gf.rref(rows, n, field)
 
 
 def test_simulate_deterministic_replay():
