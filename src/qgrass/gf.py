@@ -8,14 +8,20 @@ order up to _TABLE_LIMIT use q x q multiplication and inverse tables.
 
 Subspaces of F_q^n are kept in reduced row echelon form with pivots
 normalized to 1, which makes the representative unique: two Subspace
-objects are equal iff they describe the same subspace.
+objects are equal iff they describe the same subspace.  Over F_2, rref
+packs each row into one int whose n bits are its coordinates, coordinate 1
+the most significant: elimination is XOR and a row's pivot column is
+n - x.bit_length() (the word-packed elimination of M4RI).  A Subspace
+basis is a tuple of int tuples for every field.
 
 Every text form goes through one digit codec, to_text/from_text: an
 integer written as a fixed number of base-b digits over 0-9a-z, most
 significant first.  An element is its e base-p digits; a subspace row
 (c_1..c_n) is the integer sum c_i q^(n-i) written with n*e base-p digits,
-which is each coordinate's e digits in turn; a codeword (module aep) is its
-index written in base q.  Bases above 36 have no text form.
+which is each coordinate's e digits in turn, so format_subspace joins the
+texts of the coordinates from a per-field table of the q element texts; a
+codeword (module aep) is its index written in base q.  Bases above 36 have
+no text form.
 """
 
 import itertools
@@ -130,6 +136,7 @@ class FieldSpec:
         self._hash = hash((p, e, modulus))
         self._mul_table = None
         self._inv_table = None
+        self._texts = None  # element texts, built by the first element_texts()
         if e > 1 and q <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -248,6 +255,12 @@ class FieldSpec:
     def elements(self):
         return range(self.q)
 
+    def element_texts(self):
+        """The text of every element, indexed by element: its e base-p digits."""
+        if self._texts is None:
+            self._texts = [to_text(c, self.e, self.p) for c in range(self.q)]
+        return self._texts
+
 
 @dataclass(frozen=True)
 class Subspace:
@@ -339,8 +352,12 @@ def rref(rows, n, field):
     """Canonical Subspace spanned by the given vectors of length n.
 
     Gaussian elimination with pivot normalization; dependent rows are
-    discarded.  The empty list gives the zero subspace.
+    discarded.  The empty list gives the zero subspace.  Over F_2 a row may
+    also be given packed, as an int in range(2**n) whose most significant
+    bit is coordinate 1.
     """
+    if field.q == 2:
+        return _rref_f2(rows, n, field)
     work = []
     for row in rows:
         row = tuple(int(c) % field.q for c in row)
@@ -371,6 +388,39 @@ def rref(rows, n, field):
         n,
         tuple(tuple(row) for _, row in ordered),
         tuple(pc for pc, _ in ordered),
+    )
+
+
+_BITS_TO_ENTRIES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _rref_f2(rows, n, field):
+    """rref over F_2 on packed rows; a pivot is the top set bit of its row."""
+    pivot_bits, basis = [], []  # basis rows are reduced against each other
+    for x in rows:
+        if not isinstance(x, int):
+            row = tuple(x)
+            x = 0
+            for c in row:
+                x = x << 1 | int(c) & 1  # int(c) % 2, as over any other field
+            if len(row) != n:
+                raise ValueError(f"row length {len(row)} != ambient dimension {n}")
+        elif x < 0 or x >> n:
+            raise ValueError(f"packed row {x} is not in range(2**{n})")
+        for bit, brow in zip(pivot_bits, basis):
+            if x & bit:
+                x ^= brow
+        if x:
+            bit = 1 << (x.bit_length() - 1)
+            basis = [brow ^ x if brow & bit else brow for brow in basis]
+            pivot_bits.append(bit)
+            basis.append(x)
+    basis.sort(reverse=True)  # a higher top bit is an earlier pivot column
+    return Subspace(
+        field,
+        n,
+        tuple(tuple(f"{x:0{n}b}".encode().translate(_BITS_TO_ENTRIES)) for x in basis),
+        tuple(n - x.bit_length() for x in basis),
     )
 
 
@@ -478,15 +528,10 @@ def format_subspace(v):
     Each coordinate is an e-digit base-p group, most significant first;
     the zero subspace formats as the empty string.
     """
-    field = v.field
-    q, width = field.q, v.ambient_dim * field.e
-    rows = []
-    for row in v.basis:
-        x = 0
-        for c in row:
-            x = x * q + c
-        rows.append(to_text(x, width, field.p))
-    return ";".join(rows)
+    if not v.basis:
+        return ""
+    texts = v.field.element_texts()
+    return ";".join("".join([texts[c] for c in row]) for row in v.basis)
 
 
 def parse_subspace(text, n, field):

@@ -116,6 +116,32 @@ def test_rref_canonicity_randomized():
         assert gf.rref(mixed, n, field) == v
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 63, 64, 65, 130])
+def test_rref_f2_matches_reference(n, rref_f2_reference):
+    rng = random.Random(n)
+    ones, zeros = (1, 3, -1, True), (0, 2, -2, False)  # entries reduce by int(c) % 2
+    for _ in range(12 if n < 100 else 4):
+        rows = [[rng.randrange(2) for _ in range(n)] for _ in range(rng.randint(0, n + 3))]
+        if rows:
+            rows.append([0] * n)
+            rows.append(list(rng.choice(rows)))
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append([x ^ y for x, y in zip(a, b)])
+            rng.shuffle(rows)
+        basis, pivots = rref_f2_reference(rows, n)
+        odd = [[rng.choice(ones) if c else rng.choice(zeros) for c in row] for row in rows]
+        v = gf.rref(odd, n, F2)
+        assert (v.basis, v.pivot_cols) == (basis, pivots)
+        packed = [int("".join(map(str, row)) or "0", 2) for row in rows]
+        assert gf.rref(packed, n, F2) == v
+        assert gf.rref(packed[: len(rows) // 2] + rows[len(rows) // 2 :], n, F2) == v
+    with pytest.raises(ValueError, match=f"row length {n + 1} != ambient dimension {n}"):
+        gf.rref([[1] * (n + 1)], n, F2)
+    for bad in (-1, 1 << n):
+        with pytest.raises(ValueError):
+            gf.rref([bad], n, F2)
+
+
 def test_contains():
     line_x = gf.rref([(1, 0)], 2, F2)
     line_y = gf.rref([(0, 1)], 2, F2)
@@ -157,6 +183,28 @@ def test_dimension_formula_randomized():
         assert u.dim + w.dim == s.dim + i.dim
         assert s.contains(u) and s.contains(w)
         assert u.contains(i) and w.contains(i)
+
+
+def test_f2_subspace_operations_match_reference(rref_f2_reference):
+    rng = random.Random(70)
+    for _ in range(200):
+        n = rng.randint(1, 70)
+        u_rows, w_rows = (
+            [[rng.randrange(2) for _ in range(n)] for _ in range(rng.randint(0, n))]
+            for _ in range(2)
+        )
+        u, w = gf.rref(u_rows, n, F2), gf.rref(w_rows, n, F2)
+        s, i = u.sum(w), u.intersect(w)
+        assert (s.basis, s.pivot_cols) == rref_f2_reference(u_rows + w_rows, n)
+        # the Zassenhaus intersection, eliminated by the reference
+        block = [list(r) + list(r) for r in u.basis] + [list(r) + [0] * n for r in w.basis]
+        reduced, _ = rref_f2_reference(block, 2 * n)
+        inter = [r[n:] for r in reduced if not any(r[:n])]
+        assert (i.basis, i.pivot_cols) == rref_f2_reference(inter, n)
+        assert u.dim + w.dim == s.dim + i.dim
+        assert s.contains(u) and s.contains(w) and u.contains(i) and w.contains(i)
+        in_w = len(rref_f2_reference(list(w.basis) + list(u.basis), n)[0]) == w.dim
+        assert w.contains(u) == in_w
 
 
 def test_enumerate_grassmannian_counts():

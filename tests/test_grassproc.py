@@ -126,6 +126,25 @@ def test_growth_steps_replays_substreams(q):
         assert traj.final.current == gf.rref(rows, n, field)
 
 
+@pytest.mark.parametrize("n", [1, 6, 24, 64])
+def test_simulate_f2_history_matches_reference(n, rref_f2_reference):
+    for theta in (1 / 256, 1, 1e6):
+        for seed in (0, "h"):
+            traj = grassproc.simulate(n, theta, F2, seed, keep_history=True)
+            rows = []  # the dilations drawn so far, padded to length n
+            for m, rng in enumerate(_replayed_growth(n, theta, 2, seed)):
+                if rng is not None:
+                    row = [rng.randrange(2) for _ in range(m)] + [rng.randrange(1, 2)]
+                    rows.append(row + [0] * (n - m - 1))
+                state = traj.history[m + 1]
+                expected = rref_f2_reference([row[: m + 1] for row in rows], m + 1)
+                assert state.step == m + 1
+                assert (state.current.basis, state.current.pivot_cols) == expected
+            assert len(traj.history) == n + 1
+            assert traj.history[-1] == traj.final
+            assert grassproc.simulate(n, theta, F2, seed).final == traj.final
+
+
 def test_simulate_deterministic_replay():
     t1 = grassproc.simulate(7, 1.0, F2, seed=42, keep_history=True)
     t2 = grassproc.simulate(7, 1.0, F2, seed=42, keep_history=True)
