@@ -8,11 +8,12 @@ order up to _TABLE_LIMIT use q x q multiplication and inverse tables.
 
 Subspaces of F_q^n are kept in reduced row echelon form with pivots
 normalized to 1, which makes the representative unique: two Subspace
-objects are equal iff they describe the same subspace.  Over F_2, rref
-packs each row into one int whose n bits are its coordinates, coordinate 1
-the most significant: elimination is XOR and a row's pivot column is
-n - x.bit_length() (the word-packed elimination of M4RI).  A Subspace
-basis is a tuple of int tuples for every field.
+objects are equal iff they describe the same subspace.  A row has one
+packed form for every field, the integer of its text (below).  Over F_2,
+rref eliminates on the packed rows, whose n bits are the coordinates,
+coordinate 1 the most significant: elimination is XOR and a row's pivot
+column is n - x.bit_length() (the word-packed elimination of M4RI).  A
+Subspace basis is a tuple of int tuples for every field.
 
 Every text form goes through one digit codec, to_text/from_text: an
 integer written as a fixed number of base-b digits over 0-9a-z, most
@@ -352,21 +353,19 @@ def rref(rows, n, field):
     """Canonical Subspace spanned by the given vectors of length n.
 
     Gaussian elimination with pivot normalization; dependent rows are
-    discarded.  The empty list gives the zero subspace.  Over F_2 a row may
-    also be given packed, as an int in range(2**n) whose most significant
-    bit is coordinate 1.
+    discarded.  The empty list gives the zero subspace.  A row (c_1..c_n)
+    may also be given packed, as the int sum c_i q^(n-i) in range(q**n),
+    whose to_text form is the row's text.
     """
-    if field.q == 2:
+    q = field.q
+    rows = _packed_rows(rows, n, q)
+    if q == 2:
         return _rref_f2(rows, n, field)
-    work = []
-    for row in rows:
-        row = tuple(int(c) % field.q for c in row)
-        if len(row) != n:
-            raise ValueError(f"row length {len(row)} != ambient dimension {n}")
-        work.append(row)
-
     basis, pivots = [], []  # reduced rows and their pivot columns, in order found
-    for row in work:
+    for x in rows:
+        row = [0] * n
+        for j in range(n - 1, -1, -1):
+            x, row[j] = divmod(x, q)
         row = _reduce_vector(field, row, basis, pivots)
         pc = next((j for j, c in enumerate(row) if c), None)
         if pc is None:
@@ -391,6 +390,22 @@ def rref(rows, n, field):
     )
 
 
+def _packed_rows(rows, n, q):
+    """Each row of F_q^n as its packed int; entries reduce by int(c) % q."""
+    size = q**n
+    for row in rows:
+        if not isinstance(row, int):
+            if len(row) != n:
+                raise ValueError(f"row length {len(row)} != ambient dimension {n}")
+            x = 0
+            for c in row:
+                x = x * q + int(c) % q
+            row = x
+        elif not 0 <= row < size:
+            raise ValueError(f"packed row {row} is not in range({q}**{n})")
+        yield row
+
+
 _BITS_TO_ENTRIES = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -398,15 +413,6 @@ def _rref_f2(rows, n, field):
     """rref over F_2 on packed rows; a pivot is the top set bit of its row."""
     pivot_bits, basis = [], []  # basis rows are reduced against each other
     for x in rows:
-        if not isinstance(x, int):
-            row = tuple(x)
-            x = 0
-            for c in row:
-                x = x << 1 | int(c) & 1  # int(c) % 2, as over any other field
-            if len(row) != n:
-                raise ValueError(f"row length {len(row)} != ambient dimension {n}")
-        elif x < 0 or x >> n:
-            raise ValueError(f"packed row {x} is not in range(2**{n})")
         for bit, brow in zip(pivot_bits, basis):
             if x & bit:
                 x ^= brow
@@ -513,6 +519,8 @@ def to_text(x, length, base):
 
 def from_text(text, base):
     """The integer written by to_text; only lowercase digits are accepted."""
+    if base > TEXT_BASE_MAX:
+        raise ValueError(f"text format supports base <= {TEXT_BASE_MAX}")
     x = 0
     for ch in text:
         d = _DIGITS.find(ch)
@@ -542,20 +550,14 @@ def parse_subspace(text, n, field):
     basis is re-canonicalized and flagged rather than rejected outright.
     """
     text = text.strip()
-    rows = []
-    if text:
-        for part in text.split(";"):
-            part = part.strip()
-            if len(part) != n * field.e:
-                raise ValueError(
-                    f"row {part!r} must have {n * field.e} digits for n={n}"
-                )
-            x = from_text(part.lower(), field.p)
-            row = []
-            for _ in range(n):
-                x, c = divmod(x, field.q)
-                row.append(c)
-            rows.append(tuple(reversed(row)))
+    parts = [part.strip() for part in text.split(";")] if text else []
+    rows = []  # each row's from_text integer is its packed form
+    for part in parts:
+        if len(part) != n * field.e:
+            raise ValueError(
+                f"row {part!r} must have {n * field.e} digits for n={n}"
+            )
+        rows.append(from_text(part.lower(), field.p))
     v = rref(rows, n, field)
-    was_canonical = tuple(rows) == v.basis
-    return v, was_canonical
+    # a row text and its row are one-to-one for a fixed n
+    return v, ";".join(parts).lower() == format_subspace(v)

@@ -82,39 +82,28 @@ def simulate(n, theta, field, seed, keep_history=False):
 
     The hot path keeps a raw (not necessarily reduced) generating set and
     canonicalizes once at the end; dilations stay uniform because span(w, x)
-    does not depend on the basis chosen for w.  Over F_2 a row is packed
-    into an int of n bits as gf.rref takes it, coordinate 1 the top bit.
+    does not depend on the basis chosen for w.  A row is packed as gf.rref
+    takes it, the int sum c_i q^(n-i) of a vector of F_q^n; its quotient by
+    q^(n-k) is the same row in F_q^k, as the history at step k needs it.
     """
     q = field.q
-    packed = q == 2
-    rows = []  # lists of length m + 1 from step m, padded at use; F_2: width n
+    rows = []
     history = [ProcessState(0, zero_subspace(0, field))] if keep_history else None
     for m, rng in enumerate(growth_steps(n, theta, q, seed)):
+        scale = q ** (n - m - 1)  # a row drawn at this step ends at coordinate m + 1
         if rng is not None:
-            if packed:
-                x = 0
-                for _ in range(m):
-                    x = x << 1 | rng.randrange(2)
-                rows.append((x << 1 | rng.randrange(1, 2)) << (n - m - 1))
-            else:
-                x = [rng.randrange(q) for _ in range(m)]
-                x.append(rng.randrange(1, q))
-                rows.append(x)
+            x = 0
+            for _ in range(m):
+                x = x * q + rng.randrange(q)
+            rows.append((x * q + rng.randrange(1, q)) * scale)
         if keep_history:
-            prefix = _rows_in(rows, m + 1, n, packed)
+            prefix = [x // scale for x in rows]
             history.append(ProcessState(m + 1, rref(prefix, m + 1, field)))
-    final = ProcessState(n, rref(_rows_in(rows, n, n, packed), n, field))
+    final = ProcessState(n, rref(rows, n, field))
     assert final.current.dim == len(rows)
     return Trajectory(
         q, theta, seed, final, tuple(history) if keep_history else None
     )
-
-
-def _rows_in(rows, k, n, packed):
-    """simulate's rows, all drawn by step k, as vectors of F_q^k."""
-    if packed:
-        return [x >> (n - k) for x in rows]
-    return [row + [0] * (k - len(row)) for row in rows]
 
 
 def exact_pmf_fraction(k, n, theta, q):

@@ -142,6 +142,34 @@ def test_rref_f2_matches_reference(n, rref_f2_reference):
             gf.rref([bad], n, F2)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16, 27])
+def test_rref_packed_rows_every_field(q):
+    # a row (c_1..c_n) packs to sum c_i q^(n-i), the integer of its text
+    field = gf.FieldSpec(q)
+    rng = random.Random(q)
+
+    def pack(row):
+        return sum(c * q ** (len(row) - 1 - i) for i, c in enumerate(row))
+
+    for n in (0, 1, 4, 9):
+        for _ in range(10):
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randint(0, n + 2))]
+            v = gf.rref(rows, n, field)
+            packed = [pack(row) for row in rows]
+            half = len(rows) // 2
+            assert gf.rref(packed, n, field) == v
+            assert gf.rref(packed[:half] + rows[half:], n, field) == v
+            assert gf.rref(rows[:half] + packed[half:], n, field) == v
+            shifted = [[c + q * rng.randint(-2, 2) for c in row] for row in rows]
+            assert gf.rref(shifted, n, field) == v  # entries reduce mod q
+            texts = gf.format_subspace(v).split(";") if v.basis else []
+            assert [gf.to_text(pack(row), n * field.e, field.p) for row in v.basis] == texts
+        for bad in (-1, q**n):
+            with pytest.raises(ValueError, match=f"packed row {bad} is not in range"):
+                gf.rref([bad], n, field)
+    assert gf.rref([[True, -1, q + 1]], 3, field) == gf.rref([[1, q - 1, 1]], 3, field)
+
+
 def test_contains():
     line_x = gf.rref([(1, 0)], 2, F2)
     line_y = gf.rref([(0, 1)], 2, F2)
@@ -295,6 +323,20 @@ def test_format_parse_extension_field():
         gf.parse_subspace("10", 3, F2)  # wrong digit count
     with pytest.raises(ValueError, match="'#'"):
         gf.parse_subspace("1#00;0010", 4, F2)  # the message names the bad digit
+    for q in (3, 16, 31):
+        field = gf.FieldSpec(q)
+
+        def text(row):
+            return "".join(field.element_texts()[c] for c in row)
+
+        a, b = (1, 0, 2, q - 1), (0, 1, q - 1, 1)
+        v = gf.rref([a, b], 4, field)
+        assert gf.format_subspace(v) == text(a) + ";" + text(b)
+        scaled = [field.mul(2, c) for c in a]
+        dependent = [field.add(x, y) for x, y in zip(a, b)]
+        for rows in ([b, a], [scaled, b], [a, b, dependent], [a, b, (0,) * 4]):
+            assert gf.parse_subspace(";".join(map(text, rows)), 4, field) == (v, False)
+        assert gf.parse_subspace(f" {text(a).upper()} ; {text(b).upper()} ", 4, field) == (v, True)
 
 
 def test_format_matches_per_coordinate_reference():
@@ -339,3 +381,12 @@ def test_repr_without_text_form():
     v = gf.rref([[1, 5, 36]], 3, gf.FieldSpec(37))
     assert repr(v) == "Subspace(q=37, n=3, basis=((1, 5, 36),))"
     assert repr(gf.rref([[1, 1]], 2, F2)) == "Subspace(q=2, n=2, basis='11')"
+
+
+def test_text_codec_refuses_bases_above_36():
+    assert gf.from_text(gf.to_text(1000, 2, 36), 36) == 1000
+    for write in (lambda: gf.to_text(5, 2, 37), lambda: gf.from_text("05", 37)):
+        with pytest.raises(ValueError, match="text format supports base <= 36"):
+            write()
+    with pytest.raises(ValueError, match="text format supports base <= 36"):
+        gf.parse_subspace("015", 3, gf.FieldSpec(37))

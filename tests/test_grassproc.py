@@ -128,21 +128,29 @@ def test_growth_steps_replays_substreams(q):
 
 @pytest.mark.parametrize("n", [1, 6, 24, 64])
 def test_simulate_f2_history_matches_reference(n, rref_f2_reference):
-    for theta in (1 / 256, 1, 1e6):
-        for seed in (0, "h"):
-            traj = grassproc.simulate(n, theta, F2, seed, keep_history=True)
-            rows = []  # the dilations drawn so far, padded to length n
-            for m, rng in enumerate(_replayed_growth(n, theta, 2, seed)):
-                if rng is not None:
-                    row = [rng.randrange(2) for _ in range(m)] + [rng.randrange(1, 2)]
-                    rows.append(row + [0] * (n - m - 1))
-                state = traj.history[m + 1]
-                expected = rref_f2_reference([row[: m + 1] for row in rows], m + 1)
-                assert state.step == m + 1
-                assert (state.current.basis, state.current.pivot_cols) == expected
-            assert len(traj.history) == n + 1
-            assert traj.history[-1] == traj.final
-            assert grassproc.simulate(n, theta, F2, seed).final == traj.final
+    # at n = 64 the list elimination over F_4 and F_16 would take seconds
+    for q in (2, 3, 4, 16) if n <= 24 else (2, 3):
+        field = gf.FieldSpec(q)
+        for theta in (1 / 256, 1, 1e6):
+            for seed in (0, "h"):
+                traj = grassproc.simulate(n, theta, field, seed, keep_history=True)
+                rows = []  # the dilations drawn so far, padded to length n
+                for m, rng in enumerate(_replayed_growth(n, theta, q, seed)):
+                    if rng is not None:
+                        row = [rng.randrange(q) for _ in range(m)] + [rng.randrange(1, q)]
+                        rows.append(row + [0] * (n - m - 1))
+                    state = traj.history[m + 1]
+                    prefix = [row[: m + 1] for row in rows]
+                    if q == 2:
+                        expected = rref_f2_reference(prefix, m + 1)
+                    else:  # the list elimination fed the padded tuple rows
+                        w = gf.rref(prefix, m + 1, field)
+                        expected = (w.basis, w.pivot_cols)
+                    assert state.step == m + 1
+                    assert (state.current.basis, state.current.pivot_cols) == expected
+                assert len(traj.history) == n + 1
+                assert traj.history[-1] == traj.final
+                assert grassproc.simulate(n, theta, field, seed).final == traj.final
 
 
 def test_simulate_deterministic_replay():
