@@ -2,18 +2,28 @@
 
 Field elements are plain ints in range(q): for prime fields the residue
 itself, for extension fields the base-p digit encoding of the polynomial
-coefficients (value = c_0 + c_1 p + ... + c_{e-1} p^{e-1}).  Prime fields
-multiply and invert modulo p and build no tables; extension fields of
-order up to _TABLE_LIMIT use q x q multiplication and inverse tables.
+coefficients (value = c_0 + c_1 p + ... + c_{e-1} p^{e-1}).  Arithmetic has
+three cases.  Prime fields add, subtract and multiply modulo p, invert by
+pow and build no tables.  Characteristic-2 extension fields add and
+subtract by XOR.  Odd-characteristic extension fields subtract through a
+q x q table built from the digits once, beside the multiplication and
+inverse tables, so no operation splits an element into digits; extension
+fields of order up to _TABLE_LIMIT get those tables, and only larger orders
+compute products (and, at odd characteristic, sums) digit by digit.
 
 Subspaces of F_q^n are kept in reduced row echelon form with pivots
 normalized to 1, which makes the representative unique: two Subspace
 objects are equal iff they describe the same subspace.  A row has one
-packed form for every field, the integer of its text (below).  Over F_2,
-rref eliminates on the packed rows, whose n bits are the coordinates,
-coordinate 1 the most significant: elimination is XOR and a row's pivot
-column is n - x.bit_length() (the word-packed elimination of M4RI).  A
-Subspace basis is a tuple of int tuples for every field.
+packed form for every field, the integer of its text (below).  The one
+elimination kernel is Echelon.insert, which adds one packed row to a
+reduced echelon state; rref is a fold of it, simulate inserts each dilation
+as it is drawn and dilations inserts one row into the embedded subspace.
+Over F_2 the state keeps the rows packed, whose n bits are the coordinates,
+coordinate 1 the most significant: a row step is XOR and a row's pivot
+column is n - x.bit_length() (the word-packed elimination of M4RI).  Over
+other fields a row step is row - c * brow on entry lists, by the three
+arithmetic cases above (table row operations as in M4RIE).  A Subspace
+basis is a tuple of int tuples for every field.
 
 Every text form goes through one digit codec, to_text/from_text: an
 integer written as a fixed number of base-b digits over 0-9a-z, most
@@ -137,6 +147,7 @@ class FieldSpec:
         self._hash = hash((p, e, modulus))
         self._mul_table = None
         self._inv_table = None
+        self._sub_table = None  # odd-characteristic extension fields only
         self._texts = None  # element texts, built by the first element_texts()
         if e > 1 and q <= _TABLE_LIMIT:
             self._build_tables()
@@ -176,19 +187,18 @@ class FieldSpec:
     # -- arithmetic ---------------------------------------------------
 
     def add(self, a, b):
-        if self.e == 1:
-            return (a + b) % self.p
-        p = self.p
-        return self.from_digits(
-            [(x + y) % p for x, y in zip(self.to_digits(a), self.to_digits(b))]
-        )
+        return self.sub(a, self.neg(b))
 
     def sub(self, a, b):
         if self.e == 1:
             return (a - b) % self.p
-        p = self.p
+        if self.p == 2:
+            return a ^ b
+        if self._sub_table is not None:
+            return self._sub_table[a][b]
+        # an odd-characteristic order above _TABLE_LIMIT: digit by digit
         return self.from_digits(
-            [(x - y) % p for x, y in zip(self.to_digits(a), self.to_digits(b))]
+            [x - y for x, y in zip(self.to_digits(a), self.to_digits(b))]
         )
 
     def neg(self, a):
@@ -252,6 +262,19 @@ class FieldSpec:
             [0] + [exp[log[a] + lb] for lb in logs] for a in range(1, q)
         ]
         self._inv_table = [0] + [row.index(1) for row in self._mul_table[1:]]
+        if self.p != 2:  # at characteristic 2, a - b is a ^ b
+            # digit by digit: each pass puts a new top digit hi above the
+            # table of the m = p^k values lo below it, element lo + m*hi
+            p, m = self.p, 1
+            sub = [[0]]
+            for _ in range(self.e):
+                sub = [
+                    [x + m * ((hi - hi_b) % p) for hi_b in range(p) for x in sub[lo]]
+                    for hi in range(p)
+                    for lo in range(m)
+                ]
+                m *= p
+            self._sub_table = sub
 
     def elements(self):
         return range(self.q)
@@ -332,11 +355,46 @@ def _check_compatible(v, w):
         raise ValueError("subspaces live in different ambient spaces")
 
 
-def _subtract_multiple(field, row, c, brow, start):
-    """row[j] -= c * brow[j] in place, for j >= start."""
-    for j in range(start, len(row)):
-        if brow[j]:
-            row[j] = field.sub(row[j], field.mul(c, brow[j]))
+def _row_step(field, row, c, brow, start):
+    """row[j] -= c * brow[j] in place, for j >= start and c != 0.
+
+    Prime fields compute (r - c*b) % p; characteristic-2 extension fields
+    XOR the entry of the row mul_table[c]; odd-characteristic extension
+    fields index the subtraction table with it.  Only untabled orders above
+    _TABLE_LIMIT go through the slow product.
+    """
+    p = field.p
+    if field.e == 1:
+        for j in range(start, len(row)):
+            b = brow[j]
+            if b:
+                row[j] = (row[j] - c * b) % p
+    elif field._mul_table is None:
+        for j in range(start, len(row)):
+            b = brow[j]
+            if b:
+                row[j] = field.sub(row[j], field._mul_slow(c, b))
+    elif p == 2:
+        cm = field._mul_table[c]
+        for j in range(start, len(row)):
+            b = brow[j]
+            if b:
+                row[j] ^= cm[b]
+    else:
+        cm, sub = field._mul_table[c], field._sub_table
+        for j in range(start, len(row)):
+            b = brow[j]
+            if b:
+                row[j] = sub[row[j]][cm[b]]
+
+
+def _scaled(field, c, row):
+    """The entries of c * row, by the arithmetic cases of _row_step."""
+    if field.e == 1:
+        return [c * b % field.p for b in row]
+    if field._mul_table is None:
+        return [field._mul_slow(c, b) for b in row]
+    return list(map(field._mul_table[c].__getitem__, row))
 
 
 def _reduce_vector(field, vec, basis, pivot_cols):
@@ -345,49 +403,105 @@ def _reduce_vector(field, vec, basis, pivot_cols):
     for row, pc in zip(basis, pivot_cols):
         c = vec[pc]
         if c:
-            _subtract_multiple(field, vec, c, row, pc)
+            _row_step(field, vec, c, row, pc)
     return vec
+
+
+_BITS_TO_ENTRIES = bytes.maketrans(b"01", b"\0\1")
+
+
+class Echelon:
+    """A reduced echelon basis of F_q^n that grows one packed row at a time.
+
+    `insert` is the one elimination kernel: rref folds it over its rows,
+    simulate inserts each dilation as it is drawn, and dilations inserts
+    one row into a copy of the embedded subspace.  Rows are kept in the
+    order found, each reduced against all the others.  Over F_2 a row stays
+    packed and its pivot is its top set bit; over other fields a row is its
+    entry list and its pivot a column.
+    """
+
+    def __init__(self, field, n, rows=()):
+        self.field = field
+        self.n = n
+        self.rows = []
+        self.pivots = []
+        for x in _packed_rows(rows, n, field.q):
+            self.insert(x)
+
+    def copy(self):
+        twin = Echelon(self.field, self.n)
+        twin.rows = self.rows[:] if self.field.q == 2 else [row[:] for row in self.rows]
+        twin.pivots = self.pivots[:]
+        return twin
+
+    def insert(self, x):
+        """Add the packed row x in range(q**n); a dependent row changes nothing."""
+        field, rows = self.field, self.rows
+        q = field.q
+        if q == 2:
+            for bit, brow in zip(self.pivots, rows):
+                if x & bit:
+                    x ^= brow
+            if x:
+                bit = 1 << (x.bit_length() - 1)
+                self.rows = [brow ^ x if brow & bit else brow for brow in rows]
+                self.rows.append(x)
+                self.pivots.append(bit)
+            return
+        row = [0] * self.n
+        for j in range(self.n - 1, -1, -1):
+            x, row[j] = divmod(x, q)
+        row = _reduce_vector(field, row, rows, self.pivots)
+        pc = next((j for j, c in enumerate(row) if c), None)
+        if pc is None:
+            return
+        if row[pc] != 1:
+            row[pc:] = _scaled(field, field.inv(row[pc]), row[pc:])
+        # clear the new pivot column in the existing rows
+        for brow in rows:
+            c = brow[pc]
+            if c:
+                _row_step(field, brow, c, row, pc)
+        rows.append(row)
+        self.pivots.append(pc)
+
+    def subspace(self, k=None):
+        """The canonical Subspace of the rows inserted so far.
+
+        With k, every row must vanish past coordinate k; the rows are then
+        read on their first k coordinates, as the state of F_q^k that
+        appending n - k zero columns turns into this one.
+        """
+        n = self.n
+        k = n if k is None else k
+        if self.field.q == 2:
+            shift = n - k
+            basis = sorted((x >> shift for x in self.rows), reverse=True)
+            return Subspace(
+                self.field,
+                k,
+                tuple(tuple(f"{x:0{k}b}".encode().translate(_BITS_TO_ENTRIES)) for x in basis),
+                tuple(k - x.bit_length() for x in basis),
+            )
+        ordered = sorted(zip(self.pivots, self.rows))  # distinct pivots: rows never compared
+        return Subspace(
+            self.field,
+            k,
+            tuple(tuple(row[:k]) for _, row in ordered),
+            tuple(pc for pc, _ in ordered),
+        )
 
 
 def rref(rows, n, field):
     """Canonical Subspace spanned by the given vectors of length n.
 
-    Gaussian elimination with pivot normalization; dependent rows are
-    discarded.  The empty list gives the zero subspace.  A row (c_1..c_n)
-    may also be given packed, as the int sum c_i q^(n-i) in range(q**n),
-    whose to_text form is the row's text.
+    Gaussian elimination with pivot normalization, one row inserted at a
+    time; dependent rows are discarded.  The empty list gives the zero
+    subspace.  A row (c_1..c_n) may also be given packed, as the int
+    sum c_i q^(n-i) in range(q**n), whose to_text form is the row's text.
     """
-    q = field.q
-    rows = _packed_rows(rows, n, q)
-    if q == 2:
-        return _rref_f2(rows, n, field)
-    basis, pivots = [], []  # reduced rows and their pivot columns, in order found
-    for x in rows:
-        row = [0] * n
-        for j in range(n - 1, -1, -1):
-            x, row[j] = divmod(x, q)
-        row = _reduce_vector(field, row, basis, pivots)
-        pc = next((j for j, c in enumerate(row) if c), None)
-        if pc is None:
-            continue
-        inv = field.inv(row[pc])
-        if inv != 1:
-            row = [field.mul(inv, c) for c in row]
-        # clear the new pivot column in the existing rows
-        for brow in basis:
-            c = brow[pc]
-            if c:
-                _subtract_multiple(field, brow, c, row, pc)
-        basis.append(row)
-        pivots.append(pc)
-
-    ordered = sorted(zip(pivots, basis))  # pivots are distinct: rows never compared
-    return Subspace(
-        field,
-        n,
-        tuple(tuple(row) for _, row in ordered),
-        tuple(pc for pc, _ in ordered),
-    )
+    return Echelon(field, n, rows).subspace()
 
 
 def _packed_rows(rows, n, q):
@@ -404,30 +518,6 @@ def _packed_rows(rows, n, q):
         elif not 0 <= row < size:
             raise ValueError(f"packed row {row} is not in range({q}**{n})")
         yield row
-
-
-_BITS_TO_ENTRIES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _rref_f2(rows, n, field):
-    """rref over F_2 on packed rows; a pivot is the top set bit of its row."""
-    pivot_bits, basis = [], []  # basis rows are reduced against each other
-    for x in rows:
-        for bit, brow in zip(pivot_bits, basis):
-            if x & bit:
-                x ^= brow
-        if x:
-            bit = 1 << (x.bit_length() - 1)
-            basis = [brow ^ x if brow & bit else brow for brow in basis]
-            pivot_bits.append(bit)
-            basis.append(x)
-    basis.sort(reverse=True)  # a higher top bit is an earlier pivot column
-    return Subspace(
-        field,
-        n,
-        tuple(tuple(f"{x:0{n}b}".encode().translate(_BITS_TO_ENTRIES)) for x in basis),
-        tuple(n - x.bit_length() for x in basis),
-    )
 
 
 def zero_subspace(n, field):
@@ -489,17 +579,17 @@ def dilations(w):
     zero coordinate) and there are exactly q^(n - dim w) of them.
     """
     n = w.ambient_dim
-    field = w.field
-    q = field.q
+    q = w.field.q
     free_cols = [j for j in range(n) if j not in w.pivot_cols]
-    base = w.embedded(1)
+    base = Echelon(w.field, n + 1, w.embedded(1).basis)
     out = []
     for values in itertools.product(range(q), repeat=len(free_cols)):
-        x = [0] * (n + 1)
+        x = 1  # the packed row: coordinate j weighs q^(n - j), the last one is 1
         for j, v in zip(free_cols, values):
-            x[j] = v
-        x[n] = 1
-        out.append(rref(list(base.basis) + [tuple(x)], n + 1, field))
+            x += v * q ** (n - j)
+        state = base.copy()
+        state.insert(x)
+        out.append(state.subspace())
     return out
 
 

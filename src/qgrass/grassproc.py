@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import qdist
 from .entropy import binary_quadratic_entropy
-from .gf import Subspace, dilations, format_subspace, rref, zero_subspace
+from .gf import Echelon, Subspace, dilations, format_subspace, zero_subspace
 from .qcomb import q_binomial
 from .qdist import growth_prob
 
@@ -80,27 +80,28 @@ def growth_steps(n, theta, q, seed):
 def simulate(n, theta, field, seed, keep_history=False):
     """Run the process to time n; deterministic given the seed.
 
-    The hot path keeps a raw (not necessarily reduced) generating set and
-    canonicalizes once at the end; dilations stay uniform because span(w, x)
-    does not depend on the basis chosen for w.  A row is packed as gf.rref
-    takes it, the int sum c_i q^(n-i) of a vector of F_q^n; its quotient by
-    q^(n-k) is the same row in F_q^k, as the history at step k needs it.
+    Each dilation is inserted into one echelon state of F_q^n as it is
+    drawn; dilations stay uniform because span(w, x) does not depend on the
+    basis chosen for w.  A row is packed as gf.rref takes it, the int
+    sum c_i q^(n-i) of a vector of F_q^n.  A row drawn at step m + 1
+    vanishes past coordinate m + 1, so the history carries that one state
+    and snapshots it on its first m + 1 coordinates after each step.
     """
     q = field.q
-    rows = []
+    state = Echelon(field, n)
+    grown = 0
     history = [ProcessState(0, zero_subspace(0, field))] if keep_history else None
     for m, rng in enumerate(growth_steps(n, theta, q, seed)):
-        scale = q ** (n - m - 1)  # a row drawn at this step ends at coordinate m + 1
         if rng is not None:
+            grown += 1
             x = 0
             for _ in range(m):
                 x = x * q + rng.randrange(q)
-            rows.append((x * q + rng.randrange(1, q)) * scale)
+            state.insert((x * q + rng.randrange(1, q)) * q ** (n - m - 1))
         if keep_history:
-            prefix = [x // scale for x in rows]
-            history.append(ProcessState(m + 1, rref(prefix, m + 1, field)))
-    final = ProcessState(n, rref(rows, n, field))
-    assert final.current.dim == len(rows)
+            history.append(ProcessState(m + 1, state.subspace(m + 1)))
+    final = ProcessState(n, state.subspace())
+    assert final.current.dim == grown
     return Trajectory(
         q, theta, seed, final, tuple(history) if keep_history else None
     )

@@ -70,12 +70,25 @@ def q_multinomial(parts, q):
 
 
 def q_binomial(n, k, q):
-    """Gaussian binomial coefficient: number of k-dim subspaces of F_q^n."""
+    """Gaussian binomial coefficient: number of k-dim subspaces of F_q^n.
+
+    The product of (q^(n-k+i) - 1) / (q^i - 1) over i = 1..min(k, n-k),
+    with one exact division at the end.
+    """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     if not isinstance(k, int) or k < 0 or k > n:
         raise ValueError(f"k must satisfy 0 <= k <= n, got k={k!r}, n={n}")
-    return q_multinomial((k, n - k), q)
+    _check_q(q)
+    k = min(k, n - k)
+    num = den = 1
+    top, bottom = q ** (n - k), 1
+    for _ in range(k):
+        top *= q
+        bottom *= q
+        num *= top - 1
+        den *= bottom - 1
+    return num // den
 
 
 def multinomial(parts):

@@ -57,7 +57,14 @@ def test_prime_field_arithmetic_is_modular(p):
         f.inv(0)
 
 
-EXPLICIT_MODULI = {32: (1, 0, 1, 0, 0, 1)}  # x^5 + x^2 + 1 over F_2
+EXPLICIT_MODULI = {
+    32: (1, 0, 1, 0, 0, 1),  # x^5 + x^2 + 1 over F_2
+    243: (1, 0, 0, 0, 2, 1),  # x^5 + 2x^4 + 1 over F_3
+}
+UNTABLED_MODULI = {
+    512: (1, 0, 0, 0, 0, 0, 0, 0, 1, 1),  # x^9 + x^8 + 1 over F_2
+    729: (1, 0, 0, 0, 1, 1, 1),  # x^6 + x^5 + x^4 + 1 over F_3
+}
 
 
 @pytest.mark.parametrize("q", sorted(gf._DEFAULT_MODULI) + sorted(EXPLICIT_MODULI))
@@ -67,6 +74,48 @@ def test_extension_field_tables_match_slow_product(q):
         assert f.mul(a, b) == f._mul_slow(a, b)
     for a in range(1, q):
         assert f._mul_slow(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7] + sorted(gf._DEFAULT_MODULI) + sorted(EXPLICIT_MODULI))
+def test_field_arithmetic_matches_digit_reference(q, reference_field):
+    f = gf.FieldSpec(q, EXPLICIT_MODULI.get(q))
+    ref = reference_field(f)
+    for a, b in itertools.product(f.elements(), repeat=2):
+        assert f.add(a, b) == ref.add(a, b)
+        assert f.sub(a, b) == ref.difference[a][b]
+        assert f.mul(a, b) == ref.product[a][b]
+    assert [f.neg(a) for a in f.elements()] == [ref.neg(a) for a in f.elements()]
+
+
+@pytest.mark.parametrize("q", sorted(UNTABLED_MODULI))
+def test_untabled_extension_fields_match_digit_reference(q, reference_field):
+    # above _TABLE_LIMIT: characteristic 2 subtracts by XOR, odd
+    # characteristic digit by digit, and both multiply by the slow product
+    f = gf.FieldSpec(q, UNTABLED_MODULI[q])
+    assert f._mul_table is None and f._sub_table is None
+    ref = reference_field(f)
+    rng = random.Random(q)
+    for _ in range(300):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert (f.add(a, b), f.sub(a, b), f.neg(a)) == (ref.add(a, b), ref.sub(a, b), ref.neg(a))
+        assert f.mul(a, b) == ref.mul(a, b)
+    # rref of (1, a, 0), (c, b, 1): the second row reduces to (0, d, 1)
+    # with d = b - c*a, so the basis is (1, 0, -a/d), (0, 1, 1/d)
+    for _ in range(3):
+        a, b, c = (rng.randrange(q) for _ in range(3))
+        d = ref.sub(b, ref.mul(c, a))
+        if not d:
+            continue
+        d_inv = ref.inv(d)
+        v = gf.rref([(1, a, 0), (c, b, 1)], 3, f)
+        assert v.basis == ((1, 0, ref.neg(ref.mul(a, d_inv))), (0, 1, d_inv))
+
+
+def test_subtraction_table_only_at_odd_characteristic():
+    for q in (2, 3, 16, 251):  # a - b is computed, not looked up
+        assert gf.FieldSpec(q)._sub_table is None
+    for q in (9, 25, 27):
+        assert len(gf.FieldSpec(q)._sub_table) == q
 
 
 @pytest.mark.parametrize("q", [4, 8, 9])
@@ -117,7 +166,7 @@ def test_rref_canonicity_randomized():
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 63, 64, 65, 130])
-def test_rref_f2_matches_reference(n, rref_f2_reference):
+def test_rref_f2_matches_reference(n, rref_reference):
     rng = random.Random(n)
     ones, zeros = (1, 3, -1, True), (0, 2, -2, False)  # entries reduce by int(c) % 2
     for _ in range(12 if n < 100 else 4):
@@ -128,7 +177,7 @@ def test_rref_f2_matches_reference(n, rref_f2_reference):
             a, b = rng.choice(rows), rng.choice(rows)
             rows.append([x ^ y for x, y in zip(a, b)])
             rng.shuffle(rows)
-        basis, pivots = rref_f2_reference(rows, n)
+        basis, pivots = rref_reference(rows, n, F2)
         odd = [[rng.choice(ones) if c else rng.choice(zeros) for c in row] for row in rows]
         v = gf.rref(odd, n, F2)
         assert (v.basis, v.pivot_cols) == (basis, pivots)
@@ -142,10 +191,10 @@ def test_rref_f2_matches_reference(n, rref_f2_reference):
             gf.rref([bad], n, F2)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16, 27])
-def test_rref_packed_rows_every_field(q):
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 243])
+def test_rref_packed_rows_every_field(q, rref_reference):
     # a row (c_1..c_n) packs to sum c_i q^(n-i), the integer of its text
-    field = gf.FieldSpec(q)
+    field = gf.FieldSpec(q, EXPLICIT_MODULI.get(q))
     rng = random.Random(q)
 
     def pack(row):
@@ -155,6 +204,7 @@ def test_rref_packed_rows_every_field(q):
         for _ in range(10):
             rows = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randint(0, n + 2))]
             v = gf.rref(rows, n, field)
+            assert (v.basis, v.pivot_cols) == rref_reference(rows, n, field)
             packed = [pack(row) for row in rows]
             half = len(rows) // 2
             assert gf.rref(packed, n, field) == v
@@ -213,7 +263,7 @@ def test_dimension_formula_randomized():
         assert u.contains(i) and w.contains(i)
 
 
-def test_f2_subspace_operations_match_reference(rref_f2_reference):
+def test_f2_subspace_operations_match_reference(rref_reference):
     rng = random.Random(70)
     for _ in range(200):
         n = rng.randint(1, 70)
@@ -223,15 +273,15 @@ def test_f2_subspace_operations_match_reference(rref_f2_reference):
         )
         u, w = gf.rref(u_rows, n, F2), gf.rref(w_rows, n, F2)
         s, i = u.sum(w), u.intersect(w)
-        assert (s.basis, s.pivot_cols) == rref_f2_reference(u_rows + w_rows, n)
+        assert (s.basis, s.pivot_cols) == rref_reference(u_rows + w_rows, n, F2)
         # the Zassenhaus intersection, eliminated by the reference
         block = [list(r) + list(r) for r in u.basis] + [list(r) + [0] * n for r in w.basis]
-        reduced, _ = rref_f2_reference(block, 2 * n)
+        reduced, _ = rref_reference(block, 2 * n, F2)
         inter = [r[n:] for r in reduced if not any(r[:n])]
-        assert (i.basis, i.pivot_cols) == rref_f2_reference(inter, n)
+        assert (i.basis, i.pivot_cols) == rref_reference(inter, n, F2)
         assert u.dim + w.dim == s.dim + i.dim
         assert s.contains(u) and s.contains(w) and u.contains(i) and w.contains(i)
-        in_w = len(rref_f2_reference(list(w.basis) + list(u.basis), n)[0]) == w.dim
+        in_w = len(rref_reference(list(w.basis) + list(u.basis), n, F2)[0]) == w.dim
         assert w.contains(u) == in_w
 
 

@@ -127,9 +127,8 @@ def test_growth_steps_replays_substreams(q):
 
 
 @pytest.mark.parametrize("n", [1, 6, 24, 64])
-def test_simulate_f2_history_matches_reference(n, rref_f2_reference):
-    # at n = 64 the list elimination over F_4 and F_16 would take seconds
-    for q in (2, 3, 4, 16) if n <= 24 else (2, 3):
+def test_simulate_f2_history_matches_reference(n, rref_reference):
+    for q in (2, 3, 4, 16):
         field = gf.FieldSpec(q)
         for theta in (1 / 256, 1, 1e6):
             for seed in (0, "h"):
@@ -141,16 +140,30 @@ def test_simulate_f2_history_matches_reference(n, rref_f2_reference):
                         rows.append(row + [0] * (n - m - 1))
                     state = traj.history[m + 1]
                     prefix = [row[: m + 1] for row in rows]
-                    if q == 2:
-                        expected = rref_f2_reference(prefix, m + 1)
-                    else:  # the list elimination fed the padded tuple rows
-                        w = gf.rref(prefix, m + 1, field)
-                        expected = (w.basis, w.pivot_cols)
                     assert state.step == m + 1
-                    assert (state.current.basis, state.current.pivot_cols) == expected
+                    assert (state.current.basis, state.current.pivot_cols) == rref_reference(
+                        prefix, m + 1, field
+                    )
                 assert len(traj.history) == n + 1
                 assert traj.history[-1] == traj.final
                 assert grassproc.simulate(n, theta, field, seed).final == traj.final
+
+
+def test_simulate_history_carries_one_state(monkeypatch):
+    # the history inserts each dilation once; it re-eliminates no prefix
+    calls = []
+    rref = gf.rref
+
+    def counted(*args):
+        calls.append(args)
+        return rref(*args)
+
+    for module in (gf, grassproc):  # a module that imports rref binds it too
+        if hasattr(module, "rref"):
+            monkeypatch.setattr(module, "rref", counted)
+    traj = grassproc.simulate(64, 1, gf.FieldSpec(16), 3, keep_history=True)
+    assert len(traj.history) == 65 and traj.final.current.dim > 32
+    assert len(calls) <= 2
 
 
 def test_simulate_deterministic_replay():

@@ -51,6 +51,27 @@ def test_q_binomial_examples():
         qcomb.q_binomial(4, -1, 2)
 
 
+def test_q_binomial_product_form_matches_q_multinomial():
+    for q in (2, 3, 4, 16):
+        for n in range(41):
+            for k in range(n + 1):
+                assert qcomb.q_binomial(n, k, q) == qcomb.q_multinomial((k, n - k), q)
+
+
+def test_q_binomial_errors_in_order():
+    for args, message in (
+        ((-1, 5, 1), "n must be a nonnegative integer, got -1"),
+        ((2.0, 1, 2), "n must be a nonnegative integer, got 2.0"),
+        ((4, 5, 1), "k must satisfy 0 <= k <= n, got k=5, n=4"),
+        ((4, 1.0, 2), "k must satisfy 0 <= k <= n, got k=1.0, n=4"),
+        ((4, 2, 1), "q must be an integer >= 2, got 1"),
+        ((4, 2, 2.0), "q must be an integer >= 2, got 2.0"),
+    ):
+        with pytest.raises(ValueError) as info:
+            qcomb.q_binomial(*args)
+        assert str(info.value) == message
+
+
 def test_q_binomial_counts_at_guard_feasible_scale():
     # brute-force oracle as far as the enumeration guard allows: n <= 8 needs
     # ~4.5e5 subspaces at q = 2 but blows past 10^7 already at q = 3
