@@ -5,11 +5,9 @@ itself, for extension fields the base-p digit encoding of the polynomial
 coefficients (value = c_0 + c_1 p + ... + c_{e-1} p^{e-1}).  Arithmetic has
 three cases.  Prime fields add, subtract and multiply modulo p, invert by
 pow and build no tables.  Characteristic-2 extension fields add and
-subtract by XOR.  Odd-characteristic extension fields subtract through a
-q x q table built from the digits once, beside the multiplication and
-inverse tables, so no operation splits an element into digits; extension
-fields of order up to _TABLE_LIMIT get those tables, and only larger orders
-compute products (and, at odd characteristic, sums) digit by digit.
+subtract by XOR.  Odd-characteristic extension fields add and subtract
+digit by digit.  Extension fields of order up to _TABLE_LIMIT multiply and
+invert through q x q tables; larger orders multiply digit by digit.
 
 Subspaces of F_q^n are kept in reduced row echelon form with pivots
 normalized to 1, which makes the representative unique: two Subspace
@@ -22,8 +20,9 @@ Over F_2 the state keeps the rows packed, whose n bits are the coordinates,
 coordinate 1 the most significant: a row step is XOR and a row's pivot
 column is n - x.bit_length() (the word-packed elimination of M4RI).  Over
 other fields a row step is row - c * brow on entry lists, by the three
-arithmetic cases above (table row operations as in M4RIE).  A Subspace
-basis is a tuple of int tuples for every field.
+arithmetic cases above; tabled characteristic-2 extension fields XOR in
+the row mul_table[c] (table row operations as in M4RIE).  A Subspace basis
+is a tuple of int tuples for every field.
 
 Every text form goes through one digit codec, to_text/from_text: an
 integer written as a fixed number of base-b digits over 0-9a-z, most
@@ -147,7 +146,6 @@ class FieldSpec:
         self._hash = hash((p, e, modulus))
         self._mul_table = None
         self._inv_table = None
-        self._sub_table = None  # odd-characteristic extension fields only
         self._texts = None  # element texts, built by the first element_texts()
         if e > 1 and q <= _TABLE_LIMIT:
             self._build_tables()
@@ -187,16 +185,19 @@ class FieldSpec:
     # -- arithmetic ---------------------------------------------------
 
     def add(self, a, b):
-        return self.sub(a, self.neg(b))
+        if self.e == 1:
+            return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
+        return self.from_digits(
+            [x + y for x, y in zip(self.to_digits(a), self.to_digits(b))]
+        )
 
     def sub(self, a, b):
         if self.e == 1:
             return (a - b) % self.p
         if self.p == 2:
             return a ^ b
-        if self._sub_table is not None:
-            return self._sub_table[a][b]
-        # an odd-characteristic order above _TABLE_LIMIT: digit by digit
         return self.from_digits(
             [x - y for x, y in zip(self.to_digits(a), self.to_digits(b))]
         )
@@ -262,19 +263,6 @@ class FieldSpec:
             [0] + [exp[log[a] + lb] for lb in logs] for a in range(1, q)
         ]
         self._inv_table = [0] + [row.index(1) for row in self._mul_table[1:]]
-        if self.p != 2:  # at characteristic 2, a - b is a ^ b
-            # digit by digit: each pass puts a new top digit hi above the
-            # table of the m = p^k values lo below it, element lo + m*hi
-            p, m = self.p, 1
-            sub = [[0]]
-            for _ in range(self.e):
-                sub = [
-                    [x + m * ((hi - hi_b) % p) for hi_b in range(p) for x in sub[lo]]
-                    for hi in range(p)
-                    for lo in range(m)
-                ]
-                m *= p
-            self._sub_table = sub
 
     def elements(self):
         return range(self.q)
@@ -358,43 +346,27 @@ def _check_compatible(v, w):
 def _row_step(field, row, c, brow, start):
     """row[j] -= c * brow[j] in place, for j >= start and c != 0.
 
-    Prime fields compute (r - c*b) % p; characteristic-2 extension fields
-    XOR the entry of the row mul_table[c]; odd-characteristic extension
-    fields index the subtraction table with it.  Only untabled orders above
-    _TABLE_LIMIT go through the slow product.
+    Prime fields compute (r - c*b) % p and tabled characteristic-2
+    extension fields XOR the entry of the row mul_table[c]; other fields go
+    through FieldSpec.sub and FieldSpec.mul.
     """
-    p = field.p
     if field.e == 1:
+        p = field.p
         for j in range(start, len(row)):
             b = brow[j]
             if b:
                 row[j] = (row[j] - c * b) % p
-    elif field._mul_table is None:
-        for j in range(start, len(row)):
-            b = brow[j]
-            if b:
-                row[j] = field.sub(row[j], field._mul_slow(c, b))
-    elif p == 2:
+    elif field.p == 2 and field._mul_table is not None:
         cm = field._mul_table[c]
         for j in range(start, len(row)):
             b = brow[j]
             if b:
                 row[j] ^= cm[b]
     else:
-        cm, sub = field._mul_table[c], field._sub_table
         for j in range(start, len(row)):
             b = brow[j]
             if b:
-                row[j] = sub[row[j]][cm[b]]
-
-
-def _scaled(field, c, row):
-    """The entries of c * row, by the arithmetic cases of _row_step."""
-    if field.e == 1:
-        return [c * b % field.p for b in row]
-    if field._mul_table is None:
-        return [field._mul_slow(c, b) for b in row]
-    return list(map(field._mul_table[c].__getitem__, row))
+                row[j] = field.sub(row[j], field.mul(c, b))
 
 
 def _reduce_vector(field, vec, basis, pivot_cols):
@@ -457,7 +429,8 @@ class Echelon:
         if pc is None:
             return
         if row[pc] != 1:
-            row[pc:] = _scaled(field, field.inv(row[pc]), row[pc:])
+            inv = field.inv(row[pc])
+            row[pc:] = [field.mul(inv, b) for b in row[pc:]]
         # clear the new pivot column in the existing rows
         for brow in rows:
             c = brow[pc]

@@ -55,25 +55,25 @@ def q_factorial(n, q):
 def q_multinomial(parts, q):
     """q-multinomial coefficient of a flag type: [n]_q! / prod [k_i]_q!.
 
-    The division is exact for every valid flag; a nonzero remainder would
-    mean a broken implementation, so it is asserted rather than raised.
+    The product of the Gaussian binomials [k_1 + ... + k_i choose k_i]_q,
+    each the count of the steps of the flag.
     """
     parts = _check_flag(parts)
     _check_q(q)
-    n = sum(parts)
-    num = q_factorial(n, q)
+    out, n = 1, 0
     for k in parts:
-        d = q_factorial(k, q)
-        num, rem = divmod(num, d)
-        assert rem == 0, "q-multinomial division must be exact"
-    return num
+        n += k
+        out *= q_binomial(n, k, q)
+    return out
 
 
 def q_binomial(n, k, q):
     """Gaussian binomial coefficient: number of k-dim subspaces of F_q^n.
 
     The product of (q^(n-k+i) - 1) / (q^i - 1) over i = 1..min(k, n-k),
-    with one exact division at the end.
+    with one division at the end.  The division is exact for every valid
+    input; a nonzero remainder would mean a broken implementation, so it is
+    asserted rather than raised.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
@@ -88,7 +88,9 @@ def q_binomial(n, k, q):
         bottom *= q
         num *= top - 1
         den *= bottom - 1
-    return num // den
+    num, rem = divmod(num, den)
+    assert rem == 0, "q-binomial division must be exact"
+    return num
 
 
 def multinomial(parts):

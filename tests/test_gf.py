@@ -92,7 +92,7 @@ def test_untabled_extension_fields_match_digit_reference(q, reference_field):
     # above _TABLE_LIMIT: characteristic 2 subtracts by XOR, odd
     # characteristic digit by digit, and both multiply by the slow product
     f = gf.FieldSpec(q, UNTABLED_MODULI[q])
-    assert f._mul_table is None and f._sub_table is None
+    assert f._mul_table is None
     ref = reference_field(f)
     rng = random.Random(q)
     for _ in range(300):
@@ -109,13 +109,6 @@ def test_untabled_extension_fields_match_digit_reference(q, reference_field):
         d_inv = ref.inv(d)
         v = gf.rref([(1, a, 0), (c, b, 1)], 3, f)
         assert v.basis == ((1, 0, ref.neg(ref.mul(a, d_inv))), (0, 1, d_inv))
-
-
-def test_subtraction_table_only_at_odd_characteristic():
-    for q in (2, 3, 16, 251):  # a - b is computed, not looked up
-        assert gf.FieldSpec(q)._sub_table is None
-    for q in (9, 25, 27):
-        assert len(gf.FieldSpec(q)._sub_table) == q
 
 
 @pytest.mark.parametrize("q", [4, 8, 9])

@@ -150,20 +150,25 @@ def test_simulate_f2_history_matches_reference(n, rref_reference):
 
 
 def test_simulate_history_carries_one_state(monkeypatch):
-    # the history inserts each dilation once; it re-eliminates no prefix
-    calls = []
-    rref = gf.rref
+    # the history builds one echelon state and inserts each dilation once;
+    # it re-eliminates no prefix (rref would build a state per call)
+    built, inserted = [], []
+    init, insert = gf.Echelon.__init__, gf.Echelon.insert
 
-    def counted(*args):
-        calls.append(args)
-        return rref(*args)
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
 
-    for module in (gf, grassproc):  # a module that imports rref binds it too
-        if hasattr(module, "rref"):
-            monkeypatch.setattr(module, "rref", counted)
+    def counted_insert(self, x):
+        inserted.append(x)
+        insert(self, x)
+
+    monkeypatch.setattr(gf.Echelon, "__init__", counted_init)
+    monkeypatch.setattr(gf.Echelon, "insert", counted_insert)
     traj = grassproc.simulate(64, 1, gf.FieldSpec(16), 3, keep_history=True)
     assert len(traj.history) == 65 and traj.final.current.dim > 32
-    assert len(calls) <= 2
+    assert len(built) == 1
+    assert len(inserted) == traj.final.current.dim
 
 
 def test_simulate_deterministic_replay():

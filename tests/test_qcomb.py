@@ -51,11 +51,18 @@ def test_q_binomial_examples():
         qcomb.q_binomial(4, -1, 2)
 
 
-def test_q_binomial_product_form_matches_q_multinomial():
+def test_q_binomial_and_q_multinomial_match_factorial_form():
+    # the q-factorials share no code with the product form
     for q in (2, 3, 4, 16):
+        fact = [qcomb.q_factorial(n, q) for n in range(41)]
         for n in range(41):
             for k in range(n + 1):
-                assert qcomb.q_binomial(n, k, q) == qcomb.q_multinomial((k, n - k), q)
+                assert qcomb.q_binomial(n, k, q) * fact[k] * fact[n - k] == fact[n]
+        rng = random.Random(q)
+        for _ in range(50):
+            parts = [rng.randint(0, 8) for _ in range(rng.randint(1, 5))]
+            den = math.prod(fact[k] for k in parts)
+            assert qcomb.q_multinomial(parts, q) * den == fact[sum(parts)]
 
 
 def test_q_binomial_errors_in_order():
