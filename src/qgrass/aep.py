@@ -6,9 +6,10 @@ block coding by rank/unrank (a codeword is its index written in base q with
 the gf digit codec, gf.to_text/gf.from_text), the total-Grassmannian growth
 check, and the Pochhammer-quotient bounds used in the tail estimates.
 
-Whenever theta is rational (int or Fraction), the finite-n tail sums run in
-exact rational arithmetic, so set sizes and stop indices are exact; mu and
-Delta live in float since they involve infinite products.
+The finite-n class-mass sums run in exact rational arithmetic: on the exact
+class masses when theta is rational (int or Fraction), on the exact values of
+the float class masses otherwise; mu and Delta live in float since they
+involve infinite products.
 """
 
 import math
@@ -147,31 +148,29 @@ class TypicalSet:
 
 def _class_mass_stop(n, epsilon, theta, q):
     """Walk the codimension classes up to a_n, the first whose cumulative
-    mass reaches 1 - epsilon; a_n is n if the float sum never does.
+    mass reaches 1 - epsilon; a_n is n if the sum never does.
 
-    Returns (a_n, deficit), the mass still missing when class a_n is
-    entered.  The sum runs in exact Fractions when theta is rational and as
-    a compensated sum of the float prefix otherwise (the class masses span
-    a dynamic range of q^-(n^2/2)).
+    Returns (a_n, deficit, mass): the mass still missing when class a_n is
+    entered, and the mass of class a_n.  The sum is exact: a float class
+    mass enters as its exact Fraction and meets Fraction(1.0 - epsilon), so
+    no rounding decides the stop across the q^-(n^2/2) range of the masses.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
     if _is_rational(theta):
         need = 1 - Fraction(epsilon).limit_denominator(10**12)
-        acc = Fraction(0)
-        for d in range(n + 1):
-            mass = grassproc.codim_class_prob_fraction(d, n, theta, q)
-            if acc + mass >= need:
-                break
-            acc += mass
-        return d, need - acc
-    need = 1.0 - epsilon
-    masses = []
+    else:
+        need = Fraction(1.0 - epsilon)
+    acc = Fraction(0)
     for d in range(n + 1):
-        masses.append(float(q) ** grassproc.codim_class_log_prob(d, n, theta, q))
-        if math.fsum(masses) >= need:
+        if _is_rational(theta):
+            mass = grassproc.codim_class_prob_fraction(d, n, theta, q)
+        else:
+            mass = Fraction(float(q) ** grassproc.codim_class_log_prob(d, n, theta, q))
+        if acc + mass >= need or d == n:
             break
-    return d, need - math.fsum(masses[:d])
+        acc += mass
+    return d, need - acc, mass
 
 
 def typical_set(n, epsilon, theta, q, table=None):
@@ -190,7 +189,7 @@ def typical_set(n, epsilon, theta, q, table=None):
     limit_delta = delta(p_eps, table)
     discontinuity = not is_continuity_point(p_eps, table)
 
-    a_n, _ = _class_mass_stop(n, epsilon, theta, q)
+    a_n = _class_mass_stop(n, epsilon, theta, q)[0]
     size = sum(q_binomial(n, n - d, q) for d in range(a_n + 1))
     bracket = (limit_delta, limit_delta + 1) if discontinuity else (limit_delta, limit_delta)
     return TypicalSet(
@@ -236,21 +235,15 @@ def greedy_min_set_size(n, epsilon, theta, q):
     """Exact minimal cardinality s(n, epsilon) and the last codimension b_n.
 
     Builds B_n by adding whole codimension classes in decreasing per-space
-    probability (increasing codimension) and tops up with a partial class;
-    exact rational arithmetic whenever theta is rational.  The last
+    probability (increasing codimension) and tops up with a partial class,
+    in the exact arithmetic of the class-mass stop.  The last
     codimension b_n is the typical set's a_n: both are the same class-mass
     stop, whose partial class is never empty, which is asserted.
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    d, deficit = _class_mass_stop(n, epsilon, theta, q)
-    if _is_rational(theta):
-        space_p = grassproc.exact_pmf_fraction(n - d, n, theta, q)
-    else:
-        log_class_size = log_q_int(q_binomial(n, n - d, q), q)
-        space_p = float(q) ** (
-            grassproc.codim_class_log_prob(d, n, theta, q) - log_class_size
-        )
+    d, deficit, mass = _class_mass_stop(n, epsilon, theta, q)
+    space_p = mass / q_binomial(n, n - d, q)
     partial = math.ceil(deficit / space_p)
     size = sum(q_binomial(n, n - c, q) for c in range(d)) + partial
     assert partial > 0, f"empty partial class at the class-mass stop {d}"

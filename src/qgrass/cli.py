@@ -283,7 +283,7 @@ def _cmd_maxent(args):
         "multipliers": list(sol.multipliers),
         "support": list(sol.active_support),
     }
-    if args.finite_n:
+    if args.finite_n is not None:
         payload["finite_n"] = _finite_n_payload(model, args.finite_n, args.q)
     return _json(payload)
 

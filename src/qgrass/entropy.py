@@ -14,7 +14,7 @@ def check_prob_vector(probs):
     if not probs:
         raise ValueError("probability vector must be nonempty")
     for p in probs:
-        if p < -PROB_SUM_TOL or p > 1 + PROB_SUM_TOL:
+        if not -PROB_SUM_TOL <= p <= 1 + PROB_SUM_TOL:  # refuses NaN too
             raise ValueError(f"probability {p!r} outside [0, 1]")
     if abs(sum(probs) - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"probabilities sum to {sum(probs)!r}, not 1")

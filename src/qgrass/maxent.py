@@ -129,6 +129,8 @@ def finite_n_check(model, n, q, radius=6):
     constraint set whenever it is attainable), and confirms the rounded
     optimum attains the largest exact q-multinomial.  Ties are reported.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
     sol = solve(model)
     nominal = tuple(round_to_type(sol.probs, n))
     candidates = _integer_types_near(nominal, n, radius)

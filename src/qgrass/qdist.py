@@ -1,14 +1,15 @@
 """The q-binomial distribution Bin_q(n, theta), home of the process law.
 
-The growth probability, the log q-Pochhammer products (-theta; q)_n and
-(-1/theta; 1/q)_n, and the pmf in the one- and two-parameter forms, with
-the exact rational pmf for oracle checks; the subspace and class laws of
-the Grassmannian process derive from these.  Also the success
-probabilities of the heterogeneous Bernoulli chain (the one sampler of the
-chain is `grassproc.simulate`), moments, and maximum-likelihood estimation
-of theta by bracketing bisection on the mean scale.
+`growth_prob` is the one float chain factor theta q^i / (1 + theta q^i) of
+the chain, its mean, variance and c_n; `_ln1p_q_pow` is the one factor
+ln(1 + q^u) of the log products (-theta; q)_n and (-1/theta; 1/q)_n and of
+the two-parameter normaliser.  Also the pmf with the exact rational pmf for
+oracle checks (the Grassmannian process's subspace and class laws derive
+from these) and maximum-likelihood estimation of theta by bracketing
+bisection on the mean scale.  The chain's one sampler is `grassproc.simulate`.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,8 +37,10 @@ class QBinomialParams:
 
 
 def growth_prob(theta, q, i):
-    """Growth probability theta q^i / (1 + theta q^i) of step i + 1."""
-    return theta * q**i / (1.0 + theta * q**i)
+    """Growth probability theta q^i / (1 + theta q^i) of step i + 1; 1.0
+    once theta q^i overflows to inf, where the quotient would be NaN."""
+    t = theta * q**i
+    return 1.0 if t == math.inf else t / (1.0 + t)
 
 
 def bernoulli_chain(params):
@@ -46,28 +49,30 @@ def bernoulli_chain(params):
     return tuple(growth_prob(t, q, i) for i in range(params.n))
 
 
-def log_q_neg_pochhammer(theta, n, q):
-    """log_q of (-theta; q)_n = prod_{i<n} (1 + theta q^i), theta >= 0.
+def _ln1p_q_pow(u, q):
+    """ln(1 + q^u) for real u; q^u is never formed when it exceeds 1."""
+    if u <= 0:
+        return math.log1p(q**u)
+    return u * math.log(q) + math.log1p(q**-u)
 
-    Split per factor to stay accurate across the whole range of theta q^i.
+
+def log_q_neg_pochhammer(theta, n, q):
+    """log_q of (-theta; q)_n = prod_{i<n} (1 + q^u), u = log_q theta + i.
+
+    theta > 0.  Finite for every n: no power of q above 1 is formed.
     """
-    total = 0.0
-    lnq = math.log(q)
-    for i in range(n):
-        t = theta * q**i
-        if t <= 1.0:
-            total += math.log1p(t) / lnq
-        else:
-            total += i + math.log(theta + q**-i) / lnq
-    return total
+    u = math.log(theta) / math.log(q)
+    return sum(_ln1p_q_pow(u + i, q) for i in range(n)) / math.log(q)
 
 
 def log_q_neg_inv_pochhammer(theta, n, q):
-    """log_q of (-1/theta; 1/q)_n = prod_{i<n} (1 + q^-i / theta), theta > 0.
+    """log_q of (-1/theta; 1/q)_n = prod_{i<n} (1 + q^u), u = -log_q theta - i.
 
-    Bounded in n: the factors tend to 1 geometrically.
+    theta > 0, down to the smallest subnormal.  Bounded in n: the factors
+    tend to 1 geometrically.
     """
-    return sum(math.log1p(q**-i / theta) for i in range(n)) / math.log(q)
+    u = -math.log(theta) / math.log(q)
+    return sum(_ln1p_q_pow(u - i, q) for i in range(n)) / math.log(q)
 
 
 def log_pmf(k, params):
@@ -146,14 +151,10 @@ def pmf_xy(k, n, x, y, q):
         log_coeff = math.log(q_binomial(n, k, q))
     else:
         log_coeff = math.log(_q_binomial_real(n, k, q))
-    # log domain: q^(k(k-1)/2) and the x+y q-power product both explode
-    log_num = (
-        log_coeff
-        + k * (k - 1) / 2.0 * math.log(q)
-        + k * math.log(y)
-        + (n - k) * math.log(x)
-    )
-    log_den = sum(math.log(x + y * q**i) for i in range(n))
+    # log domain, divided through by x^n: x + y q^i = x (1 + q^(u + i))
+    u = (math.log(y) - math.log(x)) / math.log(q)
+    log_num = log_coeff + (k * (k - 1) / 2.0 + k * u) * math.log(q)
+    log_den = sum(_ln1p_q_pow(u + i, q) for i in range(n))
     return math.exp(log_num - log_den)
 
 
@@ -163,13 +164,13 @@ def mean(params):
 
 
 def variance(params):
-    t, q = params.theta, params.q
-    return sum(t * q**j / (1.0 + t * q**j) ** 2 for j in range(params.n))
+    """Variance of the dimension: sum_j p_j (1 - p_j) over the chain."""
+    return sum(p * (1.0 - p) for p in bernoulli_chain(params))
 
 
 def c_n(theta, n, q):
-    """Partial sum sum_{j<n} 1/(1 + theta q^j); equals n - mean."""
-    return sum(1.0 / (1.0 + theta * q**j) for j in range(n))
+    """Partial sum sum_{j<n} (1 - p_j) = sum_{j<n} 1/(1 + theta q^j) = n - mean."""
+    return sum(1.0 - growth_prob(theta, q, j) for j in range(n))
 
 
 def c_inf(theta, q, tol=1e-12):
@@ -177,13 +178,11 @@ def c_inf(theta, q, tol=1e-12):
     if not theta > 0:
         raise ValueError("theta must be positive for a finite limit")
     total = 0.0
-    j = 0
-    while True:
-        term = 1.0 / (1.0 + theta * q**j)
+    for j in itertools.count():
+        term = 1.0 - growth_prob(theta, q, j)
         total += term
         if term < tol:
             return total
-        j += 1
 
 
 def m_qn(theta, n, q):

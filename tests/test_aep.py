@@ -224,6 +224,16 @@ def test_merged_law_and_lazy_stop():
             assert aep.greedy_min_set_size(n, 0.1, theta, 2)[1] == a_n
 
 
+def test_float_and_fraction_theta_stop_alike():
+    for q in (2, 3):
+        for theta in (0.05, 0.7, 1.5, 10.0):
+            for n in (1, 6, 13, 30):
+                for eps in (0.05, 0.1, 0.3):
+                    a_float = aep._class_mass_stop(n, eps, theta, q)[0]
+                    a_exact = aep._class_mass_stop(n, eps, Fraction(theta), q)[0]
+                    assert a_float == a_exact, (q, theta, n, eps)
+
+
 def test_greedy_float_path_agrees_with_rational():
     for n in (8, 16, 25, 33):
         s_r, b_r = aep.greedy_min_set_size(n, 0.1, Fraction(7, 10), 2)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from qgrass import cli
+from qgrass import cli, qcomb
 
 CLI = [sys.executable, "-m", "qgrass.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -74,6 +74,29 @@ def test_simulate_histogram_tv():
     assert payload["schema"] == "qgrass/1"
     assert sum(payload["dim_counts"]) == 4000
     assert payload["tv"] < 0.05
+
+
+def test_simulate_histogram_at_overflowing_theta(capsys):
+    # theta q^i is inf past step 1: every chain grows at every step
+    assert cli.main(["simulate", "--n", "5", "--theta", "1e308", "--q", "2",
+                     "--samples", "20", "--histogram"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dim_counts"] == [0] * 5 + [20]
+    assert payload["tv"] < 1e-300
+
+
+def test_typical_and_aep_check_past_the_double_range(capsys):
+    # q^n overflows a double at n = 1100, q = 2; the log law does not
+    argv = ["--n", "1100", "--epsilon", "0.1", "--theta", "1.5", "--q", "2"]
+    assert cli.main(["typical"] + argv) == 0
+    ts = json.loads(capsys.readouterr().out)
+    assert ts["delta_codim"] == ts["limit_delta"] == 2
+    assert int(ts["exact_size"]) == sum(qcomb.q_binomial(1100, 1100 - d, 2) for d in range(3))
+    assert cli.main(["aep-check"] + argv + ["--delta", "0.5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["a_n"] == 2 and report["pass"]
+    for gap, g in zip(report["gaps"], report["g_over_n"]):
+        assert abs(gap - g) < 1e-12
 
 
 def test_simulate_basis_guard():
@@ -256,6 +279,9 @@ BAD_INPUTS = [
     (["mle", "--n", "8", "--q", "2", "--samples-file", "{tmp}/missing.txt"], "io"),
     (["mle", "--n", "2000", "--q", "2", "--samples-file", "{samples}"], "overflow"),
     (["maxent", "--energies", "inf,0", "--mean", "0.5"], "domain"),
+    (["maxent", "--energies", "0,1,2", "--mean", "0.5", "--finite-n", "0"], "domain"),
+    (["maxent", "--energies", "0,1,2", "--mean", "0.5", "--finite-n", "-2"], "domain"),
+    (["asymptotics", "--probs", "nan,0.5", "--n-list", "4"], "domain"),
     (["asymptotics", "--probs", "0.5,0.5", "--n-list", "0"], "domain"),
     (["asymptotics", "--probs", "0.5,0.5", "--n-list", "0", "--q", "2"], "domain"),
     (["growth", "--q", "2", "--n-list", "4", "--out", "{tmp}/missing/res.json"], "io"),

@@ -51,6 +51,9 @@ def test_prob_vector_validation():
         entropy.quadratic_entropy([-0.1, 1.1])
     with pytest.raises(ValueError):
         entropy.quadratic_entropy([])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="outside"):
+            entropy.tsallis_entropy([bad, 0.5], 2)
 
 
 def test_chain_rule_product_laws():

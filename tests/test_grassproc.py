@@ -26,6 +26,9 @@ def test_simulate_theta_zero_never_grows():
 def test_simulate_huge_theta_always_grows():
     t = grassproc.simulate(6, 1e12, F2, seed=0)
     assert t.final.current.dim == 6
+    # theta q^i overflows to inf past step 1: the step still grows surely
+    for seed in range(5):
+        assert grassproc.simulate(5, 1e308, F2, seed).final.current.dim == 5
 
 
 def test_v1_law_half():

@@ -94,6 +94,13 @@ def test_randomized_models_satisfy_constraints():
         assert all(p >= 0 for p in sol.probs)
 
 
+def test_finite_n_refuses_n_below_one():
+    model = maxent.EnergyModel((0.0, 1.0, 2.0), 0.5)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            maxent.finite_n_check(model, n, 2)
+
+
 def test_finite_n_two_state_forced():
     model = maxent.EnergyModel((0.0, 1.0), 0.25)
     rep = maxent.finite_n_check(model, 8, 2)

@@ -114,6 +114,60 @@ def test_mean_variance():
         assert abs(moment - qdist.mean(par)) < 1e-10
 
 
+def test_growth_prob_past_the_double_range():
+    # theta q^i is inf for i >= 1: the chain grows surely, not with NaN
+    assert qdist.growth_prob(1e308, 2, 1) == 1.0
+    p = qdist.QBinomialParams(5, 1e308, 2)
+    assert qdist.bernoulli_chain(p) == (1.0,) * 5
+    assert qdist.mean(p) == 5
+    assert qdist.variance(p) == qdist.c_n(1e308, 5, 2) == 0.0
+
+
+def _exact_log_q(x, q):
+    """log_q of a positive Fraction, to double precision at any size."""
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    return (math.log(float(x / Fraction(2) ** e)) + e * math.log(2)) / math.log(q)
+
+
+def test_log_pochhammers_match_exact_products():
+    for q in (2, 3, 16):
+        for theta in (5e-324, 1e-300, 1e-12, 0.7, 1.0, 1.5, 1e12, 1e300):
+            t = Fraction(theta)
+            prod, inv_prod = Fraction(1), Fraction(1)
+            for n in range(121):
+                for got, exact in (
+                    (qdist.log_q_neg_pochhammer(theta, n, q), _exact_log_q(prod, q)),
+                    (qdist.log_q_neg_inv_pochhammer(theta, n, q), _exact_log_q(inv_prod, q)),
+                ):
+                    assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact)), (q, theta, n)
+                prod *= 1 + t * q**n
+                inv_prod *= 1 + Fraction(1, q**n) / t
+            for n in (1100, 3000):
+                assert math.isfinite(qdist.log_q_neg_pochhammer(theta, n, q))
+                assert math.isfinite(qdist.log_q_neg_inv_pochhammer(theta, n, q))
+
+
+def test_moments_match_exact_sums():
+    for q in (2, 3):
+        for theta in (1e-6, 0.3, 1.0, 7.5, 1e6):
+            t = Fraction(theta)
+            ps = [t * q**j / (1 + t * q**j) for j in range(200)]
+            for n in (1, 5, 20, 40):
+                var = float(sum(p * (1 - p) for p in ps[:n]))
+                cn = float(sum(1 - p for p in ps[:n]))
+                got = qdist.variance(qdist.QBinomialParams(n, theta, q))
+                assert abs(got - var) <= 1e-12 * max(1.0, var), (q, theta, n)
+                assert abs(qdist.c_n(theta, n, q) - cn) <= 1e-12 * max(1.0, cn), (q, theta, n)
+            # the tail past the tol cut is below 2 tol
+            assert abs(qdist.c_inf(theta, q) - float(sum(1 - p for p in ps))) < 3e-12
+
+
+def test_pmf_xy_past_the_double_range():
+    # x + y q^i overflows a double at i >= 1024; the log factors do not
+    total = math.fsum(qdist.pmf_xy(k, 1100, 1.0, 1.5, 2) for k in range(1090, 1101))
+    assert abs(total - 1.0) < 1e-9
+
+
 def test_c_n_and_c_inf():
     assert qdist.c_n(1.0, 0, 2) == 0.0
     assert qdist.c_n(1.0, 1, 2) == 0.5
