@@ -123,7 +123,7 @@ def _cmd_simulate(args):
             for i in range(args.samples)
         )
         params = qdist.QBinomialParams(args.n, theta, args.q)
-        exact = [qdist.pmf(k, params) for k in range(args.n + 1)]
+        exact = qdist._pmf_column(params)
         empirical = [counts.get(k, 0) / args.samples for k in range(args.n + 1)]
         tv = 0.5 * sum(abs(a - b) for a, b in zip(empirical, exact))
         payload = {

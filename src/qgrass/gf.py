@@ -28,10 +28,12 @@ Every text form goes through one digit codec, to_text/from_text: an
 integer written as a fixed number of base-b digits over 0-9a-z, most
 significant first.  An element is its e base-p digits; a subspace row
 (c_1..c_n) is the integer sum c_i q^(n-i) written with n*e base-p digits,
-which is each coordinate's e digits in turn, so format_subspace joins the
-texts of the coordinates from a per-field table of the q element texts; a
-codeword (module aep) is its index written in base q.  Bases above 36 have
-no text form.
+which is each coordinate's e digits in turn.  Over a prime field a
+coordinate is one digit, so format_subspace writes the rows' entries as
+bytes and translates them to digits in one pass; over an extension field it
+joins the texts of the coordinates from a per-field table of the q element
+texts.  A codeword (module aep) is its index written in base q.  Bases
+above 36 have no text form.
 """
 
 import itertools
@@ -58,6 +60,9 @@ GRASSMANNIAN_GUARD = 10**7
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 TEXT_BASE_MAX = len(_DIGITS)  # largest base the digit alphabet can write
+# bytes.translate table: a value d < 36 becomes its digit, and every byte
+# above, the row separator ';' among them, becomes ';'
+_DIGIT_BYTES = _DIGITS.encode().ljust(256, b";")
 
 
 def _factor_prime_power(q):
@@ -601,7 +606,10 @@ def format_subspace(v):
     """
     if not v.basis:
         return ""
-    texts = v.field.element_texts()
+    field = v.field
+    if field.e == 1 and field.p <= TEXT_BASE_MAX:  # an entry is one digit
+        return b";".join(map(bytes, v.basis)).translate(_DIGIT_BYTES).decode()
+    texts = field.element_texts()
     return ";".join("".join([texts[c] for c in row]) for row in v.basis)
 
 

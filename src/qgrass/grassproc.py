@@ -10,9 +10,12 @@ the one transition.  Simulation is deterministic given a root seed: step m
 draws from its own substream, labelled "<seed>/step/<m>", so trajectories
 can be replicated or parallelized without sharing RNG state.  A chain
 reseeds one generator per step, which gives the same stream as a fresh
-random.Random(label).  dim V_n is the number of growth decisions, so a
-caller that needs only the dimension runs `growth_steps` alone and draws
-no dilation.
+random.Random(label).  A dilation's coordinates are the values that
+rng.randrange(q) returns on the running interpreter, in order; over F_2 a
+step reads its m coordinates in one pass (`_f2_coordinates`), which gives
+those values without calling randrange.  dim V_n is the number of growth
+decisions, so a caller that needs only the dimension runs `growth_steps`
+alone and draws no dilation.
 
 The law of V_n lives in `qdist`; three adapters here restate it: the exact
 rational per-subspace law, which `outcome_tree_law` is checked against, and
@@ -59,6 +62,29 @@ def substream(rng, label):
     rng.seed(label)
 
 
+# rng.randrange(2) is getrandbits(2), the top two bits of one 32-bit
+# Mersenne Twister word, with 2 and 3 rejected: a word whose top byte is
+# below 0x40 draws 0, below 0x80 draws 1, and from 0x80 on draws nothing.
+_F2_TOP_BYTE = bytes(ord("01"[b >> 6 & 1]) for b in range(256))
+_F2_REJECTED = bytes(range(0x80, 0x100))
+
+
+def _f2_coordinates(rng, m):
+    """The next m values of rng.randrange(2), most significant first, as
+    the bits of one int, read from getrandbits in bulk.
+
+    getrandbits(32 * w) holds the next w words, the first in the low bits,
+    so its little-endian bytes 3, 7, ... are their top bytes in draw order.
+    A read may take more words than the m draws use.
+    """
+    bits = b""
+    while len(bits) < m:
+        words = 2 * (m - len(bits)) + 8
+        top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        bits += top.translate(_F2_TOP_BYTE, _F2_REJECTED)
+    return int(bits[:m] or b"0", 2)
+
+
 def growth_steps(n, theta, q, seed):
     """The growth decisions of one chain to time n.
 
@@ -82,10 +108,13 @@ def simulate(n, theta, field, seed, keep_history=False):
 
     Each dilation is inserted into one echelon state of F_q^n as it is
     drawn; dilations stay uniform because span(w, x) does not depend on the
-    basis chosen for w.  A row is packed as gf.rref takes it, the int
-    sum c_i q^(n-i) of a vector of F_q^n.  A row drawn at step m + 1
-    vanishes past coordinate m + 1, so the history carries that one state
-    and snapshots it on its first m + 1 coordinates after each step.
+    basis chosen for w.  Step m + 1 draws the m coordinates of x by
+    rng.randrange(q) and its last by rng.randrange(1, q); over F_2 the m
+    are read in one pass and the last, always 1, is not drawn, since the
+    next step reseeds the generator.  A row is packed as gf.rref takes it,
+    the int sum c_i q^(n-i) of a vector of F_q^n.  A row drawn at step
+    m + 1 vanishes past coordinate m + 1, so the history carries that one
+    state and snapshots it on its first m + 1 coordinates after each step.
     """
     q = field.q
     state = Echelon(field, n)
@@ -94,10 +123,14 @@ def simulate(n, theta, field, seed, keep_history=False):
     for m, rng in enumerate(growth_steps(n, theta, q, seed)):
         if rng is not None:
             grown += 1
-            x = 0
-            for _ in range(m):
-                x = x * q + rng.randrange(q)
-            state.insert((x * q + rng.randrange(1, q)) * q ** (n - m - 1))
+            if q == 2:
+                x = 2 * _f2_coordinates(rng, m) + 1
+            else:
+                x = 0
+                for _ in range(m):
+                    x = x * q + rng.randrange(q)
+                x = x * q + rng.randrange(1, q)
+            state.insert(x * q ** (n - m - 1))
         if keep_history:
             history.append(ProcessState(m + 1, state.subspace(m + 1)))
     final = ProcessState(n, state.subspace())

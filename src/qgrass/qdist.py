@@ -1,12 +1,14 @@
 """The q-binomial distribution Bin_q(n, theta), home of the process law.
 
 `growth_prob` is the one float chain factor theta q^i / (1 + theta q^i) of
-the chain, its mean, variance and c_n; `_ln1p_q_pow` is the one factor
-ln(1 + q^u) of the log products (-theta; q)_n and (-1/theta; 1/q)_n and of
-the two-parameter normaliser.  Also the pmf with the exact rational pmf for
-oracle checks (the Grassmannian process's subspace and class laws derive
-from these) and maximum-likelihood estimation of theta by bracketing
-bisection on the mean scale.  The chain's one sampler is `grassproc.simulate`.
+the chain, its mean, variance and c_n, defined at every i; `_ln1p_q_pow` is
+the one factor ln(1 + q^u) of the log products (-theta; q)_n and
+(-1/theta; 1/q)_n and of the two-parameter normaliser.  Also the pmf, whose
+float values over k = 0..n are one column computed in one pass, with the
+exact rational pmf for oracle checks (the Grassmannian process's subspace
+and class laws derive from these) and maximum-likelihood estimation of
+theta by bracketing bisection on the mean scale.  The chain's one sampler
+is `grassproc.simulate`.
 """
 
 import itertools
@@ -38,9 +40,18 @@ class QBinomialParams:
 
 def growth_prob(theta, q, i):
     """Growth probability theta q^i / (1 + theta q^i) of step i + 1; 1.0
-    once theta q^i overflows to inf, where the quotient would be NaN."""
-    t = theta * q**i
-    return 1.0 if t == math.inf else t / (1.0 + t)
+    once theta q^i overflows to inf, where the quotient would be NaN.
+
+    Past the double range of q^i (i > 1023 at q = 2) it is the logistic
+    1 / (1 + exp(-ln(theta q^i))), or 0.0 at theta = 0.
+    """
+    try:
+        t = theta * q**i
+        return 1.0 if t == math.inf else t / (1.0 + t)
+    except OverflowError:  # the int q^i (or theta q^i, for an int theta) has no float
+        if not theta:
+            return 0.0
+        return 1.0 / (1.0 + math.exp(-(math.log(theta) + i * math.log(q))))
 
 
 def bernoulli_chain(params):
@@ -75,6 +86,16 @@ def log_q_neg_inv_pochhammer(theta, n, q):
     return sum(_ln1p_q_pow(u - i, q) for i in range(n)) / math.log(q)
 
 
+def _log_pmf_term(k, coeff, t, q, log_poch):
+    """log_q pmf(k) from coeff = [n, k]_q and log_poch = log_q (-t; q)_n."""
+    return (
+        log_q_int(coeff, q)
+        + k * (k - 1) / 2.0
+        + k * math.log(t) / math.log(q)
+        - log_poch
+    )
+
+
 def log_pmf(k, params):
     """log_q of the pmf; -inf outside the support."""
     n, t, q = params.n, params.theta, params.q
@@ -82,34 +103,44 @@ def log_pmf(k, params):
         return -math.inf
     if t == 0:
         return 0.0 if k == 0 else -math.inf
-    return (
-        log_q_int(q_binomial(n, k, q), q)
-        + k * (k - 1) / 2.0
-        + k * math.log(t) / math.log(q)
-        - log_q_neg_pochhammer(t, n, q)
-    )
+    return _log_pmf_term(k, q_binomial(n, k, q), t, q, log_q_neg_pochhammer(t, n, q))
 
 
 def pmf(k, params):
-    """Probability of dimension k; 0 outside {0..n} by contract.
+    """Probability of dimension k; 0 outside {0..n} by contract."""
+    if k < 0 or k > params.n:
+        return 0.0
+    return _pmf_column(params)[k]
+
+
+def _pmf_column(params):
+    """[pmf(k, params) for k in 0..n] in one pass: [n, k]_q follows from
+    [n, k-1]_q by one exact multiply and divide, and the normaliser is
+    computed once.
 
     Linear-domain evaluation at small n, log-domain beyond (the factor
     q^(k(k-1)/2) overflows doubles quickly).
     """
     n, t, q = params.n, params.theta, params.q
-    if k < 0 or k > n:
-        return 0.0
     if t == 0:
-        return 1.0 if k == 0 else 0.0
+        return [1.0] + [0.0] * n
     # linear domain only while every intermediate stays well under 1e308
     magnitude = (n * (n - 1) / 2) * math.log10(q) + n * math.log10(max(t, 1.0))
-    if n <= LOG_DOMAIN_THRESHOLD and magnitude < 140:
-        num = q_binomial(n, k, q) * float(q) ** (k * (k - 1) // 2) * t**k
-        den = 1.0
-        for i in range(n):
-            den *= 1.0 + t * q**i
-        return num / den
-    return float(q) ** log_pmf(k, params)
+    linear = n <= LOG_DOMAIN_THRESHOLD and magnitude < 140
+    if linear:
+        den = math.prod(1.0 + t * q**i for i in range(n))
+    else:
+        log_poch = log_q_neg_pochhammer(t, n, q)
+    column = []
+    coeff = 1  # [n, k]_q
+    for k in range(n + 1):
+        if k:
+            coeff = coeff * (q ** (n - k + 1) - 1) // (q**k - 1)
+        if linear:
+            column.append(coeff * float(q) ** (k * (k - 1) // 2) * t**k / den)
+        else:
+            column.append(float(q) ** _log_pmf_term(k, coeff, t, q, log_poch))
+    return column
 
 
 def pmf_fraction(k, n, theta, q):

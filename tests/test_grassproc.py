@@ -129,6 +129,35 @@ def test_growth_steps_replays_substreams(q):
         assert traj.final.current == gf.rref(rows, n, field)
 
 
+class _CountingRandom(random.Random):
+    """random.Random that counts its getrandbits calls."""
+
+    reads = 0
+
+    def getrandbits(self, k):
+        self.reads += 1
+        return super().getrandbits(k)
+
+
+def test_f2_bulk_draw_matches_randrange():
+    # The F_2 dilation draw reads getrandbits in bulk; its values must be
+    # those of randrange(2) on the running interpreter.  A change of
+    # CPython's random internals fails here, not in a golden.
+    sizes = (0, 1, 2, 3, 7, 63, 64, 200, 1100)
+    extra_reads = 0
+    for case in range(20_007):
+        m = sizes[case % len(sizes)]
+        seed = f"bulk/{case}"
+        ref = random.Random(seed)
+        want = [ref.randrange(2) for _ in range(m)]
+        rng = _CountingRandom(seed)
+        x = grassproc._f2_coordinates(rng, m)
+        assert [x >> (m - 1 - j) & 1 for j in range(m)] == want, (seed, m)
+        assert x >> m == 0
+        extra_reads += rng.reads > 1
+    assert extra_reads > 0  # the branch that reads more words ran
+
+
 @pytest.mark.parametrize("n", [1, 6, 24, 64])
 def test_simulate_f2_history_matches_reference(n, rref_reference):
     for q in (2, 3, 4, 16):

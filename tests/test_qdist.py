@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgrass import qdist
+from qgrass import qcomb, qdist
 
 
 def test_params_validation():
@@ -121,6 +121,42 @@ def test_growth_prob_past_the_double_range():
     assert qdist.bernoulli_chain(p) == (1.0,) * 5
     assert qdist.mean(p) == 5
     assert qdist.variance(p) == qdist.c_n(1e308, 5, 2) == 0.0
+    # past i = 1023 the int 2^i has no float; the factor is the logistic
+    # of ln(theta 2^i), and 0 at theta = 0
+    assert qdist.growth_prob(0.0, 2, 1024) == 0.0
+    assert qdist.growth_prob(1.0, 2, 1100) == qdist.growth_prob(1, 2, 1100) == 1.0
+    for theta in (5e-324, 1e-300):
+        want = 1 / (1 + math.exp(-(math.log(theta) + 1500 * math.log(2))))
+        assert qdist.growth_prob(theta, 2, 1500) == want
+    assert abs(qdist.growth_prob(5e-324, 2, 1024) - 5e-324 * 2.0**1023 * 2) < 1e-28
+    # wherever theta q^i has a float the factor is the quotient
+    for q, i in ((2, 0), (2, 1023), (3, 40), (16, 255)):
+        for theta in (0.0, 1e-300, 0.3, 1.0, 7.0):
+            t = theta * q**i
+            assert qdist.growth_prob(theta, q, i) == (1.0 if t == math.inf else t / (1 + t))
+    big = qdist.QBinomialParams(2000, 1e-290, 2)
+    assert 0 < qdist.mean(big) < 2000 and qdist.variance(big) > 0
+
+
+def test_pmf_column_is_one_pass_of_the_formula():
+    # the recurrence [n, k]_q -> [n, k+1]_q gives pmf exactly as
+    # q_binomial(n, k, q) does, in the linear and the log domain
+    for n, theta, q in ((8, 0.5, 2), (30, 1.0, 2), (40, 1.0, 2), (64, 7.0, 3), (100, 0.1, 16)):
+        p = qdist.QBinomialParams(n, theta, q)
+        column = qdist._pmf_column(p)
+        ends = [qdist.pmf(k, p) for k in (-1, 0, n // 2, n, n + 1)]
+        assert ends == [0.0, column[0], column[n // 2], column[n], 0.0]
+        if n > qdist.LOG_DOMAIN_THRESHOLD:
+            assert column == [float(q) ** qdist.log_pmf(k, p) for k in range(n + 1)]
+        else:
+            den = math.prod(1.0 + theta * q**i for i in range(n))
+            assert column == [
+                qcomb.q_binomial(n, k, q) * float(q) ** (k * (k - 1) // 2) * theta**k / den
+                for k in range(n + 1)
+            ]
+    assert qdist._pmf_column(qdist.QBinomialParams(3, 0.0, 2)) == [1.0, 0.0, 0.0, 0.0]
+    column = qdist._pmf_column(qdist.QBinomialParams(1100, 1.0, 2))
+    assert len(column) == 1101 and abs(sum(column) - 1) < 1e-9
 
 
 def _exact_log_q(x, q):
