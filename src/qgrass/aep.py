@@ -6,12 +6,17 @@ block coding by rank/unrank (a codeword is its index written in base q with
 the gf digit codec, gf.to_text/gf.from_text), the total-Grassmannian growth
 check, and the Pochhammer-quotient bounds used in the tail estimates.
 
-The finite-n class-mass sums run in exact rational arithmetic: on the exact
-class masses when theta is rational (int or Fraction), on the exact values of
-the float class masses otherwise; mu and Delta live in float since they
-involve infinite products.
+The finite-n class-mass sums are exact and run in integers over one shared
+denominator: when theta = a/b is rational (int or Fraction) every class
+mass has the denominator prod_{i<n} (b + a q^i) and its numerator is read
+off the Gaussian column `qcomb._gaussian_column`; otherwise the walk sums
+the exact values of the float class masses, multiples of 2^-1074.  The class sizes of
+the typical set, the greedy set and the block code, and the total
+Grassmannian size, are read off the same column.  mu and Delta live in
+float since they involve infinite products.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +26,7 @@ from .entropy import binary_quadratic_entropy, log_q_int
 from .gf import (
     TEXT_BASE_MAX, free_positions, from_text, full_space, subspace_from_pattern, to_text
 )
-from .qcomb import pochhammer_inf, q_binomial
+from .qcomb import _gaussian_column, pochhammer_inf, q_binomial
 from .qdist import log_q_neg_inv_pochhammer
 
 MU_REL_CUT = 1e-15
@@ -150,27 +155,46 @@ def _class_mass_stop(n, epsilon, theta, q):
     """Walk the codimension classes up to a_n, the first whose cumulative
     mass reaches 1 - epsilon; a_n is n if the sum never does.
 
-    Returns (a_n, deficit, mass): the mass still missing when class a_n is
-    entered, and the mass of class a_n.  The sum is exact: a float class
-    mass enters as its exact Fraction and meets Fraction(1.0 - epsilon), so
-    no rounding decides the stop across the q^-(n^2/2) range of the masses.
+    Returns (a_n, deficit, mass, den) in integers: the mass still missing
+    when class a_n is entered is deficit / den and the mass of class a_n is
+    mass / den.  The walk adds integer numerators over one denominator and
+    compares cross products, so it is exact and runs no Fraction sum and no
+    gcd; no rounding decides the stop across the q^-(n^2/2) range of the
+    masses.  For a rational theta = a/b the denominator is
+    prod_{i<n} (b + a q^i) and class d, of dimension m = n - d, has the
+    numerator [n, d]_q q^(m(m-1)/2) a^m b^d.  A float class mass is a
+    multiple of 2^-1074, the least positive double, so 2^1074 is a
+    denominator of every one, and its exact value meets Fraction(1.0 - epsilon).
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
     if _is_rational(theta):
         need = 1 - Fraction(epsilon).limit_denominator(10**12)
+        a, b = Fraction(theta).as_integer_ratio()
+        total = math.prod(b + a * q**i for i in range(n))
+        masses = (
+            size * q ** ((n - d) * (n - d - 1) // 2) * a ** (n - d) * b**d
+            for d, size in enumerate(_gaussian_column(n, q))
+        )
     else:
         need = Fraction(1.0 - epsilon)
-    acc = Fraction(0)
-    for d in range(n + 1):
-        if _is_rational(theta):
-            mass = grassproc.codim_class_prob_fraction(d, n, theta, q)
-        else:
-            mass = Fraction(float(q) ** grassproc.codim_class_log_prob(d, n, theta, q))
-        if acc + mass >= need or d == n:
+        total = 2**1074
+        masses = (
+            int(Fraction(float(q) ** grassproc.codim_class_log_prob(d, n, theta, q)) * total)
+            for d in range(n + 1)
+        )
+    acc = 0
+    for d, mass in enumerate(masses):
+        if (acc + mass) * need.denominator >= need.numerator * total or d == n:
             break
         acc += mass
-    return d, need - acc, mass
+    den = need.denominator * total
+    return d, need.numerator * total - acc * need.denominator, mass * need.denominator, den
+
+
+def _class_sizes(n, d, q):
+    """[|Gr(n - c, n)| for c in 0..d], read off the Gaussian column."""
+    return list(itertools.islice(_gaussian_column(n, q), d + 1))
 
 
 def typical_set(n, epsilon, theta, q, table=None):
@@ -190,7 +214,7 @@ def typical_set(n, epsilon, theta, q, table=None):
     discontinuity = not is_continuity_point(p_eps, table)
 
     a_n = _class_mass_stop(n, epsilon, theta, q)[0]
-    size = sum(q_binomial(n, n - d, q) for d in range(a_n + 1))
+    size = sum(_class_sizes(n, a_n, q))
     bracket = (limit_delta, limit_delta + 1) if discontinuity else (limit_delta, limit_delta)
     return TypicalSet(
         n, q, float(theta), float(epsilon), a_n, size, limit_delta, discontinuity, bracket
@@ -242,12 +266,14 @@ def greedy_min_set_size(n, epsilon, theta, q):
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    d, deficit, mass = _class_mass_stop(n, epsilon, theta, q)
-    space_p = mass / q_binomial(n, n - d, q)
-    partial = math.ceil(deficit / space_p)
-    size = sum(q_binomial(n, n - c, q) for c in range(d)) + partial
+    d, deficit, mass, _ = _class_mass_stop(n, epsilon, theta, q)
+    *whole, last = _class_sizes(n, d, q)
+    # ceil(deficit / (mass / last)): the spaces of class d, each of mass
+    # mass / last, that cover the deficit; deficit and mass share one
+    # denominator, which cancels
+    partial = -(-deficit * last // mass)
     assert partial > 0, f"empty partial class at the class-mass stop {d}"
-    return size, d
+    return sum(whole) + partial, d
 
 
 # -- block coding ----------------------------------------------------------
@@ -274,7 +300,7 @@ def make_block_code(ts, field):
         raise ValueError("field order does not match the typical set")
     if field.q > TEXT_BASE_MAX:
         raise ValueError(f"codewords support q <= {TEXT_BASE_MAX}")
-    sizes = tuple(q_binomial(ts.n, ts.n - d, field.q) for d in ts.member_codims)
+    sizes = tuple(_class_sizes(ts.n, ts.delta_codim, field.q))
     total = sum(sizes)
     # ceil(log_q total) in exact integer arithmetic
     length, reach = 0, 1
@@ -371,8 +397,8 @@ def decode(word, code):
 # -- growth and tail bounds ------------------------------------------------
 
 def grassmannian_size(n, q):
-    """|Gr(n)| = sum_k qbinom(n, k), exact."""
-    return sum(q_binomial(n, k, q) for k in range(n + 1))
+    """|Gr(n)| = sum_k qbinom(n, k), exact: one walk of the Gaussian column."""
+    return sum(_gaussian_column(n, q))
 
 
 def grassmannian_growth(n_list, q):

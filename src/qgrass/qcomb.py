@@ -2,7 +2,10 @@
 
 q-integers, q-factorials, Gaussian binomial / q-multinomial coefficients,
 finite and infinite q-Pochhammer products, the q-gamma function, and the
-polynomial and flag identities built on them.
+polynomial and flag identities built on them.  `_gaussian_column` walks one
+column [n, 0]_q .. [n, n]_q of Gaussian binomials, one exact multiply and
+divide per entry; the pmf column, the class-mass walk, the typical-set and
+block-code class sizes and the total Grassmannian size read it.
 
 All coefficient arithmetic is exact (Python big integers; Fractions for the
 polynomial identities).  Floating point appears only in the infinite
@@ -91,6 +94,21 @@ def q_binomial(n, k, q):
     num, rem = divmod(num, den)
     assert rem == 0, "q-binomial division must be exact"
     return num
+
+
+def _gaussian_column(n, q):
+    """Yield [n, k]_q for k = 0..n, each from the last:
+    [n, k]_q = [n, k-1]_q (q^(n-k+1) - 1) / (q^k - 1), an exact division.
+
+    By symmetry the k-th entry is also [n, n-k]_q, the size of the
+    codimension-k class.  A consumer that stops early pays only for the
+    entries it reads.
+    """
+    coeff = 1
+    yield coeff
+    for k in range(1, n + 1):
+        coeff = coeff * (q ** (n - k + 1) - 1) // (q**k - 1)
+        yield coeff
 
 
 def multinomial(parts):

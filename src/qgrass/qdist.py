@@ -1,14 +1,17 @@
 """The q-binomial distribution Bin_q(n, theta), home of the process law.
 
 `growth_prob` is the one float chain factor theta q^i / (1 + theta q^i) of
-the chain, its mean, variance and c_n, defined at every i; `_ln1p_q_pow` is
-the one factor ln(1 + q^u) of the log products (-theta; q)_n and
-(-1/theta; 1/q)_n and of the two-parameter normaliser.  Also the pmf, whose
-float values over k = 0..n are one column computed in one pass, with the
-exact rational pmf for oracle checks (the Grassmannian process's subspace
-and class laws derive from these) and maximum-likelihood estimation of
-theta by bracketing bisection on the mean scale.  The chain's one sampler
-is `grassproc.simulate`.
+the chain and `growth_complement` its complement 1 / (1 + theta q^i), kept
+to relative accuracy; the mean, variance, c_n and c_inf sum them, defined
+at every i.  `_ln1p_q_pow` is the one factor ln(1 + q^u) of the log
+products (-theta; q)_n and (-1/theta; 1/q)_n and of the two-parameter
+normaliser.  Also the pmf, whose float values over k = 0..n are one pass
+over the Gaussian column `qcomb._gaussian_column`, with the exact rational
+pmf for oracle checks (the Grassmannian process's subspace and class laws
+derive from these; `aep` walks the exact class masses in integers without
+it) and maximum-likelihood estimation of theta by bracketing bisection on
+the mean scale, on log theta below the reach of 200 linear halvings.  The
+chain's one sampler is `grassproc.simulate`.
 """
 
 import itertools
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .entropy import log_q_int
-from .qcomb import pochhammer, q_binomial
+from .qcomb import _gaussian_column, pochhammer, q_binomial
 
 LOG_DOMAIN_THRESHOLD = 30
 MLE_DEFAULT_TOL = 1e-12
@@ -52,6 +55,24 @@ def growth_prob(theta, q, i):
         if not theta:
             return 0.0
         return 1.0 / (1.0 + math.exp(-(math.log(theta) + i * math.log(q))))
+
+
+def growth_complement(theta, q, i):
+    """1 - growth_prob(theta, q, i) = 1 / (1 + theta q^i), computed directly
+    so that it keeps its relative accuracy when theta q^i >> 1.
+
+    Once theta q^i has no float (or overflows to inf) it is
+    e / (1 + e) with e = exp(-ln(theta q^i)), or 1.0 at theta = 0.
+    """
+    try:
+        t = theta * q**i
+        if t != math.inf:
+            return 1.0 / (1.0 + t)
+    except OverflowError:  # as in growth_prob
+        if not theta:
+            return 1.0
+    e = math.exp(-(math.log(theta) + i * math.log(q)))
+    return e / (1.0 + e)
 
 
 def bernoulli_chain(params):
@@ -114,9 +135,8 @@ def pmf(k, params):
 
 
 def _pmf_column(params):
-    """[pmf(k, params) for k in 0..n] in one pass: [n, k]_q follows from
-    [n, k-1]_q by one exact multiply and divide, and the normaliser is
-    computed once.
+    """[pmf(k, params) for k in 0..n] in one pass over the Gaussian column
+    `qcomb._gaussian_column`, with the normaliser computed once.
 
     Linear-domain evaluation at small n, log-domain beyond (the factor
     q^(k(k-1)/2) overflows doubles quickly).
@@ -132,10 +152,7 @@ def _pmf_column(params):
     else:
         log_poch = log_q_neg_pochhammer(t, n, q)
     column = []
-    coeff = 1  # [n, k]_q
-    for k in range(n + 1):
-        if k:
-            coeff = coeff * (q ** (n - k + 1) - 1) // (q**k - 1)
+    for k, coeff in enumerate(_gaussian_column(n, q)):
         if linear:
             column.append(coeff * float(q) ** (k * (k - 1) // 2) * t**k / den)
         else:
@@ -196,12 +213,15 @@ def mean(params):
 
 def variance(params):
     """Variance of the dimension: sum_j p_j (1 - p_j) over the chain."""
-    return sum(p * (1.0 - p) for p in bernoulli_chain(params))
+    t, q = params.theta, params.q
+    return sum(
+        growth_prob(t, q, j) * growth_complement(t, q, j) for j in range(params.n)
+    )
 
 
 def c_n(theta, n, q):
     """Partial sum sum_{j<n} (1 - p_j) = sum_{j<n} 1/(1 + theta q^j) = n - mean."""
-    return sum(1.0 - growth_prob(theta, q, j) for j in range(n))
+    return sum(growth_complement(theta, q, j) for j in range(n))
 
 
 def c_inf(theta, q, tol=1e-12):
@@ -210,7 +230,7 @@ def c_inf(theta, q, tol=1e-12):
         raise ValueError("theta must be positive for a finite limit")
     total = 0.0
     for j in itertools.count():
-        term = 1.0 - growth_prob(theta, q, j)
+        term = growth_complement(theta, q, j)
         total += term
         if term < tol:
             return total
@@ -228,7 +248,10 @@ def mle_theta(samples, n, q, tol=MLE_DEFAULT_TOL):
 
     Solves m_qn(theta) = sample mean by bracketing bisection, converging
     on the mean scale (theta itself is ill-conditioned near mean = n).
-    Returns math.inf when every sample equals n.
+    Returns math.inf when every sample equals n.  When the root lies below
+    hi 2^-200, the least midpoint that bisecting [0, hi] can reach, it
+    bisects log theta down to the smallest positive double instead, and
+    refuses a root below that.
     """
     samples = list(samples)
     if not samples:
@@ -247,13 +270,27 @@ def mle_theta(samples, n, q, tol=MLE_DEFAULT_TOL):
         hi *= 2.0
         if hi > 1e300:
             return math.inf
+    reach = hi * 2.0**-200
+    if m_qn(reach, n, q) <= ybar:
+        return _bisect_mean(lo, hi, ybar, n, q, tol, float)  # float(x) is x
+    least = math.ulp(0.0)
+    if m_qn(least, n, q) > ybar:
+        raise ValueError(
+            f"theta_hat lies below the double range: m_qn({least}) exceeds "
+            f"the sample mean {ybar}"
+        )
+    return _bisect_mean(math.log(least), math.log(reach), ybar, n, q, tol, math.exp)
+
+
+def _bisect_mean(lo, hi, ybar, n, q, tol, theta_at):
+    """Bisect x in [lo, hi] for m_qn(theta_at(x)) = ybar, 200 halvings."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        m = m_qn(mid, n, q)
+        m = m_qn(theta_at(mid), n, q)
         if abs(m - ybar) < tol:
-            return mid
+            return theta_at(mid)
         if m < ybar:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return theta_at(0.5 * (lo + hi))

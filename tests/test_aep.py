@@ -234,6 +234,57 @@ def test_float_and_fraction_theta_stop_alike():
                     assert a_float == a_exact, (q, theta, n, eps)
 
 
+def _oracle_stop(n, eps, theta, q):
+    """(a_n, deficit, mass) of the class-mass stop from the Fraction class
+    masses of the rational pmf, or the exact values of the float masses."""
+    if isinstance(theta, float):
+        need = Fraction(1.0 - eps)
+    else:
+        need = 1 - Fraction(eps).limit_denominator(10**12)
+    acc = Fraction(0)
+    for d in range(n + 1):
+        if isinstance(theta, float):
+            mass = Fraction(float(q) ** grassproc.codim_class_log_prob(d, n, theta, q))
+        else:
+            mass = grassproc.codim_class_prob_fraction(d, n, theta, q)
+        if acc + mass >= need or d == n:
+            return d, need - acc, mass
+        acc += mass
+
+
+def _check_stop_against_oracle(n, eps, theta, q):
+    d, deficit, mass = _oracle_stop(n, eps, theta, q)
+    a_n, deficit_num, mass_num, den = aep._class_mass_stop(n, eps, theta, q)
+    case = (n, eps, theta, q)
+    assert (a_n, Fraction(deficit_num, den), Fraction(mass_num, den)) == (d, deficit, mass), case
+    sizes = [qcomb.q_binomial(n, n - c, q) for c in range(d + 1)]
+    assert aep.typical_set(n, eps, theta, q).exact_size == sum(sizes), case
+    if n:
+        partial = math.ceil(deficit / (mass / sizes[d]))
+        assert aep.greedy_min_set_size(n, eps, theta, q) == (sum(sizes[:d]) + partial, d), case
+
+
+def test_integer_stop_matches_the_fraction_oracle():
+    thetas = (Fraction(1, 2), Fraction(7, 10), 1, Fraction(3, 2), 0.7)
+    for q in (2, 3, 4):
+        for theta in thetas:
+            for eps in (0.05, 0.1, 0.5, 0.9):
+                for n in (0, 1, 2, 3, 5, 8, 13, 21, 40, 64):
+                    _check_stop_against_oracle(n, eps, theta, q)
+            for n in (120, 400):
+                _check_stop_against_oracle(n, 0.1, theta, q)
+
+
+def test_integer_stop_never_builds_a_fraction_pmf(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the class-mass stop called pmf_fraction")
+
+    monkeypatch.setattr(qdist, "pmf_fraction", refuse)
+    assert aep.typical_set(200, 0.1, 1, 2).delta_codim == 2
+    assert aep.greedy_min_set_size(120, 0.1, Fraction(7, 10), 3)[1] >= 0
+    assert aep.check_aep(120, 0.1, 0.5, 1, 2)["a_n"] == 2
+
+
 def test_greedy_float_path_agrees_with_rational():
     for n in (8, 16, 25, 33):
         s_r, b_r = aep.greedy_min_set_size(n, 0.1, Fraction(7, 10), 2)
@@ -423,6 +474,14 @@ def test_grassmannian_growth():
     assert abs(rows[-1][1] - 0.5) < 0.1
     with pytest.raises(ValueError):
         aep.grassmannian_growth([0], 2)
+
+
+def test_grassmannian_size_is_the_column_sum():
+    for q in (2, 3, 4):
+        for n in range(61):
+            assert aep.grassmannian_size(n, q) == sum(
+                qcomb.q_binomial(n, k, q) for k in range(n + 1)
+            ), (n, q)
 
 
 def test_growth_sandwich_bound():

@@ -99,6 +99,50 @@ def test_typical_and_aep_check_past_the_double_range(capsys):
         assert abs(gap - g) < 1e-12
 
 
+def test_rational_theta_past_the_double_range(capsys):
+    # theta = 1 is rational: the exact class masses are walked in integers
+    argv = ["--n", "1100", "--epsilon", "0.1", "--theta", "1", "--q", "2"]
+    assert cli.main(["typical"] + argv) == 0
+    ts = json.loads(capsys.readouterr().out)
+    assert ts["delta_codim"] == ts["limit_delta"] == 2
+    assert int(ts["exact_size"]) == sum(qcomb.q_binomial(1100, 1100 - d, 2) for d in range(3))
+    assert cli.main(["aep-check"] + argv + ["--delta", "0.5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["a_n"] == 2 and report["pass"] and len(report["gaps"]) == 3
+    # a codimension-2 codeword round-trips through its 1098 x 1100 basis
+    assert cli.main(["code-encode"] + argv + ["--subspace", "1" + "0" * 1099]) == 0
+    length = json.loads(capsys.readouterr().out)["codeword_len"]
+    index = 1 + qcomb.q_binomial(1100, 1, 2) + 12345  # past codimensions 0 and 1
+    word = format(index, f"0{length}b")
+    assert cli.main(["code-decode"] + argv + ["--word", word]) == 0
+    decoded = json.loads(capsys.readouterr().out)
+    assert decoded["dim"] == 1098
+    assert cli.main(["code-encode"] + argv + ["--subspace", decoded["subspace"]]) == 0
+    encoded = json.loads(capsys.readouterr().out)
+    assert encoded["word"] == word and encoded["typical"]
+
+
+def test_growth_at_large_n(capsys):
+    assert cli.main(["growth", "--q", "2", "--n-list", "1000"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    # the value that summing q_binomial(1000, k, 2) over k gives
+    assert rows == [{"n": 1000, "value": 0.5000057640999308}]
+
+
+def test_mle_cli_below_the_bisection_reach(tmp_path, capsys):
+    # one sample 1 at n = 300: theta_hat ~ 2^-300 is found on log theta
+    path = tmp_path / "samples.txt"
+    path.write_text("1\n")
+    assert cli.main(["mle", "--n", "300", "--q", "2", "--samples-file", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["m_residual"] < 1e-12 and 0 < payload["theta_hat"] < 2.0**-200
+    # at n = 2000 it is ~2^-2000, below every double
+    assert cli.main(["mle", "--n", "2000", "--q", "2", "--samples-file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "domain"
+    assert "below the double range" in json.loads(err)["detail"]
+
+
 def test_simulate_basis_guard():
     r = run("simulate", "--n", "80", "--theta", "1", "--q", "2")
     assert r.returncode == 1

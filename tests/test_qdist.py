@@ -120,7 +120,13 @@ def test_growth_prob_past_the_double_range():
     p = qdist.QBinomialParams(5, 1e308, 2)
     assert qdist.bernoulli_chain(p) == (1.0,) * 5
     assert qdist.mean(p) == 5
-    assert qdist.variance(p) == qdist.c_n(1e308, 5, 2) == 0.0
+    # 1 - p_j = 1/(1 + theta 2^j) keeps its relative accuracy: ~1.9e-308
+    # here, not 0, although theta 2^j overflows past j = 0
+    t = Fraction(1e308)
+    exact_c = sum(1 / (1 + t * 2**j) for j in range(5))
+    exact_var = sum(t * 2**j / (1 + t * 2**j) ** 2 for j in range(5))
+    assert abs(Fraction(qdist.c_n(1e308, 5, 2)) - exact_c) <= 1e-12 * exact_c
+    assert abs(Fraction(qdist.variance(p)) - exact_var) <= 1e-12 * exact_var
     # past i = 1023 the int 2^i has no float; the factor is the logistic
     # of ln(theta 2^i), and 0 at theta = 0
     assert qdist.growth_prob(0.0, 2, 1024) == 0.0
@@ -136,6 +142,38 @@ def test_growth_prob_past_the_double_range():
             assert qdist.growth_prob(theta, q, i) == (1.0 if t == math.inf else t / (1 + t))
     big = qdist.QBinomialParams(2000, 1e-290, 2)
     assert 0 < qdist.mean(big) < 2000 and qdist.variance(big) > 0
+
+
+def test_chain_complement_keeps_relative_accuracy():
+    # 1 - p is computed as 1/(1 + theta q^i), not by cancellation in 1 - p
+    for theta, n, q in ((1e12, 5, 2), (1e6, 5, 2), (1e12, 40, 3), (1e6, 20, 4)):
+        t = Fraction(theta)
+        ps = [t * q**j / (1 + t * q**j) for j in range(n)]
+        exact_c = sum(1 - p for p in ps)
+        exact_var = sum(p * (1 - p) for p in ps)
+        got_c = Fraction(qdist.c_n(theta, n, q))
+        got_var = Fraction(qdist.variance(qdist.QBinomialParams(n, theta, q)))
+        assert abs(got_c - exact_c) < 1e-14 * exact_c, (theta, n, q)
+        assert abs(got_var - exact_var) < 1e-14 * exact_var, (theta, n, q)
+    # past the double range of q^i the complement is the logistic's
+    for theta, i in ((1e-10, 1050), (1e-300, 1100), (5e-324, 1030), (0.0, 1100)):
+        want = 1 / (1 + Fraction(theta) * 2**i)
+        got = qdist.growth_complement(theta, 2, i)
+        assert abs(Fraction(got) - want) <= 1e-12 * want, (theta, i)
+    # the mean sums growth_prob alone
+    p = qdist.QBinomialParams(40, 1e6, 3)
+    assert qdist.mean(p) == sum(qdist.growth_prob(1e6, 3, j) for j in range(40))
+
+
+def test_mle_below_the_bisection_reach():
+    # mean 1 at n = 300 puts theta_hat near 2^-300, below every midpoint
+    # that 200 halvings of [0, 1] reach: it is found on log theta
+    th = qdist.mle_theta([1], 300, 2)
+    assert 0 < th < 2.0**-200
+    assert abs(qdist.m_qn(th, 300, 2) - 1) < qdist.MLE_DEFAULT_TOL
+    # at n = 2000 theta_hat ~ 2^-2000 is below the smallest double
+    with pytest.raises(ValueError, match="below the double range"):
+        qdist.mle_theta([1], 2000, 2)
 
 
 def test_pmf_column_is_one_pass_of_the_formula():
