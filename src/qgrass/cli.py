@@ -94,6 +94,14 @@ def _theta_value(text):
     return value
 
 
+@functools.cache
+def _field(q):
+    """The one FieldSpec of order q in the process, built on first use like
+    the parser: a field keeps no per-call state, so its tables are built
+    once."""
+    return gf.FieldSpec(q)
+
+
 # -- subcommand handlers ---------------------------------------------------
 
 def _cmd_qcoeff(args):
@@ -111,7 +119,7 @@ def _cmd_qcoeff(args):
 
 
 def _cmd_simulate(args):
-    field = gf.FieldSpec(args.q)
+    field = _field(args.q)
     theta = float(args.theta)
     if args.samples < 1:
         raise CliError("domain", f"samples must be >= 1, got {args.samples}")
@@ -204,7 +212,7 @@ def _cmd_aep_check(args):
 
 
 def _block_code(args):
-    field = gf.FieldSpec(args.q)
+    field = _field(args.q)
     ts = aep.typical_set(args.n, args.epsilon, args.theta, args.q)
     return aep.make_block_code(ts, field)
 

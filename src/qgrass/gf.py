@@ -14,15 +14,21 @@ normalized to 1, which makes the representative unique: two Subspace
 objects are equal iff they describe the same subspace.  A row has one
 packed form for every field, the integer of its text (below).  The one
 elimination kernel is Echelon.insert, which adds one packed row to a
-reduced echelon state; rref is a fold of it, simulate inserts each dilation
-as it is drawn and dilations inserts one row into the embedded subspace.
-Over F_2 the state keeps the rows packed, whose n bits are the coordinates,
-coordinate 1 the most significant: a row step is XOR and a row's pivot
-column is n - x.bit_length() (the word-packed elimination of M4RI).  Over
-other fields a row step is row - c * brow on entry lists, by the three
-arithmetic cases above; tabled characteristic-2 extension fields XOR in
-the row mul_table[c] (table row operations as in M4RIE).  A Subspace basis
-is a tuple of int tuples for every field.
+reduced echelon state; rref is a fold of it (and with it parse_subspace,
+sum and intersect) and dilations inserts one row into the embedded
+subspace.  Over F_2 the state keeps the rows packed, whose n bits are the
+coordinates, coordinate 1 the most significant: a row step is XOR and a
+row's pivot column is n - x.bit_length() (the word-packed elimination of
+M4RI).  Over other fields a row step is row - c * brow on entry lists, by
+the three arithmetic cases above; tabled characteristic-2 extension fields
+XOR in the row mul_table[c] (table row operations as in M4RIE).  A
+Subspace basis is a tuple of int tuples for every field.
+
+The Grassmannian process (module grassproc) keeps its state V as V^perp
+instead, in _Annihilator: a growth step costs O(codim V) inner products
+(_dot) where an echelon state reduces against all dim V rows.  On the
+process's typical paths codim V stays O(1); where codim > dim, roughly
+theta < q^(-n/2), it is the dearer state (see grassproc.simulate).
 
 Every text form goes through one digit codec, to_text/from_text: an
 integer written as a fixed number of base-b digits over 0-9a-z, most
@@ -36,8 +42,11 @@ texts.  A codeword (module aep) is its index written in base q.  Bases
 above 36 have no text form.
 """
 
+import bisect
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .qcomb import q_binomial
@@ -374,6 +383,21 @@ def _row_step(field, row, c, brow, start):
                 row[j] = field.sub(row[j], field.mul(c, b))
 
 
+def _dot(field, u, x):
+    """The inner product sum u_j x_j, over the length of the shorter vector.
+
+    Prime fields sum the products and reduce once, tabled characteristic-2
+    extension fields XOR the entries of the rows mul_table[u_j]; other
+    fields go through FieldSpec.add and FieldSpec.mul.
+    """
+    if field.e == 1:
+        return sum(map(operator.mul, u, x)) % field.p
+    if field.p == 2 and field._mul_table is not None:
+        rows = map(field._mul_table.__getitem__, u)
+        return functools.reduce(operator.xor, map(operator.getitem, rows, x), 0)
+    return functools.reduce(field.add, map(field.mul, u, x), 0)
+
+
 def _reduce_vector(field, vec, basis, pivot_cols):
     """Reduce vec against an RREF basis; returns the residual vector."""
     vec = list(vec)
@@ -390,9 +414,8 @@ _BITS_TO_ENTRIES = bytes.maketrans(b"01", b"\0\1")
 class Echelon:
     """A reduced echelon basis of F_q^n that grows one packed row at a time.
 
-    `insert` is the one elimination kernel: rref folds it over its rows,
-    simulate inserts each dilation as it is drawn, and dilations inserts
-    one row into a copy of the embedded subspace.  Rows are kept in the
+    `insert` is the one elimination kernel: rref folds it over its rows
+    and dilations inserts one row into a copy of the embedded subspace.  Rows are kept in the
     order found, each reduced against all the others.  Over F_2 a row stays
     packed and its pivot is its top set bit; over other fields a row is its
     entry list and its pivot a column.
@@ -444,31 +467,120 @@ class Echelon:
         rows.append(row)
         self.pivots.append(pc)
 
-    def subspace(self, k=None):
-        """The canonical Subspace of the rows inserted so far.
-
-        With k, every row must vanish past coordinate k; the rows are then
-        read on their first k coordinates, as the state of F_q^k that
-        appending n - k zero columns turns into this one.
-        """
+    def subspace(self):
+        """The canonical Subspace of the rows inserted so far."""
         n = self.n
-        k = n if k is None else k
         if self.field.q == 2:
-            shift = n - k
-            basis = sorted((x >> shift for x in self.rows), reverse=True)
+            basis = sorted(self.rows, reverse=True)
             return Subspace(
                 self.field,
-                k,
-                tuple(tuple(f"{x:0{k}b}".encode().translate(_BITS_TO_ENTRIES)) for x in basis),
-                tuple(k - x.bit_length() for x in basis),
+                n,
+                tuple(tuple(f"{x:0{n}b}".encode().translate(_BITS_TO_ENTRIES)) for x in basis),
+                tuple(n - x.bit_length() for x in basis),
             )
         ordered = sorted(zip(self.pivots, self.rows))  # distinct pivots: rows never compared
         return Subspace(
             self.field,
-            k,
-            tuple(tuple(row[:k]) for _, row in ordered),
+            n,
+            tuple(tuple(row) for _, row in ordered),
             tuple(pc for pc, _ in ordered),
         )
+
+
+class _Annihilator:
+    """A subspace V of F_q^k, k <= n, held as its annihilator V^perp and
+    grown one coordinate at a time: the state of the Grassmannian process.
+
+    For each free column f of V's RREF the state keeps u_f = -w_f, where
+    w_f is the vector of V^perp that is 1 at f and 0 at every other free
+    column.  u_f vanishes past column f, is -1 at f, and on V's pivot
+    columns it is column f of V's RREF, so `subspace` reads V with no field
+    arithmetic.  `embed` appends a zero coordinate; `dilate` adds one row
+    by one inner product and at most one row step per free column.  Over
+    F_2 each u_f is packed at width n like a row and a row step is XOR;
+    over other fields u_f is an entry list of length n.
+    """
+
+    def __init__(self, field, n):
+        self.field = field
+        self.n = n
+        self.k = 0
+        self.pivots = []  # V's pivot columns, ascending
+        self.free = []  # V's free columns, ascending
+        self.cols = []  # u_f for each free column f, in the same order
+
+    def embed(self):
+        """V <- V x 0: coordinate k + 1 is a new free column, u = -e_(k+1)."""
+        k, n = self.k, self.n
+        if self.field.q == 2:
+            u = 1 << (n - 1 - k)
+        else:
+            u = [0] * n
+            u[k] = self.field.neg(1)
+        self.free.append(k)
+        self.cols.append(u)
+        self.k = k + 1
+
+    def dilate(self, x, c):
+        """V <- span(V x 0, (x, c)) in F_q^(k+1), for x in F_q^k and c != 0.
+
+        Over F_2, x is packed as rref takes a row of F_2^k and c is 1; over
+        other fields x is a list of k entries.  t_f = <w_f, x> is entry f
+        of x reduced against V's rows, so the least f with t_f != 0 becomes
+        a pivot and coordinate k + 1 a free column; with no such f,
+        coordinate k + 1 becomes the pivot and nothing else changes.
+        """
+        field, k, cols = self.field, self.k, self.cols
+        if field.q == 2:
+            x <<= self.n - k
+            hit = None
+            for i, u in enumerate(cols):
+                if (u & x).bit_count() & 1:
+                    if hit is None:
+                        hit, ug = i, u
+                    else:
+                        cols[i] = u ^ ug
+        else:
+            s = [_dot(field, u, x) for u in cols]  # s_f = <u_f, x> = -t_f
+            hit = next((i for i, t in enumerate(s) if t), None)
+            if hit is not None:
+                ug, inv = cols[hit], field.inv(s[hit])
+                for i in range(hit + 1, len(cols)):
+                    if s[i]:
+                        _row_step(field, cols[i], field.mul(s[i], inv), ug, 0)
+        if hit is None:
+            self.pivots.append(k)
+            self.k = k + 1
+            return
+        bisect.insort(self.pivots, self.free.pop(hit))
+        del cols[hit]
+        self.embed()  # u_(k+1) = -e_(k+1) + (c / s_g) u_g
+        if field.q == 2:
+            cols[-1] ^= ug
+        else:
+            _row_step(field, cols[-1], field.neg(field.mul(c, inv)), ug, 0)
+
+    def subspace(self):
+        """The canonical Subspace V of F_q^k, read by one transposition.
+
+        At a pivot p, column c of V's RREF holds the entry at p of e_c if c
+        is a pivot and of u_c if c is free.  Zipping those k vectors gives,
+        at each pivot p, the row of p.  Over F_2 every u_f is written in one
+        bit string.
+        """
+        k, pivots, cols = self.k, self.pivots, self.cols
+        unit = (0,) * (k - 1) + (1,) + (0,) * (k - 1)
+        columns = [None] * k
+        for pc in pivots:
+            columns[pc] = unit[k - 1 - pc : 2 * k - 1 - pc]
+        if self.field.q == 2:
+            n = self.n
+            bits = "".join(map(f"{{:0{n}b}}".format, cols)).encode().translate(_BITS_TO_ENTRIES)
+            cols = [bits[i * n : i * n + k] for i in range(len(cols))]
+        for f, u in zip(self.free, cols):
+            columns[f] = u  # zip stops at the k entries of a unit
+        rows = list(zip(*columns))
+        return Subspace(self.field, k, tuple(map(rows.__getitem__, pivots)), tuple(pivots))
 
 
 def rref(rows, n, field):

@@ -422,7 +422,7 @@ def test_histogram_builds_no_subspace(monkeypatch, capsys):
         raise AssertionError("a subspace was built")
 
     monkeypatch.setattr(cli.grassproc, "simulate", no_subspace)
-    monkeypatch.setattr(cli.grassproc, "Echelon", no_subspace)
+    monkeypatch.setattr(cli.grassproc, "_Annihilator", no_subspace)
     monkeypatch.setattr(cli.gf, "Echelon", no_subspace)
     monkeypatch.setattr(cli.gf, "rref", no_subspace)
     argv = ["simulate", "--n", "12", "--theta", "1", "--q", "4", "--samples", "300",

@@ -160,9 +160,10 @@ def test_f2_bulk_draw_matches_randrange():
 
 @pytest.mark.parametrize("n", [1, 6, 24, 64])
 def test_simulate_f2_history_matches_reference(n, rref_reference):
-    for q in (2, 3, 4, 16):
+    # theta = 2^-40 holds codim > dim over F_2 up to n = 64
+    for q in (2, 3, 4, 9, 16, 251):
         field = gf.FieldSpec(q)
-        for theta in (1 / 256, 1, 1e6):
+        for theta in (0, 2**-40, 1 / 256, 1, 1e6):
             for seed in (0, "h"):
                 traj = grassproc.simulate(n, theta, field, seed, keep_history=True)
                 rows = []  # the dilations drawn so far, padded to length n
@@ -179,28 +180,74 @@ def test_simulate_f2_history_matches_reference(n, rref_reference):
                 assert len(traj.history) == n + 1
                 assert traj.history[-1] == traj.final
                 assert grassproc.simulate(n, theta, field, seed).final == traj.final
+    codim = 64 - grassproc.simulate(64, 2**-40, F2, 0).final.current.dim
+    assert codim > 64 - codim
 
 
-def test_simulate_history_carries_one_state(monkeypatch):
-    # the history builds one echelon state and inserts each dilation once;
-    # it re-eliminates no prefix (rref would build a state per call)
-    built, inserted = [], []
-    init, insert = gf.Echelon.__init__, gf.Echelon.insert
+def test_simulate_state_is_the_annihilator(monkeypatch, reference_field):
+    # after every step the state holds one vector u_f per free column f of
+    # V's RREF, k - dim V of them at step k: -1 at f, 0 at the other free
+    # columns and past f, and orthogonal to every basis row of V
+    embed, dilate, read = gf._Annihilator.embed, gf._Annihilator.dilate, gf._Annihilator.subspace
+    refs = {}
+    shapes = Counter()
 
-    def counted_init(self, *args):
-        built.append(args)
-        init(self, *args)
+    def check(state):
+        v = read(state)
+        ref = refs[state.field.q]
+        minus = ref.difference[0]
+        k, n = state.k, state.n
+        assert len(state.cols) == len(state.free) == k - v.dim
+        assert sorted(state.free + state.pivots) == list(range(k))
+        assert tuple(state.pivots) == v.pivot_cols
+        for f, u in zip(state.free, state.cols):
+            if ref.q == 2:
+                u = [u >> (n - 1 - j) & 1 for j in range(n)]
+            assert len(u) == n and not any(u[f + 1 :])
+            assert [u[j] for j in state.free] == [minus[1] if j == f else 0 for j in state.free]
+            for row in v.basis:
+                dot = 0
+                for a, b in zip(u, row):
+                    dot = ref.difference[dot][minus[ref.product[a][b]]]
+                assert dot == 0, (k, f, row)
+        shapes[v.dim > k - v.dim] += 1
 
-    def counted_insert(self, x):
-        inserted.append(x)
-        insert(self, x)
+    inside = []  # dilate calls embed before its last row step
 
-    monkeypatch.setattr(gf.Echelon, "__init__", counted_init)
-    monkeypatch.setattr(gf.Echelon, "insert", counted_insert)
-    traj = grassproc.simulate(64, 1, gf.FieldSpec(16), 3, keep_history=True)
-    assert len(traj.history) == 65 and traj.final.current.dim > 32
-    assert len(built) == 1
-    assert len(inserted) == traj.final.current.dim
+    def checked_embed(state):
+        embed(state)
+        if not inside:
+            check(state)
+
+    def checked_dilate(state, x, c):
+        inside.append(True)
+        dilate(state, x, c)
+        inside.pop()
+        check(state)
+
+    monkeypatch.setattr(gf._Annihilator, "embed", checked_embed)
+    monkeypatch.setattr(gf._Annihilator, "dilate", checked_dilate)
+    for q in (2, 3, 4, 9, 16):
+        field = gf.FieldSpec(q)
+        refs[q] = reference_field(field)
+        for n, theta in ((24, 1), (24, 1 / 256), (32, 2**-24), (12, 1e6)):
+            for seed in (0, 1):
+                grassproc.simulate(n, theta, field, seed)
+    assert shapes[True] and shapes[False]  # dim > codim and codim >= dim both ran
+
+
+def test_simulate_builds_no_echelon(monkeypatch):
+    # simulate carries the annihilator alone, with or without history: it
+    # builds no echelon state and calls no rref
+    def no_echelon(*args, **kwargs):
+        raise AssertionError("an echelon state was built")
+
+    monkeypatch.setattr(gf.Echelon, "__init__", no_echelon)
+    monkeypatch.setattr(gf, "rref", no_echelon)
+    for q in (2, 3, 16):
+        for keep_history in (False, True):
+            traj = grassproc.simulate(64, 1, gf.FieldSpec(q), 3, keep_history=keep_history)
+            assert traj.final.current.dim > 32
 
 
 def test_simulate_deterministic_replay():
