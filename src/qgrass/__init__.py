@@ -49,12 +49,12 @@ from .qdist import (
     c_inf,
     m_qn,
     mle_theta,
+    log_pmf_by_codim,
 )
 from .grassproc import (
     ProcessState,
     Trajectory,
     simulate,
-    log_pmf_by_codim,
     outcome_tree_law,
 )
 from .aep import (

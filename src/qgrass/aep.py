@@ -10,10 +10,9 @@ The finite-n class-mass sums are exact and run in integers over one shared
 denominator: when theta = a/b is rational (int or Fraction) every class
 mass has the denominator prod_{i<n} (b + a q^i) and its numerator is read
 off the Gaussian column `qcomb._gaussian_column`; otherwise the walk sums
-the exact values of the float class masses, multiples of 2^-1074.  The class sizes of
-the typical set, the greedy set and the block code, and the total
-Grassmannian size, are read off the same column.  mu and Delta live in
-float since they involve infinite products.
+the exact values of the float class masses of `qdist`, multiples of
+2^-1074.  The class sizes, and the total Grassmannian size, are read off
+the same column.  mu and Delta live in float (infinite products).
 """
 
 import itertools
@@ -21,20 +20,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import grassproc
 from .entropy import binary_quadratic_entropy, log_q_int
 from .gf import (
     TEXT_BASE_MAX, free_positions, from_text, full_space, subspace_from_pattern, to_text
 )
 from .qcomb import _gaussian_column, pochhammer_inf, q_binomial
-from .qdist import log_q_neg_inv_pochhammer
+from .qdist import QBinomialParams, _log_class_masses, log_pmf_by_codim, log_q_neg_inv_pochhammer
 
 MU_REL_CUT = 1e-15
 CONTINUITY_TOL = 1e-12
-
-
-def _is_rational(x):
-    return isinstance(x, (int, Fraction))
 
 
 def mu(d, theta, q, rel_tol=1e-15):
@@ -48,6 +42,8 @@ def mu(d, theta, q, rel_tol=1e-15):
     if not theta > 0:
         raise ValueError("mu is undefined at theta = 0 (degenerate process)")
     theta = float(theta)
+    if 1.0 / theta == math.inf:
+        raise ValueError(f"theta = {theta!r} is too small: 1/theta overflows a double")
     qinv = 1.0 / q
     x0 = 0.5 - math.log(theta) / math.log(q)
     expo = -0.5 * (d - x0) ** 2 + 0.5 * x0**2
@@ -168,7 +164,7 @@ def _class_mass_stop(n, epsilon, theta, q):
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
-    if _is_rational(theta):
+    if isinstance(theta, (int, Fraction)):
         need = 1 - Fraction(epsilon).limit_denominator(10**12)
         a, b = Fraction(theta).as_integer_ratio()
         total = math.prod(b + a * q**i for i in range(n))
@@ -180,8 +176,8 @@ def _class_mass_stop(n, epsilon, theta, q):
         need = Fraction(1.0 - epsilon)
         total = 2**1074
         masses = (
-            int(Fraction(float(q) ** grassproc.codim_class_log_prob(d, n, theta, q)) * total)
-            for d in range(n + 1)
+            int(Fraction(float(q) ** log_mass) * total)
+            for log_mass in _log_class_masses(QBinomialParams(n, theta, q))
         )
     acc = 0
     for d, mass in enumerate(masses):
@@ -237,7 +233,7 @@ def check_aep(n, epsilon, delta_tol, theta, q):
     gaps = []
     g_over_n = []
     for d in ts.member_codims:
-        log_inv_p = -grassproc.log_pmf_by_codim(d, n, theta, q)
+        log_inv_p = -log_pmf_by_codim(d, n, theta, q)
         gap = abs(log_inv_p / n - (n / 2.0) * binary_quadratic_entropy(d / n))
         gaps.append(gap)
         g = 0.5 * (d - x0) ** 2 - 0.5 * x0**2 + log_tail

@@ -26,22 +26,17 @@ a fixed theta the law of codim V_n tends to the mu table, which does not
 depend on n, so on typical paths the codimension stays O(1) while the
 dimension grows like n.
 
-The law of V_n lives in `qdist`; three adapters here restate it: the exact
-rational per-subspace law, which `outcome_tree_law` is checked against, and
-the exact and log codimension-class laws.  The completed-square
-codimension form and `outcome_tree_law`, an independent re-derivation of
-the law used as an oracle, are computed here.
+The law of V_n, per subspace and per codimension class, lives in `qdist`.
+The one law computed here is `outcome_tree_law`, an independent
+re-derivation by exhaustive expansion that the closed form is checked
+against.
 """
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import qdist
-from .entropy import binary_quadratic_entropy
 from .gf import Subspace, _Annihilator, dilations, format_subspace, zero_subspace
-from .qcomb import q_binomial
 from .qdist import growth_prob
 
 
@@ -154,38 +149,6 @@ def simulate(n, theta, field, seed, keep_history=False):
     return Trajectory(
         q, theta, seed, final, tuple(history) if keep_history else None
     )
-
-
-def exact_pmf_fraction(k, n, theta, q):
-    """Exact rational Pr{V_n = v} for rational theta (oracle path)."""
-    return qdist.pmf_fraction(k, n, theta, q) / q_binomial(n, k, q)
-
-
-def log_pmf_by_codim(d, n, theta, q):
-    """log_q Pr{V_n = v} via the completed-square codimension form.
-
-    For dim v = n - d this equals
-    -(d - x0)^2/2 + x0^2/2 - (n^2/2) H_2(d/n) - log_q (-1/theta; 1/q)_n
-    with x0 = 1/2 - log_q theta.
-    """
-    if not 0 <= d <= n:
-        raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
-    if not theta > 0:
-        raise ValueError("theta must be positive")
-    x0 = 0.5 - math.log(theta) / math.log(q)
-    h2_term = (n * n) * binary_quadratic_entropy(d / n) / 2.0 if n else 0.0
-    tail = qdist.log_q_neg_inv_pochhammer(theta, n, q)
-    return -0.5 * (d - x0) ** 2 + 0.5 * x0**2 - h2_term - tail
-
-
-def codim_class_log_prob(d, n, theta, q):
-    """log_q Pr{V_n has codimension d} (exact coefficient, float log)."""
-    return qdist.log_pmf(n - d, qdist.QBinomialParams(n, theta, q))
-
-
-def codim_class_prob_fraction(d, n, theta, q):
-    """Exact rational Pr{V_n in Gr(n-d, n)} for rational theta."""
-    return qdist.pmf_fraction(n - d, n, theta, q)
 
 
 def outcome_tree_law(n, theta, field):

@@ -140,8 +140,10 @@ def pochhammer(a, x, n):
 def pochhammer_inf(a, qinv, rel_tol=DEFAULT_REL_TOL):
     """Infinite product (a; qinv)_inf, truncated once |a qinv^k| < rel_tol.
 
-    Requires |qinv| < 1 for convergence.
+    Requires a finite a and |qinv| < 1 for convergence.
     """
+    if not math.isfinite(a):
+        raise ValueError(f"a must be finite, got {a!r}")
     if not abs(qinv) < 1:
         raise ValueError(f"need |qinv| < 1 for convergence, got {qinv!r}")
     if not rel_tol > 0:

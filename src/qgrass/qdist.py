@@ -1,15 +1,16 @@
-"""The q-binomial distribution Bin_q(n, theta), home of the process law.
+"""The q-binomial distribution Bin_q(n, theta) and the law of the
+Grassmannian process: dim V_n has the pmf, and V_n is uniform on each
+Gr(k, n), so the codimension-d class has mass pmf(n - d).
 
 `growth_prob` is the one float chain factor theta q^i / (1 + theta q^i) of
 the chain and `growth_complement` its complement 1 / (1 + theta q^i), kept
 to relative accuracy; the mean, variance, c_n and c_inf sum them, defined
 at every i.  `_ln1p_q_pow` is the one factor ln(1 + q^u) of the log
 products (-theta; q)_n and (-1/theta; 1/q)_n and of the two-parameter
-normaliser.  Also the pmf, whose float values over k = 0..n are one pass
-over the Gaussian column `qcomb._gaussian_column`, with the exact rational
-pmf for oracle checks (the Grassmannian process's subspace and class laws
-derive from these; `aep` walks the exact class masses in integers without
-it) and maximum-likelihood estimation of theta by bracketing bisection on
+normaliser.  `_log_class_masses`, one walk of the Gaussian column
+`qcomb._gaussian_column`, yields every float class mass, for the pmf
+column and `aep`'s class-mass stop.  The exact rational pmf and subspace
+law are the oracles.  Maximum-likelihood estimation of theta bisects on
 the mean scale, on log theta below the reach of 200 linear halvings.  The
 chain's one sampler is `grassproc.simulate`.
 """
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .entropy import log_q_int
+from .entropy import binary_quadratic_entropy, log_q_int
 from .qcomb import _gaussian_column, pochhammer, q_binomial
 
 LOG_DOMAIN_THRESHOLD = 30
@@ -127,6 +128,20 @@ def log_pmf(k, params):
     return _log_pmf_term(k, q_binomial(n, k, q), t, q, log_q_neg_pochhammer(t, n, q))
 
 
+def _log_class_masses(params):
+    """Yield log_pmf(n - d, params), the log_q mass of the codimension-d
+    class, for d = 0..n: one normaliser, and [n, d]_q = [n, n - d]_q is
+    entry d of one walk of the Gaussian column."""
+    n, t, q = params.n, params.theta, params.q
+    if t == 0:
+        yield from itertools.repeat(-math.inf, n)
+        yield 0.0
+        return
+    log_poch = log_q_neg_pochhammer(t, n, q)
+    for d, coeff in enumerate(_gaussian_column(n, q)):
+        yield _log_pmf_term(n - d, coeff, t, q, log_poch)
+
+
 def pmf(k, params):
     """Probability of dimension k; 0 outside {0..n} by contract."""
     if k < 0 or k > params.n:
@@ -139,25 +154,20 @@ def _pmf_column(params):
     `qcomb._gaussian_column`, with the normaliser computed once.
 
     Linear-domain evaluation at small n, log-domain beyond (the factor
-    q^(k(k-1)/2) overflows doubles quickly).
+    q^(k(k-1)/2) overflows doubles quickly) from the class masses, d = n - k.
     """
     n, t, q = params.n, params.theta, params.q
     if t == 0:
         return [1.0] + [0.0] * n
     # linear domain only while every intermediate stays well under 1e308
     magnitude = (n * (n - 1) / 2) * math.log10(q) + n * math.log10(max(t, 1.0))
-    linear = n <= LOG_DOMAIN_THRESHOLD and magnitude < 140
-    if linear:
-        den = math.prod(1.0 + t * q**i for i in range(n))
-    else:
-        log_poch = log_q_neg_pochhammer(t, n, q)
-    column = []
-    for k, coeff in enumerate(_gaussian_column(n, q)):
-        if linear:
-            column.append(coeff * float(q) ** (k * (k - 1) // 2) * t**k / den)
-        else:
-            column.append(float(q) ** _log_pmf_term(k, coeff, t, q, log_poch))
-    return column
+    if n > LOG_DOMAIN_THRESHOLD or magnitude >= 140:
+        return [float(q) ** log_p for log_p in _log_class_masses(params)][::-1]
+    den = math.prod(1.0 + t * q**i for i in range(n))
+    return [
+        coeff * float(q) ** (k * (k - 1) // 2) * t**k / den
+        for k, coeff in enumerate(_gaussian_column(n, q))
+    ]
 
 
 def pmf_fraction(k, n, theta, q):
@@ -169,12 +179,37 @@ def pmf_fraction(k, n, theta, q):
     return num / pochhammer(-t, q, n)
 
 
-def _q_binomial_real(n, k, q):
-    """Gaussian binomial by the telescoping product; tolerates real q > 1."""
-    out = 1.0
-    for i in range(1, k + 1):
-        out *= (q ** (n - k + i) - 1.0) / (q**i - 1.0)
-    return out
+def exact_pmf_fraction(k, n, theta, q):
+    """Exact rational Pr{V_n = v}, dim v = k, for rational theta (oracle path)."""
+    return pmf_fraction(k, n, theta, q) / q_binomial(n, k, q)
+
+
+def log_pmf_by_codim(d, n, theta, q):
+    """log_q Pr{V_n = v} via the completed-square codimension form.
+
+    For dim v = n - d this equals
+    -(d - x0)^2/2 + x0^2/2 - (n^2/2) H_2(d/n) - log_q (-1/theta; 1/q)_n
+    with x0 = 1/2 - log_q theta.
+    """
+    if not 0 <= d <= n:
+        raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
+    if not theta > 0:
+        raise ValueError("theta must be positive")
+    x0 = 0.5 - math.log(theta) / math.log(q)
+    h2_term = (n * n) * binary_quadratic_entropy(d / n) / 2.0 if n else 0.0
+    tail = log_q_neg_inv_pochhammer(theta, n, q)
+    return -0.5 * (d - x0) ** 2 + 0.5 * x0**2 - h2_term - tail
+
+
+def _log_q_binomial_real(n, k, q):
+    """ln [n, k]_q for real q > 1, forming no power of q above 1: the factor
+    (q^(n-k+i) - 1) / (q^i - 1) is q^(n-k) (1 - q^-(n-k+i)) / (1 - q^-i),
+    and 1 - q^-u is -expm1(-u ln q)."""
+    ln_q = math.log(q)
+    return k * (n - k) * ln_q + math.fsum(
+        math.log(math.expm1(-(n - k + i) * ln_q) / math.expm1(-i * ln_q))
+        for i in range(1, k + 1)
+    )
 
 
 def pmf_xy(k, n, x, y, q):
@@ -198,7 +233,7 @@ def pmf_xy(k, n, x, y, q):
     if isinstance(q, int):
         log_coeff = math.log(q_binomial(n, k, q))
     else:
-        log_coeff = math.log(_q_binomial_real(n, k, q))
+        log_coeff = _log_q_binomial_real(n, k, q)
     # log domain, divided through by x^n: x + y q^i = x (1 + q^(u + i))
     u = (math.log(y) - math.log(x)) / math.log(q)
     log_num = log_coeff + (k * (k - 1) / 2.0 + k * u) * math.log(q)

@@ -101,7 +101,7 @@ def test_criterion_04_law_of_vn_exhaustive():
                 if len(law) != expected_support:
                     ok = False
                 for v, pr in law.items():
-                    if pr != grassproc.exact_pmf_fraction(v.dim, n, theta, q):
+                    if pr != qdist.exact_pmf_fraction(v.dim, n, theta, q):
                         ok = False
     elapsed = time.time() - t0
     ok = ok and elapsed < 60
@@ -133,7 +133,7 @@ def test_criterion_05_monte_carlo_consistency():
     z_max = 6
     tv = tv_mean = tv_var = 0.0
     for k in range(n + 1):
-        p = float(grassproc.exact_pmf_fraction(k, n, Fraction(1), q))
+        p = float(qdist.exact_pmf_fraction(k, n, Fraction(1), q))
         spread = p * (1 - p) / n_draws
         for v in gf.enumerate_grassmannian(k, n, F2):
             tv += abs(counts.get(v, 0) / n_draws - p)
@@ -186,7 +186,7 @@ def test_criterion_07_mu_limit():
     ok = True
     worst = 0.0
     for d in range(6):
-        pr = 2.0 ** grassproc.codim_class_log_prob(d, 60, 1.0, 2)
+        pr = 2.0 ** qdist.log_pmf(60 - d, qdist.QBinomialParams(60, 1.0, 2))
         dev = abs(pr - aep.mu(d, 1.0, 2))
         worst = max(worst, dev)
         if dev >= 1e-6:
@@ -265,7 +265,7 @@ def test_criterion_10_coding():
                 if aep.decode(aep.encode(v, code), code) != v:
                     ok = False
         miss = 1 - sum(
-            grassproc.codim_class_prob_fraction(d, n, Fraction(1), 2)
+            qdist.pmf_fraction(n - d, n, Fraction(1), 2)
             for d in range(ts.delta_codim + 1)
         )
         if miss > Fraction(2, 10):

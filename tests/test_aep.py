@@ -24,6 +24,9 @@ def test_mu_domain():
         aep.mu(0, 0.0, 2)
     with pytest.raises(ValueError):
         aep.mu(-1, 1.0, 2)
+    # 1/theta overflows a double: refused, naming theta
+    with pytest.raises(ValueError, match="1e-320"):
+        aep.mu(0, 1e-320, 2)
 
 
 def test_mu_table_sums_to_one():
@@ -59,7 +62,7 @@ def test_mu_superg_decay(table21):
 
 def test_mu_is_the_limit_of_codim_classes():
     for d in range(6):
-        pr = 2.0 ** grassproc.codim_class_log_prob(d, 60, 1.0, 2)
+        pr = 2.0 ** qdist.log_pmf(60 - d, qdist.QBinomialParams(60, 1.0, 2))
         assert abs(pr - aep.mu(d, 1.0, 2)) < 1e-6
 
 
@@ -102,7 +105,7 @@ def test_typical_set_construction():
     assert ts.exact_size == sum(qcomb.q_binomial(30, 30 - d, 2) for d in range(3))
     # miss probability bounded by construction (exact rationals)
     miss = 1 - sum(
-        grassproc.codim_class_prob_fraction(d, 30, Fraction(1), 2)
+        qdist.pmf_fraction(30 - d, 30, Fraction(1), 2)
         for d in range(ts.delta_codim + 1)
     )
     assert miss <= Fraction(1, 10)
@@ -169,8 +172,8 @@ def test_codim_class_bound_approaches_codim():
 
 def test_equiprobability_within_class_only():
     # inside a codim class all spaces are equiprobable; across classes not
-    p2 = grassproc.exact_pmf_fraction(2, 4, Fraction(1), 2)
-    p3 = grassproc.exact_pmf_fraction(3, 4, Fraction(1), 2)
+    p2 = qdist.exact_pmf_fraction(2, 4, Fraction(1), 2)
+    p3 = qdist.exact_pmf_fraction(3, 4, Fraction(1), 2)
     assert p2 != p3
     law = grassproc.outcome_tree_law(4, Fraction(1), F2)
     by_dim = {}
@@ -186,15 +189,15 @@ def test_greedy_min_set_size():
     assert b == ts.delta_codim
     assert s <= ts.exact_size
     # epsilon large enough that a slice of the top class suffices
-    top = grassproc.codim_class_prob_fraction(0, 12, Fraction(1), 2)
+    top = qdist.pmf_fraction(12, 12, Fraction(1), 2)
     eps = 1 - float(top) / 2
     s2, b2 = aep.greedy_min_set_size(12, eps, 1, 2)
     assert b2 == 0 and s2 == 1
 
 
 def test_merged_law_and_lazy_stop():
-    # the subspace law times the class size, the q-binomial pmf and the
-    # codimension class mass are one exact law, summing to 1
+    # the subspace law times the class size is the q-binomial pmf, which
+    # sums to 1
     for q in (2, 3, 4):
         for theta in (Fraction(1, 2), Fraction(1), Fraction(2)):
             for n in range(9):
@@ -202,18 +205,17 @@ def test_merged_law_and_lazy_stop():
                 assert sum(masses) == 1
                 for k, pk in enumerate(masses):
                     size = qcomb.q_binomial(n, k, q)
-                    assert pk == size * grassproc.exact_pmf_fraction(k, n, theta, q)
-                    assert pk == grassproc.codim_class_prob_fraction(n - k, n, theta, q)
+                    assert pk == size * qdist.exact_pmf_fraction(k, n, theta, q)
     # the lazy stop agrees with a stop index over all n + 1 class masses
     for theta in (Fraction(7, 10), 1, 0.7):
         for n in range(1, 61):
             if isinstance(theta, float):
-                masses = [2.0 ** grassproc.codim_class_log_prob(d, n, theta, 2)
+                masses = [2.0 ** qdist.log_pmf(n - d, qdist.QBinomialParams(n, theta, 2))
                           for d in range(n + 1)]
                 cumulative = [math.fsum(masses[: d + 1]) for d in range(n + 1)]
                 need = 1.0 - 0.1
             else:
-                masses = [grassproc.codim_class_prob_fraction(d, n, theta, 2)
+                masses = [qdist.pmf_fraction(n - d, n, theta, 2)
                           for d in range(n + 1)]
                 cumulative = list(itertools.accumulate(masses))
                 need = Fraction(9, 10)
@@ -244,21 +246,22 @@ def _oracle_stop(n, eps, theta, q):
     acc = Fraction(0)
     for d in range(n + 1):
         if isinstance(theta, float):
-            mass = Fraction(float(q) ** grassproc.codim_class_log_prob(d, n, theta, q))
+            mass = Fraction(float(q) ** qdist.log_pmf(n - d, qdist.QBinomialParams(n, theta, q)))
         else:
-            mass = grassproc.codim_class_prob_fraction(d, n, theta, q)
+            mass = qdist.pmf_fraction(n - d, n, theta, q)
         if acc + mass >= need or d == n:
             return d, need - acc, mass
         acc += mass
 
 
-def _check_stop_against_oracle(n, eps, theta, q):
+def _check_stop_against_oracle(n, eps, theta, q, typical=True):
     d, deficit, mass = _oracle_stop(n, eps, theta, q)
     a_n, deficit_num, mass_num, den = aep._class_mass_stop(n, eps, theta, q)
     case = (n, eps, theta, q)
     assert (a_n, Fraction(deficit_num, den), Fraction(mass_num, den)) == (d, deficit, mass), case
     sizes = [qcomb.q_binomial(n, n - c, q) for c in range(d + 1)]
-    assert aep.typical_set(n, eps, theta, q).exact_size == sum(sizes), case
+    if typical:
+        assert aep.typical_set(n, eps, theta, q).exact_size == sum(sizes), case
     if n:
         partial = math.ceil(deficit / (mass / sizes[d]))
         assert aep.greedy_min_set_size(n, eps, theta, q) == (sum(sizes[:d]) + partial, d), case
@@ -273,6 +276,18 @@ def test_integer_stop_matches_the_fraction_oracle():
                     _check_stop_against_oracle(n, eps, theta, q)
             for n in (120, 400):
                 _check_stop_against_oracle(n, 0.1, theta, q)
+
+
+def test_float_stop_matches_the_per_class_oracle():
+    # the float class masses of one Gaussian-column walk are the per-class
+    # log_pmf values, theta = 0 included; the typical set is left out, as
+    # its mu table is undefined at theta = 0 and overflows at 1e-30
+    for q in (2, 3, 4):
+        for theta in (0.0, 1e-30, 1e-10, 1.5, 10.0):
+            for eps in (0.05, 0.5):
+                for n in (0, 1, 2, 5, 13, 40, 64, 200):
+                    _check_stop_against_oracle(n, eps, theta, q, typical=False)
+    assert aep.greedy_min_set_size(5, 0.1, 0.0, 2) == (374, 5)
 
 
 def test_integer_stop_never_builds_a_fraction_pmf(monkeypatch):
@@ -441,7 +456,7 @@ def test_atypical_encodes_to_error_word(code4):
 def test_error_probability_bounded():
     ts = aep.typical_set(6, 0.2, 1, 2)
     miss = 1 - sum(
-        grassproc.codim_class_prob_fraction(d, 6, Fraction(1), 2)
+        qdist.pmf_fraction(6 - d, 6, Fraction(1), 2)
         for d in range(ts.delta_codim + 1)
     )
     assert miss <= Fraction(2, 10)

@@ -18,8 +18,9 @@ def run(*args, inp=None, env_extra=None):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
+    # a hang fails the test instead of blocking the suite
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, input=inp, env=env
+        CLI + list(args), capture_output=True, text=True, input=inp, env=env, timeout=120
     )
 
 
@@ -340,6 +341,7 @@ BAD_INPUTS = [
     (["mu-table", "--q", "2", "--theta", "-1"], "bad_theta"),
     (["simulate", "--n", "3", "--theta", "-1", "--q", "2"], "bad_theta"),
     (["mu-table", "--q", "2", "--theta", "1e-300"], "overflow"),
+    (["mu-table", "--q", "2", "--theta", "1e-320"], "domain"),
     (["mu-table", "--q", "1", "--theta", "1"], "domain"),
     (["typical", "--n", "8", "--epsilon", "0.1", "--theta", "1", "--q", "1"], "domain"),
     (["aep-check", "--n", "8", "--epsilon", "0.1", "--delta", "0.5", "--theta", "1",

@@ -277,16 +277,16 @@ def test_simulate_trivial_and_monotone_dims():
 
 
 def test_exact_pmf_values_and_sum():
-    assert grassproc.exact_pmf_fraction(0, 1, 1, 2) == Fraction(1, 2)
+    assert qdist.exact_pmf_fraction(0, 1, 1, 2) == Fraction(1, 2)
     # sum over all of Gr(3) is exactly 1 in rationals
     total = Fraction(0)
     for k in range(4):
         nk = qcomb.q_binomial(3, k, 2)
-        total += nk * grassproc.exact_pmf_fraction(k, 3, Fraction(1), 2)
+        total += nk * qdist.exact_pmf_fraction(k, 3, Fraction(1), 2)
     assert total == 1
     # corollary: class mass equals the q-binomial pmf
     for k in range(4):
-        lhs = qcomb.q_binomial(3, k, 2) * grassproc.exact_pmf_fraction(k, 3, 1, 2)
+        lhs = qcomb.q_binomial(3, k, 2) * qdist.exact_pmf_fraction(k, 3, 1, 2)
         assert lhs == qdist.pmf_fraction(k, 3, 1, 2)
         rhs = qdist.pmf(k, qdist.QBinomialParams(3, 1.0, 2))
         assert abs(float(lhs) - rhs) < 1e-12
@@ -299,7 +299,7 @@ def test_outcome_tree_reproduces_law_small():
             law = grassproc.outcome_tree_law(3, theta, field)
             assert sum(law.values()) == 1
             for v, pr in law.items():
-                assert pr == grassproc.exact_pmf_fraction(v.dim, 3, theta, q)
+                assert pr == qdist.exact_pmf_fraction(v.dim, 3, theta, q)
             # every subspace of F_q^3 received mass
             assert len(law) == sum(qcomb.q_binomial(3, k, q) for k in range(4))
 
@@ -315,16 +315,16 @@ def test_outcome_tree_dim_marginal_is_qbinomial():
 
 def test_log_pmf_by_codim_matches_direct_log():
     def exact_log(k, n, theta):
-        pr = grassproc.exact_pmf_fraction(k, n, Fraction(theta), 2)
+        pr = qdist.exact_pmf_fraction(k, n, Fraction(theta), 2)
         return log_q_int(pr.numerator, 2) - log_q_int(pr.denominator, 2)
 
     for n in (5, 12, 25, 40):
         for theta in (0.5, 1.0, 2.0):
             for d in range(min(n, 7)):
-                a = grassproc.log_pmf_by_codim(d, n, theta, 2)
+                a = qdist.log_pmf_by_codim(d, n, theta, 2)
                 assert abs(a - exact_log(n - d, n, theta)) < 1e-9, (n, theta, d)
     # d = n: theta-free endpoint
-    a = grassproc.log_pmf_by_codim(5, 5, 1.0, 2)
+    a = qdist.log_pmf_by_codim(5, 5, 1.0, 2)
     assert abs(a - exact_log(0, 5, 1.0)) < 1e-9
 
 
@@ -345,7 +345,7 @@ def test_empirical_matches_exact_small():
         counts[grassproc.simulate(3, 1.0, F2, seed=f"emp:{i}").final.current] += 1
     tv = 0.0
     for k in range(4):
-        p = float(grassproc.exact_pmf_fraction(k, 3, Fraction(1), 2))
+        p = float(qdist.exact_pmf_fraction(k, 3, Fraction(1), 2))
         for v in gf.enumerate_grassmannian(k, 3, F2):
             tv += abs(counts.get(v, 0) / n_draws - p)
     assert 0.5 * tv < 0.02

@@ -157,6 +157,10 @@ def test_pochhammer_inf_domain():
         qcomb.pochhammer_inf(0.5, 1.0)
     with pytest.raises(ValueError):
         qcomb.pochhammer_inf(0.5, -1.5)
+    # a non-finite a never meets the truncation test
+    for a in (-math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            qcomb.pochhammer_inf(a, 0.5)
 
 
 def test_gamma_q_interpolates_q_factorial():

@@ -197,25 +197,33 @@ def test_pmf_column_is_one_pass_of_the_formula():
     assert len(column) == 1101 and abs(sum(column) - 1) < 1e-9
 
 
-def _exact_log_q(x, q):
-    """log_q of a positive Fraction, to double precision at any size."""
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    return (math.log(float(x / Fraction(2) ** e)) + e * math.log(2)) / math.log(q)
+def _log_q_ratio(num, den, q):
+    """log_q(num / den) of positive ints, to double precision at any size."""
+    e = num.bit_length() - den.bit_length()
+    if e > 0:
+        den <<= e
+    else:
+        num <<= -e
+    return (math.log(num / den) + e * math.log(2)) / math.log(q)
 
 
 def test_log_pochhammers_match_exact_products():
+    # with theta = a/b, (-theta; q)_n = prod_{i<n} (b + a q^i) / b^n and
+    # (-1/theta; 1/q)_n = prod_{i<n} (a q^i + b) / prod_{i<n} a q^i share
+    # one integer numerator
     for q in (2, 3, 16):
         for theta in (5e-324, 1e-300, 1e-12, 0.7, 1.0, 1.5, 1e12, 1e300):
-            t = Fraction(theta)
-            prod, inv_prod = Fraction(1), Fraction(1)
+            a, b = theta.as_integer_ratio()
+            num, b_pow, aq_prod = 1, 1, 1
             for n in range(121):
                 for got, exact in (
-                    (qdist.log_q_neg_pochhammer(theta, n, q), _exact_log_q(prod, q)),
-                    (qdist.log_q_neg_inv_pochhammer(theta, n, q), _exact_log_q(inv_prod, q)),
+                    (qdist.log_q_neg_pochhammer(theta, n, q), _log_q_ratio(num, b_pow, q)),
+                    (qdist.log_q_neg_inv_pochhammer(theta, n, q), _log_q_ratio(num, aq_prod, q)),
                 ):
                     assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact)), (q, theta, n)
-                prod *= 1 + t * q**n
-                inv_prod *= 1 + Fraction(1, q**n) / t
+                num *= b + a * q**n
+                b_pow *= b
+                aq_prod *= a * q**n
             for n in (1100, 3000):
                 assert math.isfinite(qdist.log_q_neg_pochhammer(theta, n, q))
                 assert math.isfinite(qdist.log_q_neg_inv_pochhammer(theta, n, q))
@@ -240,6 +248,11 @@ def test_pmf_xy_past_the_double_range():
     # x + y q^i overflows a double at i >= 1024; the log factors do not
     total = math.fsum(qdist.pmf_xy(k, 1100, 1.0, 1.5, 2) for k in range(1090, 1101))
     assert abs(total - 1.0) < 1e-9
+    # a real q takes the log-domain coefficient, where q^u overflows too
+    for k in (0, 1, 550, 1090, 1095, 1099, 1100):
+        exact_q = qdist.pmf_xy(k, 1100, 1.0, 1.5, 2)
+        assert abs(qdist.pmf_xy(k, 1100, 1.0, 1.5, 2.0) - exact_q) <= 1e-12 * exact_q, k
+    assert qdist.pmf_xy(500, 1000, 1.0, 1.0, 2.5) == 0.0
 
 
 def test_c_n_and_c_inf():
