@@ -41,9 +41,9 @@ def mu(d, theta, q, rel_tol=1e-15):
         raise ValueError("d must be nonnegative")
     if not theta > 0:
         raise ValueError("mu is undefined at theta = 0 (degenerate process)")
-    theta = float(theta)
-    if 1.0 / theta == math.inf:
+    if float(theta) == 0.0 or 1.0 / float(theta) == math.inf:
         raise ValueError(f"theta = {theta!r} is too small: 1/theta overflows a double")
+    theta = float(theta)
     qinv = 1.0 / q
     x0 = 0.5 - math.log(theta) / math.log(q)
     expo = -0.5 * (d - x0) ** 2 + 0.5 * x0**2

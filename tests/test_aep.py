@@ -27,6 +27,9 @@ def test_mu_domain():
     # 1/theta overflows a double: refused, naming theta
     with pytest.raises(ValueError, match="1e-320"):
         aep.mu(0, 1e-320, 2)
+    # a positive rational that rounds to 0.0 is refused the same way
+    with pytest.raises(ValueError, match="too small"):
+        aep.mu(0, Fraction(1, 10**400), 2)
 
 
 def test_mu_table_sums_to_one():
@@ -280,13 +283,13 @@ def test_integer_stop_matches_the_fraction_oracle():
 
 def test_float_stop_matches_the_per_class_oracle():
     # the float class masses of one Gaussian-column walk are the per-class
-    # log_pmf values, theta = 0 included; the typical set is left out, as
-    # its mu table is undefined at theta = 0 and overflows at 1e-30
+    # log_pmf values, theta = 0 included; the typical set is left out only
+    # where its mu table is undefined (theta = 0) or overflows (1e-30)
     for q in (2, 3, 4):
         for theta in (0.0, 1e-30, 1e-10, 1.5, 10.0):
             for eps in (0.05, 0.5):
                 for n in (0, 1, 2, 5, 13, 40, 64, 200):
-                    _check_stop_against_oracle(n, eps, theta, q, typical=False)
+                    _check_stop_against_oracle(n, eps, theta, q, typical=theta >= 1e-10)
     assert aep.greedy_min_set_size(5, 0.1, 0.0, 2) == (374, 5)
 
 
