@@ -11,8 +11,10 @@ denominator: when theta = a/b is rational (int or Fraction) every class
 mass has the denominator prod_{i<n} (b + a q^i) and its numerator is read
 off the Gaussian column `qcomb._gaussian_column`; otherwise the walk sums
 the exact values of the float class masses of `qdist`, multiples of
-2^-1074.  The class sizes, and the total Grassmannian size, are read off
-the same column.  mu and Delta live in float (infinite products).
+2^-1074.  That stop a_n alone makes the typical set and the block code;
+the class sizes, and the total Grassmannian size, are read off the same
+column.  mu and Delta, reported next to a_n, live in float (infinite
+products), and one walk, `_mu_values`, yields every mu(d).
 """
 
 import itertools
@@ -31,14 +33,18 @@ MU_REL_CUT = 1e-15
 CONTINUITY_TOL = 1e-12
 
 
-def mu(d, theta, q, rel_tol=1e-15):
-    """Limiting probability that V_n has codimension d.
+def _mu_values(theta, q):
+    """Yield (d - x0, mu(d)) for d = 0, 1, ...: the one walk of the limit law.
 
-    mu(d) = q^(-(d-x0)^2/2 + x0^2/2) (q^-(d+1); 1/q)_inf
-            / [(1/q; 1/q)_inf (-1/theta; 1/q)_inf],  x0 = 1/2 - log_q theta.
+    mu(d) = q^(-(d-x0)^2/2 + x0^2/2) (q^-(d+1); 1/q)_inf / N,
+    x0 = 1/2 - log_q theta,  N = (1/q; 1/q)_inf (-1/theta; 1/q)_inf.
+
+    theta is checked, and x0 and N computed, once per walk.  Once x0 passes
+    ~45 at q = 2 (theta below ~3e-14), N and the power overflow a double
+    while their quotient does not; there, and only there, a term is taken
+    in log_q, with log_q N summed over ceil(x0) + 80 factors of
+    (-1/theta; 1/q) (the factors left out differ from 1 by less than q^-80).
     """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
     if not theta > 0:
         raise ValueError("mu is undefined at theta = 0 (degenerate process)")
     if float(theta) == 0.0 or 1.0 / float(theta) == math.inf:
@@ -46,10 +52,29 @@ def mu(d, theta, q, rel_tol=1e-15):
     theta = float(theta)
     qinv = 1.0 / q
     x0 = 0.5 - math.log(theta) / math.log(q)
-    expo = -0.5 * (d - x0) ** 2 + 0.5 * x0**2
-    euler = pochhammer_inf(qinv, qinv, rel_tol)
-    theta_prod = pochhammer_inf(-1.0 / theta, qinv, rel_tol)
-    return q**expo * pochhammer_inf(q ** -(d + 1.0), qinv, rel_tol) / (euler * theta_prod)
+    euler = pochhammer_inf(qinv, qinv)
+    norm = euler * pochhammer_inf(-1.0 / theta, qinv)
+    log_norm = None
+    for d in itertools.count():
+        off = d - x0
+        expo = -0.5 * off**2 + 0.5 * x0**2
+        tail = pochhammer_inf(q ** -(d + 1.0), qinv)
+        try:
+            value = q**expo * tail / norm if norm < math.inf else None
+        except OverflowError:
+            value = None
+        if value is None:
+            if log_norm is None:
+                log_norm = math.log(euler, q) + log_q_neg_inv_pochhammer(theta, math.ceil(x0) + 80, q)
+            value = q ** (expo + math.log(tail, q) - log_norm)
+        yield off, value
+
+
+def mu(d, theta, q):
+    """Limiting probability that V_n has codimension d: term d of the walk."""
+    if d < 0:
+        raise ValueError("d must be nonnegative")
+    return next(itertools.islice(_mu_values(theta, q), d, None))[1]
 
 
 @dataclass(frozen=True)
@@ -77,8 +102,8 @@ class MuTable:
         return sum(self.values)
 
 
-def build_mu_table(theta, q, rel_cut=MU_REL_CUT):
-    """Tabulate mu until terms fall below rel_cut * max and the tail is
+def build_mu_table(theta, q):
+    """Tabulate mu until terms fall below MU_REL_CUT * max and the tail is
     controlled by the super-Gaussian decay of the exponent.
 
     The successive ratio telescopes exactly:
@@ -86,23 +111,16 @@ def build_mu_table(theta, q, rel_cut=MU_REL_CUT):
     in d past the mode x0, so once r < 1/2 the remaining mass is below
     mu(d_last) * r / (1 - r).
     """
-    theta = float(theta)
-    if not theta > 0:
-        raise ValueError("mu is undefined at theta = 0 (degenerate process)")
-    x0 = 0.5 - math.log(theta) / math.log(q)
     values = []
     peak = 0.0
-    d = 0
-    while True:
-        v = mu(d, theta, q)
+    for d, (off, v) in enumerate(_mu_values(theta, q)):
         values.append(v)
         peak = max(peak, v)
-        ratio = q ** (-(d - x0) - 0.5) / (1.0 - q ** -(d + 1.0))
-        if v < rel_cut * peak and ratio < 0.5 and d > x0:
-            tail = v * ratio / (1.0 - ratio)
-            return MuTable(theta, q, tuple(values), tail)
-        d += 1
-        if d > 10_000:
+        if off > 0 and v < MU_REL_CUT * peak:
+            ratio = q ** (-off - 0.5) / (1.0 - q ** -(d + 1.0))
+            if ratio < 0.5:
+                return MuTable(float(theta), q, tuple(values), v * ratio / (1.0 - ratio))
+        if d >= 10_000:
             raise RuntimeError("mu table failed to converge")
 
 
@@ -162,6 +180,8 @@ def _class_mass_stop(n, epsilon, theta, q):
     multiple of 2^-1074, the least positive double, so 2^1074 is a
     denominator of every one, and its exact value meets Fraction(1.0 - epsilon).
     """
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
     if isinstance(theta, (int, Fraction)):
@@ -193,7 +213,7 @@ def _class_sizes(n, d, q):
     return list(itertools.islice(_gaussian_column(n, q), d + 1))
 
 
-def typical_set(n, epsilon, theta, q, table=None):
+def typical_set(n, epsilon, theta, q):
     """Smallest union of codimension classes with miss probability <= epsilon.
 
     The stop index a_n comes from cumulative class probabilities at finite n;
@@ -201,16 +221,12 @@ def typical_set(n, epsilon, theta, q, table=None):
     collides with a partial sum of mu, the discontinuity flag is set and the
     limit is only bracketed between Delta and Delta + 1.
     """
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if table is None:
-        table = build_mu_table(theta, q)
+    a_n = _class_mass_stop(n, epsilon, theta, q)[0]
+    size = sum(_class_sizes(n, a_n, q))
+    table = build_mu_table(theta, q)
     p_eps = 1.0 - epsilon
     limit_delta = delta(p_eps, table)
     discontinuity = not is_continuity_point(p_eps, table)
-
-    a_n = _class_mass_stop(n, epsilon, theta, q)[0]
-    size = sum(_class_sizes(n, a_n, q))
     bracket = (limit_delta, limit_delta + 1) if discontinuity else (limit_delta, limit_delta)
     return TypicalSet(
         n, q, float(theta), float(epsilon), a_n, size, limit_delta, discontinuity, bracket
@@ -260,8 +276,6 @@ def greedy_min_set_size(n, epsilon, theta, q):
     codimension b_n is the typical set's a_n: both are the same class-mass
     stop, whose partial class is never empty, which is asserted.
     """
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     d, deficit, mass, _ = _class_mass_stop(n, epsilon, theta, q)
     *whole, last = _class_sizes(n, d, q)
     # ceil(deficit / (mass / last)): the spaces of class d, each of mass
@@ -291,19 +305,19 @@ class BlockCode:
     codeword_len: int
 
 
-def make_block_code(ts, field):
-    if field.q != ts.q:
-        raise ValueError("field order does not match the typical set")
+def make_block_code(n, epsilon, theta, field):
+    """Block code of the typical set A_n over field, from its stop a_n alone."""
     if field.q > TEXT_BASE_MAX:
         raise ValueError(f"codewords support q <= {TEXT_BASE_MAX}")
-    sizes = tuple(_class_sizes(ts.n, ts.delta_codim, field.q))
+    a_n = _class_mass_stop(n, epsilon, theta, field.q)[0]
+    sizes = tuple(_class_sizes(n, a_n, field.q))
     total = sum(sizes)
     # ceil(log_q total) in exact integer arithmetic
     length, reach = 0, 1
     while reach < total:
         reach *= field.q
         length += 1
-    return BlockCode(ts.n, field, ts.delta_codim, sizes, total, length)
+    return BlockCode(n, field, a_n, sizes, total, length)
 
 
 def _pivot_block(c, m, n, q, base):

@@ -212,9 +212,7 @@ def _cmd_aep_check(args):
 
 
 def _block_code(args):
-    field = _field(args.q)
-    ts = aep.typical_set(args.n, args.epsilon, args.theta, args.q)
-    return aep.make_block_code(ts, field)
+    return aep.make_block_code(args.n, args.epsilon, args.theta, _field(args.q))
 
 
 def _cmd_code_encode(args):

@@ -1,3 +1,4 @@
+import bisect
 import functools
 
 import pytest
@@ -81,19 +82,65 @@ def _gauss_jordan(rows, n, ref):
     return tuple(map(tuple, basis)), tuple(pivots)
 
 
+class _GaussJordanState:
+    """A reduced echelon state on lists, grown a column and a row at a time.
+
+    The incremental form of _gauss_jordan, for a history of prefixes: `widen`
+    appends a zero column, and `insert` reduces a row by the basis, scales
+    it to a leading 1 and clears its pivot column from the other rows.
+    """
+
+    def __init__(self, ref):
+        self.ref = ref
+        self.basis, self.pivots = [], []
+
+    def widen(self):
+        for row in self.basis:
+            row.append(0)
+
+    def _minus(self, row, c, other):
+        times, diff = self.ref.product[c], self.ref.difference
+        return [diff[a][times[b]] for a, b in zip(row, other)]
+
+    def insert(self, row):
+        row = [int(c) % self.ref.q for c in row]
+        for pick, col in zip(self.basis, self.pivots):
+            if row[col]:
+                row = self._minus(row, row[col], pick)
+        col = next((j for j, c in enumerate(row) if c), None)
+        if col is None:
+            return
+        scale = self.ref.product[self.ref.product[row[col]].index(1)]  # times the inverse
+        row = [scale[b] for b in row]
+        for pick in self.basis:
+            if pick[col]:
+                pick[:] = self._minus(pick, pick[col], row)
+        i = bisect.bisect(self.pivots, col)
+        self.basis.insert(i, row)
+        self.pivots.insert(i, col)
+
+    def state(self):
+        return tuple(map(tuple, self.basis)), tuple(self.pivots)
+
+
+@functools.cache
+def _reference_field(field):
+    """The one ReferenceField of field in the session: its tables are built once."""
+    return ReferenceField(field)
+
+
 @pytest.fixture(scope="session")
 def rref_reference():
-    """_gauss_jordan(rows, n, field), with one ReferenceField per field."""
-    fields = {}
-
-    def reference(rows, n, field):
-        if field not in fields:
-            fields[field] = ReferenceField(field)
-        return _gauss_jordan(rows, n, fields[field])
-
-    return reference
+    """_gauss_jordan(rows, n, field)."""
+    return lambda rows, n, field: _gauss_jordan(rows, n, _reference_field(field))
 
 
 @pytest.fixture
 def reference_field():
     return ReferenceField
+
+
+@pytest.fixture(scope="session")
+def echelon_reference():
+    """An empty _GaussJordanState over field."""
+    return lambda field: _GaussJordanState(_reference_field(field))

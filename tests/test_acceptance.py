@@ -258,21 +258,20 @@ def test_criterion_10_coding():
     t0 = time.time()
     ok = True
     for n in range(1, 6):
-        ts = aep.typical_set(n, 0.2, 1, 2)
-        code = aep.make_block_code(ts, F2)
+        code = aep.make_block_code(n, 0.2, 1, F2)
         for d in range(code.codim_bound + 1):
             for v in gf.enumerate_grassmannian(n - d, n, F2):
                 if aep.decode(aep.encode(v, code), code) != v:
                     ok = False
         miss = 1 - sum(
             qdist.pmf_fraction(n - d, n, Fraction(1), 2)
-            for d in range(ts.delta_codim + 1)
+            for d in range(code.codim_bound + 1)
         )
         if miss > Fraction(2, 10):
             ok = False
     for n in range(1, 25):
         ts = aep.typical_set(n, 0.1, 1, 2)
-        code = aep.make_block_code(ts, F2)
+        code = aep.make_block_code(n, 0.1, 1, F2)
         want = 0
         while 2**want < ts.exact_size:
             want += 1

@@ -47,6 +47,26 @@ def test_mu_truncated_sum_explicit(table21):
     assert abs(partial - 1.0) < 1e-9
 
 
+def test_mu_past_the_double_range():
+    # past x0 ~ 45 at q = 2 the power and the normaliser of mu overflow a
+    # double; the walk takes those terms in log_q, and the law still sums to
+    # 1 and is the limit of the finite-n class masses.  At 3.45e-14 only the
+    # normaliser overflows.
+    for q in (2, 16):
+        for theta in (3.45e-14, 3e-14, 1e-30, 1e-100, 1e-300):
+            t = aep.build_mu_table(theta, q)
+            assert abs(t.total() - 1.0) < 1e-9, (q, theta)
+            assert 0 <= t.tail_bound < 1e-12
+    x0 = 0.5 - math.log2(1e-30)
+    n = 4 * round(x0)
+    masses = list(qdist._log_class_masses(qdist.QBinomialParams(n, 1e-30, 2)))
+    for d in range(round(x0) - 5, round(x0) + 6):
+        assert abs(2.0 ** masses[d] - aep.mu(d, 1e-30, 2)) < 1e-9, d
+    # where the normaliser alone overflows, mu is not the 0.0 of a division
+    # by inf
+    assert aep.mu(41, 3e-14, 2) > 1e-4
+
+
 def test_mu_superg_decay(table21):
     vals = table21.values
     peak = vals.index(max(vals))
@@ -117,15 +137,20 @@ def test_typical_set_construction():
 def test_typical_set_epsilon_near_one():
     ts = aep.typical_set(10, 0.95, 1, 2)
     assert ts.delta_codim <= 1
-    with pytest.raises(ValueError):
-        aep.typical_set(10, 0.0, 1, 2)
+    # one check in the class-mass stop serves every caller
+    for eps in (0.0, 1.0):
+        for call in (lambda: aep.typical_set(10, eps, 1, 2),
+                     lambda: aep.greedy_min_set_size(10, eps, 1, 2),
+                     lambda: aep.make_block_code(10, eps, 1, F2)):
+            with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+                call()
 
 
 def test_typical_set_discontinuity_flag(table21):
     # place 1 - epsilon exactly on a partial sum of mu
     cum = table21.cumulative()
     eps = 1.0 - cum[1]
-    ts = aep.typical_set(15, eps, 1, 2, table=table21)
+    ts = aep.typical_set(15, eps, 1, 2)
     assert ts.discontinuity
     assert ts.bracket == (ts.limit_delta, ts.limit_delta + 1)
     assert ts.limit_delta == 1
@@ -284,12 +309,12 @@ def test_integer_stop_matches_the_fraction_oracle():
 def test_float_stop_matches_the_per_class_oracle():
     # the float class masses of one Gaussian-column walk are the per-class
     # log_pmf values, theta = 0 included; the typical set is left out only
-    # where its mu table is undefined (theta = 0) or overflows (1e-30)
+    # where its mu table is undefined (theta = 0)
     for q in (2, 3, 4):
         for theta in (0.0, 1e-30, 1e-10, 1.5, 10.0):
             for eps in (0.05, 0.5):
                 for n in (0, 1, 2, 5, 13, 40, 64, 200):
-                    _check_stop_against_oracle(n, eps, theta, q, typical=theta >= 1e-10)
+                    _check_stop_against_oracle(n, eps, theta, q, typical=theta > 0)
     assert aep.greedy_min_set_size(5, 0.1, 0.0, 2) == (374, 5)
 
 
@@ -335,8 +360,7 @@ def test_greedy_rate_convergence():
 
 @pytest.fixture(scope="module")
 def code4():
-    ts = aep.typical_set(4, 0.2, 1, 2)
-    return aep.make_block_code(ts, F2)
+    return aep.make_block_code(4, 0.2, 1, F2)
 
 
 def test_block_code_shape(code4):
@@ -345,6 +369,12 @@ def test_block_code_shape(code4):
     )
     assert 2**code4.codeword_len >= code4.exact_size
     assert 2 ** (code4.codeword_len - 1) < code4.exact_size
+    # the code indexes exactly the typical set A_n
+    for n, eps, theta, q in ((4, 0.2, 1, 2), (24, 0.1, Fraction(1, 256), 2), (6, 0.1, 1, 16),
+                             (12, 0.5, 0.7, 3), (64, 0.05, 1e-30, 2)):
+        code = aep.make_block_code(n, eps, theta, gf.FieldSpec(q))
+        ts = aep.typical_set(n, eps, theta, q)
+        assert (code.codim_bound, code.exact_size) == (ts.delta_codim, ts.exact_size)
 
 
 def _assert_round_trips(code):
@@ -364,15 +394,14 @@ def test_round_trip_all_typical(code4):
 
 def test_round_trip_all_typical_q16():
     # digits 10..15 must stay one character each
-    ts = aep.typical_set(2, 0.1, 1, 16)
-    code = aep.make_block_code(ts, F16)
+    code = aep.make_block_code(2, 0.1, 1, F16)
     assert code.exact_size == 18
     _assert_round_trips(code)
 
 
 @functools.lru_cache(maxsize=None)
 def _typical_code(n, q):
-    return aep.make_block_code(aep.typical_set(n, 0.1, 1, q), gf.FieldSpec(q))
+    return aep.make_block_code(n, 0.1, 1, gf.FieldSpec(q))
 
 
 @settings(max_examples=150, deadline=None)
@@ -394,8 +423,7 @@ def test_encode_decode_is_a_bijection(data):
 def test_rank_matches_enumeration_order():
     # decode(i) must walk codim-ascending, then enumeration order
     for n in (3, 4, 5):
-        ts = aep.typical_set(n, 0.2, 1, 2)
-        code = aep.make_block_code(ts, F2)
+        code = aep.make_block_code(n, 0.2, 1, F2)
         expected = [
             v
             for d in range(code.codim_bound + 1)
@@ -418,7 +446,7 @@ def test_rank_counts_pivot_blocks():
     # over F_3 too, and the far end of a class at n = 24 is reached at once
     F3 = gf.FieldSpec(3)
     for n in (3, 4):
-        code = aep.make_block_code(aep.typical_set(n, 0.2, 1, 3), F3)
+        code = aep.make_block_code(n, 0.2, 1, F3)
         expected = [
             v
             for d in range(code.codim_bound + 1)
@@ -429,7 +457,7 @@ def test_rank_counts_pivot_blocks():
             assert int(word, 3) == idx
             assert aep.decode(word, code) == v
     n = 24
-    code = aep.make_block_code(aep.typical_set(n, 0.1, Fraction(1, 256), 2), F2)
+    code = aep.make_block_code(n, 0.1, Fraction(1, 256), F2)
     k = n - code.codim_bound
     last = gf.subspace_from_pattern(tuple(range(n - k, n)), [], n, F2)
     word = aep.encode(last, code)
@@ -470,8 +498,7 @@ def test_codeword_length_rate():
     # toward Delta = 2 from below (log_q|A_n| ~ 2(n-2) + O(1))
     rates = []
     for n in (8, 16, 24):
-        ts = aep.typical_set(n, 0.1, 1, 2)
-        code = aep.make_block_code(ts, F2)
+        code = aep.make_block_code(n, 0.1, 1, F2)
         rates.append(code.codeword_len / n)
     gaps = [abs(r - 2.0) for r in rates]
     assert gaps == sorted(gaps, reverse=True)

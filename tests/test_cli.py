@@ -340,7 +340,6 @@ BAD_INPUTS = [
     (["mu-table", "--q", "2", "--theta", "abc"], "bad_theta"),
     (["mu-table", "--q", "2", "--theta", "-1"], "bad_theta"),
     (["simulate", "--n", "3", "--theta", "-1", "--q", "2"], "bad_theta"),
-    (["mu-table", "--q", "2", "--theta", "1e-300"], "overflow"),
     (["mu-table", "--q", "2", "--theta", "1e-320"], "domain"),
     (["mu-table", "--q", "1", "--theta", "1"], "domain"),
     (["typical", "--n", "8", "--epsilon", "0.1", "--theta", "1", "--q", "1"], "domain"),
@@ -433,3 +432,36 @@ def test_histogram_builds_no_subspace(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert sum(json.loads(out)["dim_counts"]) == 300
+
+
+@pytest.mark.parametrize("name", ["code-encode", "code-decode"])
+def test_code_ops_compute_no_mu(name, monkeypatch, capsys):
+    # a block code indexes the classes up to the finite-n stop; the limit
+    # law mu is not one of its inputs
+    def no_mu(*args, **kwargs):
+        raise AssertionError("a coding op computed mu")
+
+    monkeypatch.setattr(cli.aep, "build_mu_table", no_mu)
+    monkeypatch.setattr(cli.aep, "_mu_values", no_mu, raising=False)
+    assert cli.main(list(GOLDEN_CASES[name][0])) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    with open(os.path.join(GOLDEN, f"{name}.txt")) as fh:
+        assert out == fh.read()
+
+
+def test_limit_law_at_tiny_theta(capsys):
+    # x0 = 1/2 - log_q theta is ~997 at theta = 1e-300: the linear form of
+    # mu overflows a double there, the log form does not; at 3.45e-14 only
+    # its normaliser overflows
+    for theta in ("1e-300", "3.45e-14"):
+        assert cli.main(["mu-table", "--q", "2", "--theta", theta]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert abs(sum(payload["mu"]) - 1.0) < 1e-9 and payload["tail"] < 1e-12
+    argv = ["--n", "200", "--epsilon", "0.1", "--theta", "1e-30", "--q", "2"]
+    assert cli.main(["typical"] + argv) == 0
+    ts = json.loads(capsys.readouterr().out)
+    assert ts["n"] == 200 and ts["limit_delta"] >= ts["delta_codim"] > 0
+    assert cli.main(["aep-check"] + argv + ["--delta", "0.5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["a_n"] == ts["delta_codim"] and report["limit_delta"] == ts["limit_delta"]

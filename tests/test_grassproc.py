@@ -159,24 +159,22 @@ def test_f2_bulk_draw_matches_randrange():
 
 
 @pytest.mark.parametrize("n", [1, 6, 24, 64])
-def test_simulate_f2_history_matches_reference(n, rref_reference):
+def test_simulate_f2_history_matches_reference(n, echelon_reference):
     # theta = 2^-40 holds codim > dim over F_2 up to n = 64
     for q in (2, 3, 4, 9, 16, 251):
         field = gf.FieldSpec(q)
         for theta in (0, 2**-40, 1 / 256, 1, 1e6):
             for seed in (0, "h"):
                 traj = grassproc.simulate(n, theta, field, seed, keep_history=True)
-                rows = []  # the dilations drawn so far, padded to length n
+                # the span of the dilations drawn so far, in F_q^(m + 1) at step m + 1
+                echelon = echelon_reference(field)
                 for m, rng in enumerate(_replayed_growth(n, theta, q, seed)):
+                    echelon.widen()
                     if rng is not None:
-                        row = [rng.randrange(q) for _ in range(m)] + [rng.randrange(1, q)]
-                        rows.append(row + [0] * (n - m - 1))
+                        echelon.insert([rng.randrange(q) for _ in range(m)] + [rng.randrange(1, q)])
                     state = traj.history[m + 1]
-                    prefix = [row[: m + 1] for row in rows]
                     assert state.step == m + 1
-                    assert (state.current.basis, state.current.pivot_cols) == rref_reference(
-                        prefix, m + 1, field
-                    )
+                    assert (state.current.basis, state.current.pivot_cols) == echelon.state()
                 assert len(traj.history) == n + 1
                 assert traj.history[-1] == traj.final
                 assert grassproc.simulate(n, theta, field, seed).final == traj.final

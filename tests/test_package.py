@@ -1,3 +1,4 @@
+import os
 import types
 
 import qgrass
@@ -30,3 +31,15 @@ def test_public_surface():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_SURFACE
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's example is executed, so its calls cannot drift from the API
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("```python\n", text.index("## Library example")) + len("```python\n")
+    code = text[start:text.index("\n```", start)]
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[-1].endswith(" True")
