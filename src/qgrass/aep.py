@@ -14,9 +14,11 @@ the exact values of the float class masses of `qdist`, multiples of
 2^-1074.  That stop a_n alone makes the typical set and the block code;
 the class sizes, and the total Grassmannian size, are read off the same
 column.  mu and Delta, reported next to a_n, live in float (infinite
-products), and one walk, `_mu_values`, yields every mu(d).
+products): one walk, `_mu_values`, yields every mu(d), Delta bisects their
+partial sums, and mu and `check_aep` share `qdist._completed_square`.
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,10 +29,12 @@ from .gf import (
     TEXT_BASE_MAX, free_positions, from_text, full_space, subspace_from_pattern, to_text
 )
 from .qcomb import _gaussian_column, pochhammer_inf, q_binomial
-from .qdist import QBinomialParams, _log_class_masses, log_pmf_by_codim, log_q_neg_inv_pochhammer
+from .qdist import QBinomialParams, _codim_log_probs, _completed_square, _log_class_masses
+from .qdist import log_q_neg_inv_pochhammer
 
 MU_REL_CUT = 1e-15
 CONTINUITY_TOL = 1e-12
+TAIL_FLOAT_SLACK = 1e-12
 
 
 def _mu_values(theta, q):
@@ -39,11 +43,12 @@ def _mu_values(theta, q):
     mu(d) = q^(-(d-x0)^2/2 + x0^2/2) (q^-(d+1); 1/q)_inf / N,
     x0 = 1/2 - log_q theta,  N = (1/q; 1/q)_inf (-1/theta; 1/q)_inf.
 
-    theta is checked, and x0 and N computed, once per walk.  Once x0 passes
-    ~45 at q = 2 (theta below ~3e-14), N and the power overflow a double
-    while their quotient does not; there, and only there, a term is taken
-    in log_q, with log_q N summed over ceil(x0) + 80 factors of
-    (-1/theta; 1/q) (the factors left out differ from 1 by less than q^-80).
+    theta is checked, and N computed, once per walk, and the exponents are
+    read off `qdist._completed_square`.  Once x0 passes ~45 at q = 2 (theta
+    below ~3e-14), N and the power overflow a double while their quotient
+    does not; there, and only there, a term is taken in log_q, with log_q N
+    summed over ceil(x0) + 80 factors of (-1/theta; 1/q) (the factors left
+    out differ from 1 by less than q^-80).
     """
     if not theta > 0:
         raise ValueError("mu is undefined at theta = 0 (degenerate process)")
@@ -51,13 +56,12 @@ def _mu_values(theta, q):
         raise ValueError(f"theta = {theta!r} is too small: 1/theta overflows a double")
     theta = float(theta)
     qinv = 1.0 / q
-    x0 = 0.5 - math.log(theta) / math.log(q)
     euler = pochhammer_inf(qinv, qinv)
     norm = euler * pochhammer_inf(-1.0 / theta, qinv)
     log_norm = None
-    for d in itertools.count():
-        off = d - x0
-        expo = -0.5 * off**2 + 0.5 * x0**2
+    for d, (off, expo) in enumerate(_completed_square(theta, q)):
+        if d == 0:
+            x0 = -off  # the walk's x0
         tail = pochhammer_inf(q ** -(d + 1.0), qinv)
         try:
             value = q**expo * tail / norm if norm < math.inf else None
@@ -91,12 +95,7 @@ class MuTable:
         return len(self.values) - 1
 
     def cumulative(self):
-        out = []
-        acc = 0.0
-        for v in self.values:
-            acc += v
-            out.append(acc)
-        return out
+        return list(itertools.accumulate(self.values))
 
     def total(self):
         return sum(self.values)
@@ -131,19 +130,16 @@ def delta(p, table):
     """
     if not 0 <= p < 1:
         raise ValueError(f"p must lie in [0, 1), got {p!r}")
-    acc = 0.0
-    for d, v in enumerate(table.values):
-        acc += v
-        if acc >= p:
-            return d
-    raise ValueError(
-        f"mu table covers mass {acc}, insufficient for p={p}"
-    )
+    cumulative = table.cumulative()
+    d = bisect.bisect_left(cumulative, p)
+    if d == len(cumulative):
+        raise ValueError(f"mu table covers mass {cumulative[-1]}, insufficient for p={p}")
+    return d
 
 
-def is_continuity_point(p, table, tol=CONTINUITY_TOL):
-    """True iff p stays clear of every cumulative partial sum of mu."""
-    return all(abs(p - c) > tol for c in table.cumulative())
+def is_continuity_point(p, table):
+    """True iff p is more than CONTINUITY_TOL from every partial sum of mu."""
+    return all(abs(p - c) > CONTINUITY_TOL for c in table.cumulative())
 
 
 @dataclass(frozen=True)
@@ -238,22 +234,15 @@ def check_aep(n, epsilon, delta_tol, theta, q):
 
     For each codimension d <= a_n, the gap
     | log_q(1/Pr{V_n = v}) / n  -  (n/2) H_2(d/n) |
-    is evaluated through the codimension form of the law, together with the
-    g(d, n)/n correction that the gap equals analytically.
+    is evaluated through the codimension form `qdist._codim_log_probs`, one
+    tail sum, together with the g(d, n)/n correction the gap equals analytically.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     ts = typical_set(n, epsilon, theta, q)
-    x0 = 0.5 - math.log(theta) / math.log(q)
-    log_tail = log_q_neg_inv_pochhammer(theta, n, q)
-    gaps = []
-    g_over_n = []
-    for d in ts.member_codims:
-        log_inv_p = -log_pmf_by_codim(d, n, theta, q)
-        gap = abs(log_inv_p / n - (n / 2.0) * binary_quadratic_entropy(d / n))
-        gaps.append(gap)
-        g = 0.5 * (d - x0) ** 2 - 0.5 * x0**2 + log_tail
-        g_over_n.append(g / n)
+    terms = list(zip(ts.member_codims, _codim_log_probs(n, theta, q)))
+    gaps = [abs(-lp / n - (n / 2.0) * binary_quadratic_entropy(d / n)) for d, (lp, _) in terms]
+    g_over_n = [g / n for _, (_, g) in terms]
     return {
         "n": n,
         "epsilon": epsilon,
@@ -421,13 +410,13 @@ def grassmannian_growth(n_list, q):
     return rows
 
 
-def check_tail_quotient_bounds(n, d, q, float_slack=1e-12):
+def check_tail_quotient_bounds(n, d, q):
     """Tail bounds on the quotient (q^-(n-d+1); 1/q)_inf / (q^-(n+1); 1/q)_inf.
 
     The quotient never exceeds 1; for d <= 2 sqrt(n) the series expansion of
     the reciprocals (terms q^-k(n+1-d), with n+1-d >= (sqrt(n)-1)^2) bounds
     it below by 1 - c(q) q^(-(sqrt(n)-1)^2) with c(q) = 2 / (1/q; 1/q)_inf.
-    The slack absorbs float rounding in the truncated products.
+    TAIL_FLOAT_SLACK absorbs float rounding in the truncated products.
     """
     if not 0 <= d <= n:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
@@ -439,4 +428,4 @@ def check_tail_quotient_bounds(n, d, q, float_slack=1e-12):
     )
     c_q = 2.0 / pochhammer_inf(qinv, qinv)
     lower = 1.0 - c_q * q ** -((math.sqrt(n) - 1.0) ** 2)
-    return ratio <= 1.0 + float_slack and ratio >= lower - float_slack
+    return ratio <= 1.0 + TAIL_FLOAT_SLACK and ratio >= lower - TAIL_FLOAT_SLACK

@@ -7,6 +7,7 @@ import math
 from .qcomb import multinomial, pochhammer_inf, q_multinomial
 
 PROB_SUM_TOL = 1e-12
+CHAIN_RULE_TOL = 1e-12
 
 
 def check_prob_vector(probs):
@@ -56,8 +57,8 @@ def binary_quadratic_entropy(t):
     return 1.0 - t * t - (1.0 - t) ** 2
 
 
-def check_chain_rule(joint, alpha, tol=1e-12):
-    """Verify the conditional chain rule of the alpha-entropy on a grid law.
+def check_chain_rule(joint, alpha):
+    """Verify the alpha-entropy chain rule on a grid law, to CHAIN_RULE_TOL.
 
     joint is a row-major matrix P(x, y); the rule states
     H_a[(X,Y)] = H_a[X] + sum_x P(x)^a H_a[Y | X=x].
@@ -73,7 +74,7 @@ def check_chain_rule(joint, alpha, tol=1e-12):
             continue
         cond = [p / px for p in row]
         rhs += px**alpha * tsallis_entropy(cond, alpha)
-    return abs(h_joint - rhs) <= tol
+    return abs(h_joint - rhs) <= CHAIN_RULE_TOL
 
 
 # -- exact big-integer logarithms -----------------------------------------
@@ -102,7 +103,7 @@ def ln_int(m):
 
 # -- asymptotic constants and growth tables -------------------------------
 
-def asymptotic_constant(limits, q, rel_tol=1e-15):
+def asymptotic_constant(limits, q):
     """Prefactor of the q-multinomial growth law for given part limits.
 
     `limits` lists, per part, either a finite limit l_i >= 0 or math.inf;
@@ -114,14 +115,14 @@ def asymptotic_constant(limits, q, rel_tol=1e-15):
     if not q >= 2:
         raise ValueError(f"q must be >= 2, got {q!r}")
     qinv = 1.0 / q
-    euler = pochhammer_inf(qinv, qinv, rel_tol)
+    euler = pochhammer_inf(qinv, qinv)
     out = euler ** (1 - len(limits))
     for l in limits:
         if l == math.inf:
             continue
         if l < 0:
             raise ValueError(f"finite limits must be nonnegative, got {l!r}")
-        out *= pochhammer_inf(q ** -(l + 1.0), qinv, rel_tol)
+        out *= pochhammer_inf(q ** -(l + 1.0), qinv)
     return out
 
 

@@ -15,7 +15,7 @@ products and the q-gamma function.
 import math
 from fractions import Fraction
 
-DEFAULT_REL_TOL = 1e-15
+INF_PRODUCT_REL_TOL = 1e-15
 
 
 def _check_q(q):
@@ -137,8 +137,8 @@ def pochhammer(a, x, n):
     return out
 
 
-def pochhammer_inf(a, qinv, rel_tol=DEFAULT_REL_TOL):
-    """Infinite product (a; qinv)_inf, truncated once |a qinv^k| < rel_tol.
+def pochhammer_inf(a, qinv):
+    """Infinite product (a; qinv)_inf, truncated once |a qinv^k| < INF_PRODUCT_REL_TOL.
 
     Requires a finite a and |qinv| < 1 for convergence.
     """
@@ -146,17 +146,15 @@ def pochhammer_inf(a, qinv, rel_tol=DEFAULT_REL_TOL):
         raise ValueError(f"a must be finite, got {a!r}")
     if not abs(qinv) < 1:
         raise ValueError(f"need |qinv| < 1 for convergence, got {qinv!r}")
-    if not rel_tol > 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
     out = 1.0
     term = float(a)
-    while abs(term) >= rel_tol:
+    while abs(term) >= INF_PRODUCT_REL_TOL:
         out *= 1.0 - term
         term *= qinv
     return out
 
 
-def gamma_q(x, q, rel_tol=DEFAULT_REL_TOL):
+def gamma_q(x, q):
     """q-gamma function for x > 0, q > 1 (product form).
 
     Interpolates the q-factorials: gamma_q(n + 1, q) = [n]_q!.
@@ -166,12 +164,12 @@ def gamma_q(x, q, rel_tol=DEFAULT_REL_TOL):
     if not q > 1:
         raise ValueError(f"q must exceed 1, got {q!r}")
     qinv = 1.0 / q
-    euler = pochhammer_inf(qinv, qinv, rel_tol)
+    euler = pochhammer_inf(qinv, qinv)
     return (
         euler
         * q ** (x * (x - 1) / 2.0)
         * (q - 1.0) ** (1.0 - x)
-        / pochhammer_inf(q**-x, qinv, rel_tol)
+        / pochhammer_inf(q**-x, qinv)
     )
 
 

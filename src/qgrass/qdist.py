@@ -2,17 +2,17 @@
 Grassmannian process: dim V_n has the pmf, and V_n is uniform on each
 Gr(k, n), so the codimension-d class has mass pmf(n - d).
 
-`growth_prob` is the one float chain factor theta q^i / (1 + theta q^i) of
-the chain and `growth_complement` its complement 1 / (1 + theta q^i), kept
-to relative accuracy; the mean, variance, c_n and c_inf sum them, defined
-at every i.  `_ln1p_q_pow` is the one factor ln(1 + q^u) of the log
-products (-theta; q)_n and (-1/theta; 1/q)_n and of the two-parameter
-normaliser.  `_log_class_masses`, one walk of the Gaussian column
-`qcomb._gaussian_column`, yields every float class mass, for the pmf
-column and `aep`'s class-mass stop.  The exact rational pmf and subspace
-law are the oracles.  Maximum-likelihood estimation of theta bisects on
-the mean scale, on log theta below the reach of 200 linear halvings.  The
-chain's one sampler is `grassproc.simulate`.
+`growth_prob` is the one float chain factor theta q^i / (1 + theta q^i) and
+`growth_complement` its complement 1 / (1 + theta q^i), kept to relative
+accuracy; the mean, variance, c_n and c_inf sum them.  `_ln1p_q_pow` is the
+one factor ln(1 + q^u) of the log products (-theta; q)_n, (-1/theta; 1/q)_n
+and the two-parameter normaliser.  `_log_class_masses`, one walk of the
+Gaussian column, yields every float class mass, for the pmf column and
+`aep`'s class-mass stop.  `_completed_square` holds x0 = 1/2 - log_q theta
+and the exponent -(d - x0)^2/2 + x0^2/2 that the codimension form and
+`aep`'s mu share.  The exact rational pmf and subspace law are the oracles.
+MLE of theta bisects on the mean scale, on log theta below the reach of 200
+linear halvings.  The chain's one sampler is `grassproc.simulate`.
 """
 
 import itertools
@@ -25,6 +25,7 @@ from .qcomb import _gaussian_column, pochhammer, q_binomial
 
 LOG_DOMAIN_THRESHOLD = 30
 MLE_DEFAULT_TOL = 1e-12
+C_INF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -184,21 +185,31 @@ def exact_pmf_fraction(k, n, theta, q):
     return pmf_fraction(k, n, theta, q) / q_binomial(n, k, q)
 
 
-def log_pmf_by_codim(d, n, theta, q):
-    """log_q Pr{V_n = v} via the completed-square codimension form.
+def _completed_square(theta, q):
+    """Yield (d - x0, -(d - x0)^2/2 + x0^2/2) for d = 0, 1, ..., x0 = 1/2 - log_q theta."""
+    x0 = 0.5 - math.log(theta) / math.log(q)
+    for d in itertools.count():
+        off = d - x0
+        yield off, -0.5 * off**2 + 0.5 * x0**2
 
-    For dim v = n - d this equals
-    -(d - x0)^2/2 + x0^2/2 - (n^2/2) H_2(d/n) - log_q (-1/theta; 1/q)_n
-    with x0 = 1/2 - log_q theta.
-    """
+
+def _codim_log_probs(n, theta, q):
+    """Yield (log_pmf_by_codim(d, n, theta, q), g(d, n)) for d = 0..n from one
+    tail log_q (-1/theta; 1/q)_n; g(d, n) is the tail minus the completed square."""
+    tail = log_q_neg_inv_pochhammer(theta, n, q)
+    for d, (_, expo) in zip(range(n + 1), _completed_square(theta, q)):
+        h2_term = (n * n) * binary_quadratic_entropy(d / n) / 2.0 if n else 0.0
+        yield expo - h2_term - tail, -expo + tail
+
+
+def log_pmf_by_codim(d, n, theta, q):
+    """log_q Pr{V_n = v}, dim v = n - d, by the completed-square codimension form
+    -(d - x0)^2/2 + x0^2/2 - (n^2/2) H_2(d/n) - log_q (-1/theta; 1/q)_n."""
     if not 0 <= d <= n:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
     if not theta > 0:
         raise ValueError("theta must be positive")
-    x0 = 0.5 - math.log(theta) / math.log(q)
-    h2_term = (n * n) * binary_quadratic_entropy(d / n) / 2.0 if n else 0.0
-    tail = log_q_neg_inv_pochhammer(theta, n, q)
-    return -0.5 * (d - x0) ** 2 + 0.5 * x0**2 - h2_term - tail
+    return next(itertools.islice(_codim_log_probs(n, theta, q), d, None))[0]
 
 
 def _log_q_binomial_real(n, k, q):
@@ -259,15 +270,15 @@ def c_n(theta, n, q):
     return sum(growth_complement(theta, q, j) for j in range(n))
 
 
-def c_inf(theta, q, tol=1e-12):
-    """Limit of c_n: terms decay geometrically, truncated below tol."""
+def c_inf(theta, q):
+    """Limit of c_n: terms decay geometrically, truncated below C_INF_TOL."""
     if not theta > 0:
         raise ValueError("theta must be positive for a finite limit")
     total = 0.0
     for j in itertools.count():
         term = growth_complement(theta, q, j)
         total += term
-        if term < tol:
+        if term < C_INF_TOL:
             return total
 
 

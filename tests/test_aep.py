@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgrass import aep, gf, grassproc, qcomb, qdist
+from qgrass.entropy import binary_quadratic_entropy
 
 F2 = gf.FieldSpec(2)
 F16 = gf.FieldSpec(16)
@@ -186,6 +187,90 @@ def test_check_aep_gap_decreases():
     r = reports[-1]
     for gap, g in zip(r["gaps"], r["g_over_n"]):
         assert abs(gap - abs(g)) < 1e-9
+
+
+def test_check_aep_sums_the_tail_once(monkeypatch):
+    # every class's log-probability and g(d, n) read one tail
+    # (-1/theta; 1/q)_n; count its calls through both module bindings
+    calls = []
+    tail = qdist.log_q_neg_inv_pochhammer
+
+    def counted(*args):
+        calls.append(args)
+        return tail(*args)
+
+    monkeypatch.setattr(qdist, "log_q_neg_inv_pochhammer", counted)
+    monkeypatch.setattr(aep, "log_q_neg_inv_pochhammer", counted)
+    report = aep.check_aep(120, 0.1, 0.5, 1, 2)
+    assert report["a_n"] == 2
+    assert calls == [(1, 120, 2)]
+
+
+def _check_aep_by_formula(n, epsilon, delta_tol, theta, q):
+    """check_aep with x0, the completed square and g(d, n) written out per
+    class, and the tail summed per class: the oracle of the shared walk."""
+    ts = aep.typical_set(n, epsilon, theta, q)
+    x0 = 0.5 - math.log(theta) / math.log(q)
+    gaps, g_over_n = [], []
+    for d in ts.member_codims:
+        h2_term = (n * n) * binary_quadratic_entropy(d / n) / 2.0
+        tail = qdist.log_q_neg_inv_pochhammer(theta, n, q)
+        log_p = -0.5 * (d - x0) ** 2 + 0.5 * x0**2 - h2_term - tail
+        gaps.append(abs(-log_p / n - (n / 2.0) * binary_quadratic_entropy(d / n)))
+        g_over_n.append((0.5 * (d - x0) ** 2 - 0.5 * x0**2 + tail) / n)
+    return {
+        "n": n,
+        "epsilon": epsilon,
+        "a_n": ts.delta_codim,
+        "limit_delta": ts.limit_delta,
+        "discontinuity": ts.discontinuity,
+        "gaps": gaps,
+        "max_gap": max(gaps),
+        "g_over_n": g_over_n,
+        "pass": max(gaps) <= delta_tol,
+    }
+
+
+def test_codim_form_matches_the_written_out_formula():
+    for q in (2, 3, 16):
+        for theta in (1e-10, 1 / 256, 0.7, 1, 10, Fraction(1, 3)):
+            for n in (1, 12, 60):
+                for eps in (0.05, 0.3):
+                    got = aep.check_aep(n, eps, 0.5, theta, q)
+                    assert got == _check_aep_by_formula(n, eps, 0.5, theta, q), (q, theta, n)
+                x0 = 0.5 - math.log(theta) / math.log(q)
+                tail = qdist.log_q_neg_inv_pochhammer(theta, n, q)
+                for d in (0, n // 2, n):
+                    h2_term = (n * n) * binary_quadratic_entropy(d / n) / 2.0
+                    want = -0.5 * (d - x0) ** 2 + 0.5 * x0**2 - h2_term - tail
+                    assert qdist.log_pmf_by_codim(d, n, theta, q) == want
+
+
+def _delta_by_summing(p, table):
+    acc = 0.0
+    for d, v in enumerate(table.values):
+        acc += v
+        if acc >= p:
+            return d
+    return None
+
+
+def test_delta_bisects_the_cumulative_walk():
+    for q in (2, 3, 16):
+        for theta in (1e-10, 1 / 256, 1.0, 1e6):
+            table = aep.build_mu_table(theta, q)
+            cum = table.cumulative()
+            for c in cum[:6]:
+                for p in (c, math.nextafter(c, 0)):
+                    if p < 1:
+                        assert aep.delta(p, table) == _delta_by_summing(p, table), (q, theta, p)
+            # past the tabulated mass: the same refusal as the summing walk
+            short = aep.MuTable(table.theta, q, table.values[:1], 0.0)
+            p = math.nextafter(cum[0], 1)
+            assert _delta_by_summing(p, short) is None
+            with pytest.raises(ValueError) as err:
+                aep.delta(p, short)
+            assert str(err.value) == f"mu table covers mass {cum[0]}, insufficient for p={p}"
 
 
 def test_codim_class_bound_approaches_codim():

@@ -253,6 +253,17 @@ def test_maxent_subcommand():
     assert payload["finite_n"]["nominal_is_optimal"]
     r = run("maxent", "--energies", "0,1", "--mean", "5")
     assert r.returncode == 1
+    # a mean at the top of two levels a hair apart: valid output, not a traceback
+    r = run("maxent", "--energies", "2,2.0007156159253063", "--mean", "2.0007156159253063")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["probs"] == [0.0, 1.0]
+    # ten levels: the neighbourhood walk visits the L1 ball, not the 13^10 box
+    r = run("maxent", "--energies", "0,1,2,3,4,5,6,7,8,9", "--mean", "2.5",
+            "--finite-n", "60", "--q", "2")
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout)["finite_n"]
+    assert sum(report["nominal"]) == 60
+    assert all(sum(k) == 60 for k in report["argmax"])
 
 
 def test_asymptotics_and_growth():

@@ -98,7 +98,7 @@ def test_chain_rule_randomized_alpha_grid():
         tot = sum(sum(r) for r in raw)
         joint = [[x / tot for x in r] for r in raw]
         for alpha in (0.5, 1, 2, 3):
-            assert entropy.check_chain_rule(joint, alpha, 1e-12)
+            assert entropy.check_chain_rule(joint, alpha)
 
 
 def test_log2_int_exact_and_large():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -44,16 +45,27 @@ def test_three_state_closed_form():
 
 
 def test_kkt_certificate():
-    model = maxent.EnergyModel((0.0, 1.0, 2.0, 5.0), 0.4)
-    sol = maxent.solve(model)
-    a, b = sol.multipliers
-    for i in sol.active_support:
-        assert abs(sol.probs[i] - (a + b * model.energies[i])) < 1e-10
-    for i in range(len(model.energies)):
-        if i not in sol.active_support:
-            assert a + b * model.energies[i] <= 1e-10
-    assert abs(sum(sol.probs) - 1) < 1e-10
-    assert abs(sum(p * e for p, e in zip(sol.probs, model.energies)) - 0.4) < 1e-10
+    models = [
+        ((0.0, 1.0, 2.0, 5.0), 0.4),
+        # a mean at either end of two levels a hair apart: cancellation
+        # clamps the other level in float, and the exact answer puts all
+        # mass on the level at the mean
+        ((2.0, 2.0007156159253063), 2.0007156159253063),
+        ((2.0, 2.0007156159253063), 2.0),
+    ]
+    for energies, mean in models:
+        model = maxent.EnergyModel(energies, mean)
+        sol = maxent.solve(model)
+        a, b = sol.multipliers
+        for i in sol.active_support:
+            assert abs(sol.probs[i] - (a + b * model.energies[i])) < 1e-10
+        for i in range(len(model.energies)):
+            if i not in sol.active_support:
+                assert a + b * model.energies[i] <= 1e-10
+        assert abs(sum(sol.probs) - 1) < 1e-10
+        assert abs(sum(p * e for p, e in zip(sol.probs, model.energies)) - mean) < 1e-10
+    assert maxent.solve(maxent.EnergyModel(models[1][0], models[1][1])).probs == (0.0, 1.0)
+    assert maxent.solve(maxent.EnergyModel(models[2][0], models[2][1])).probs == (1.0, 0.0)
 
 
 def test_boundary_mean_hits_support():
@@ -87,11 +99,35 @@ def test_randomized_models_satisfy_constraints():
     for _ in range(500):
         m = rng.randint(1, 7)
         energies = tuple(round(rng.uniform(-5, 5), 3) for _ in range(m))
-        target = rng.uniform(min(energies), max(energies))
-        sol = maxent.solve(maxent.EnergyModel(energies, target))
-        assert abs(sum(sol.probs) - 1) < 1e-8
-        assert abs(sum(p * e for p, e in zip(sol.probs, energies)) - target) < 1e-7
-        assert all(p >= 0 for p in sol.probs)
+        # a level a hair from another, 10^-12 .. 10^-1 apart
+        near = rng.choice(energies) + rng.choice((1, -1)) * 10.0 ** -rng.randint(1, 12)
+        for levels in (energies, energies + (near,)):
+            lo, hi = min(levels), max(levels)
+            for target in (rng.uniform(lo, hi), lo, hi):
+                sol = maxent.solve(maxent.EnergyModel(levels, target))
+                assert abs(sum(sol.probs) - 1) < 1e-8
+                assert abs(sum(p * e for p, e in zip(sol.probs, levels)) - target) < 1e-7
+                assert all(p >= 0 for p in sol.probs)
+
+
+def _types_in_box(center, radius):
+    """The whole box of offsets in [-radius, radius]^m, filtered: the oracle
+    of the ball walk."""
+    spans = [range(max(-c, -radius), radius + 1) for c in center]
+    return [
+        tuple(c + o for c, o in zip(center, offs))
+        for offs in itertools.product(*spans)
+        if sum(offs) == 0 and sum(map(abs, offs)) <= radius
+    ]
+
+
+def test_ball_walk_matches_the_box():
+    rng = random.Random(2718)
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        center = tuple(rng.choice((0, 0, 1, 2, 3, rng.randint(0, 40))) for _ in range(m))
+        radius = rng.randint(0, 7)
+        assert maxent._integer_types_near(center, radius) == _types_in_box(center, radius)
 
 
 def test_finite_n_refuses_n_below_one():
