@@ -9,7 +9,8 @@ check, and the Pochhammer-quotient bounds used in the tail estimates.
 The finite-n class-mass sums are exact and run in integers over one shared
 denominator: when theta = a/b is rational (int or Fraction) every class
 mass has the denominator prod_{i<n} (b + a q^i) and its numerator is read
-off the Gaussian column `qcomb._gaussian_column`; otherwise the walk sums
+off the Gaussian column `qcomb._gaussian_column`, with one power of q
+formed per walk and divided down class by class; otherwise the walk sums
 the exact values of the float class masses of `qdist`, multiples of
 2^-1074.  That stop a_n alone makes the typical set and the block code;
 the class sizes, and the total Grassmannian size, are read off the same
@@ -184,10 +185,7 @@ def _class_mass_stop(n, epsilon, theta, q):
         need = 1 - Fraction(epsilon).limit_denominator(10**12)
         a, b = Fraction(theta).as_integer_ratio()
         total = math.prod(b + a * q**i for i in range(n))
-        masses = (
-            size * q ** ((n - d) * (n - d - 1) // 2) * a ** (n - d) * b**d
-            for d, size in enumerate(_gaussian_column(n, q))
-        )
+        masses = _rational_class_masses(n, a, b, q)
     else:
         need = Fraction(1.0 - epsilon)
         total = 2**1074
@@ -202,6 +200,17 @@ def _class_mass_stop(n, epsilon, theta, q):
         acc += mass
     den = need.denominator * total
     return d, need.numerator * total - acc * need.denominator, mass * need.denominator, den
+
+
+def _rational_class_masses(n, a, b, q):
+    """Yield [n, d]_q q^(m(m-1)/2) a^m b^d, m = n - d, for d = 0..n: the
+    power of q is formed once, q^(n(n-1)/2), and divided exactly by q^m on
+    the way to class d."""
+    q_pow = q ** (n * (n - 1) // 2)
+    for d, size in enumerate(_gaussian_column(n, q)):
+        if d:
+            q_pow //= q ** (n - d)
+        yield size * q_pow * a ** (n - d) * b**d
 
 
 def _class_sizes(n, d, q):

@@ -256,7 +256,7 @@ def _cmd_mle(args):
     else:
         raw = sys.stdin.read()
     try:
-        samples = [int(line) for line in raw.split() if line.strip()]
+        samples = list(map(int, raw.split()))
     except ValueError as exc:
         raise CliError("bad_samples", str(exc))
     if not samples:

@@ -5,8 +5,9 @@ The objective 1 - sum g_i^2 is strictly concave, so the constrained
 maximizer is unique; on the active support it is affine in the energies,
 g_i = a + b E_i, which reduces the solve to a 2x2 linear system plus
 active-set clamping of negative coordinates.  Where rounding breaks the
-float active set (levels a hair apart, a mean at an extreme energy), the
-same active set runs in exact rationals.
+float active set (levels a hair apart, a mean at an extreme energy), or
+squared energies overflow a double, the same active set runs in exact
+rationals.
 """
 
 import math
@@ -117,11 +118,15 @@ def solve(model):
 
     Equality-constrained quadratic solve with active-set clamping, in float
     to KKT_TOL.  Where rounding breaks it (a support that collapses to one
-    energy, or a clamped level that wants mass), the same active set runs
-    in exact rationals, where it meets the KKT conditions exactly; its
-    probabilities and multipliers are rounded once at the end.
+    energy, or a clamped level that wants mass) or a sum of squared energies
+    overflows a double, the same active set runs in exact rationals, where
+    it meets the KKT conditions exactly; its probabilities and multipliers
+    are rounded once at the end.
     """
-    sol = _active_set(model.energies, model.target_mean, KKT_TOL, DEGENERATE_DET_CUT)
+    try:
+        sol = _active_set(model.energies, model.target_mean, KKT_TOL, DEGENERATE_DET_CUT)
+    except OverflowError:  # energies past ~1.3e154 square past the double range
+        sol = None
     if sol is None or not _meets_constraints(sol.probs, model):
         exact = [Fraction(e) for e in model.energies]
         sol = _active_set(exact, Fraction(model.target_mean), 0, 0)

@@ -4,19 +4,24 @@ Gr(k, n), so the codimension-d class has mass pmf(n - d).
 
 `growth_prob` is the one float chain factor theta q^i / (1 + theta q^i) and
 `growth_complement` its complement 1 / (1 + theta q^i), kept to relative
-accuracy; the mean, variance, c_n and c_inf sum them.  `_ln1p_q_pow` is the
-one factor ln(1 + q^u) of the log products (-theta; q)_n, (-1/theta; 1/q)_n
-and the two-parameter normaliser.  `_log_class_masses`, one walk of the
-Gaussian column, yields every float class mass, for the pmf column and
-`aep`'s class-mass stop.  `_completed_square` holds x0 = 1/2 - log_q theta
-and the exponent -(d - x0)^2/2 + x0^2/2 that the codimension form and
-`aep`'s mu share.  The exact rational pmf and subspace law are the oracles.
-MLE of theta bisects on the mean scale, on log theta below the reach of 200
-linear halvings.  The chain's one sampler is `grassproc.simulate`.
+accuracy; the variance, c_n and c_inf sum them.  `bernoulli_chain`, which
+the mean and every MLE bisection step read, yields growth_prob's terms bit
+for bit from one running power of q.  `_ln1p_q_pow` is the one factor
+ln(1 + q^u) of the log products (-theta; q)_n, (-1/theta; 1/q)_n and the
+two-parameter normaliser, summed left to right on every Python version.
+`_log_class_masses`, one walk of the Gaussian column, yields every float
+class mass, for the pmf column and `aep`'s class-mass stop.
+`_completed_square` holds x0 = 1/2 - log_q theta and the exponent
+-(d - x0)^2/2 + x0^2/2 that the codimension form and `aep`'s mu share.  The
+exact rational pmf and subspace law are the oracles.  MLE of theta bisects
+on the mean scale, on log theta below the reach of 200 linear halvings.
+The chain's one sampler is `grassproc.simulate`.
 """
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,9 +83,29 @@ def growth_complement(theta, q, i):
 
 
 def bernoulli_chain(params):
-    """Success probabilities p_i = theta q^(i-1) / (1 + theta q^(i-1)), i = 1..n."""
-    t, q = params.theta, params.q
-    return tuple(growth_prob(t, q, i) for i in range(params.n))
+    """Success probabilities p_i = theta q^(i-1) / (1 + theta q^(i-1)), i = 1..n.
+
+    Term i is `growth_prob(theta, q, i)` bit for bit, from one running exact
+    int q^i: a float theta rounds it once, as theta * q**i does, and an int
+    or Fraction theta keeps the exact product.  Once a term has no float
+    (q^i past the double range) the rest are `growth_prob`'s.
+    """
+    t, q, n = params.theta, params.q, params.n
+    chain, qi = [], 1
+    try:
+        for _ in range(n):
+            x = t * qi
+            chain.append(1.0 if x == math.inf else x / (1.0 + x))
+            qi *= q
+    except OverflowError:
+        chain.extend(growth_prob(t, q, i) for i in range(len(chain), n))
+    return tuple(chain)
+
+
+def _sum_left(terms):
+    """Float sum added left to right, as `sum` did before Python 3.12 made it
+    compensated: the log products keep their last bits on every version."""
+    return functools.reduce(operator.add, terms, 0.0)
 
 
 def _ln1p_q_pow(u, q):
@@ -96,7 +121,7 @@ def log_q_neg_pochhammer(theta, n, q):
     theta > 0.  Finite for every n: no power of q above 1 is formed.
     """
     u = math.log(theta) / math.log(q)
-    return sum(_ln1p_q_pow(u + i, q) for i in range(n)) / math.log(q)
+    return _sum_left(_ln1p_q_pow(u + i, q) for i in range(n)) / math.log(q)
 
 
 def log_q_neg_inv_pochhammer(theta, n, q):
@@ -106,7 +131,7 @@ def log_q_neg_inv_pochhammer(theta, n, q):
     tend to 1 geometrically.
     """
     u = -math.log(theta) / math.log(q)
-    return sum(_ln1p_q_pow(u - i, q) for i in range(n)) / math.log(q)
+    return _sum_left(_ln1p_q_pow(u - i, q) for i in range(n)) / math.log(q)
 
 
 def _log_pmf_term(k, coeff, t, q, log_poch):
@@ -248,7 +273,7 @@ def pmf_xy(k, n, x, y, q):
     # log domain, divided through by x^n: x + y q^i = x (1 + q^(u + i))
     u = (math.log(y) - math.log(x)) / math.log(q)
     log_num = log_coeff + (k * (k - 1) / 2.0 + k * u) * math.log(q)
-    log_den = sum(_ln1p_q_pow(u + i, q) for i in range(n))
+    log_den = _sum_left(_ln1p_q_pow(u + i, q) for i in range(n))
     return math.exp(log_num - log_den)
 
 

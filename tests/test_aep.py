@@ -391,6 +391,19 @@ def test_integer_stop_matches_the_fraction_oracle():
                 _check_stop_against_oracle(n, 0.1, theta, q)
 
 
+def test_rational_class_masses_match_the_per_class_formula():
+    # the running power of q gives each class the numerator written out
+    for q in (2, 3, 4, 16):
+        for theta in (0, 1, Fraction(1, 256), Fraction(7, 10), Fraction(3, 2)):
+            a, b = Fraction(theta).as_integer_ratio()
+            for n in range(65):
+                want = [
+                    size * q ** ((n - d) * (n - d - 1) // 2) * a ** (n - d) * b**d
+                    for d, size in enumerate(qcomb._gaussian_column(n, q))
+                ]
+                assert list(aep._rational_class_masses(n, a, b, q)) == want, (n, theta, q)
+
+
 def test_float_stop_matches_the_per_class_oracle():
     # the float class masses of one Gaussian-column walk are the per-class
     # log_pmf values, theta = 0 included; the typical set is left out only

@@ -212,12 +212,22 @@ def test_mle_stdin():
     assert r.returncode == 1
 
 
-def test_mle_samples_file(tmp_path):
+def test_mle_samples_file(tmp_path, capsys):
     path = tmp_path / "samples.txt"
     path.write_text("3\n4\n5\n4\n")
     r = run("mle", "--n", "8", "--q", "2", "--samples-file", str(path))
     via_stdin = run("mle", "--n", "8", "--q", "2", inp="3\n4\n5\n4\n")
     assert r.stdout == via_stdin.stdout
+    # blank lines, tabs and spaces separate samples like newlines do
+    path.write_text("\n3\t4\n\n  5 \r\n\t4\n\n")
+    assert cli.main(["mle", "--n", "8", "--q", "2", "--samples-file", str(path)]) == 0
+    assert capsys.readouterr().out == r.stdout
+    # the first bad token is the one reported
+    path.write_text("3\n\n4x\t5\ny\n")
+    assert cli.main(["mle", "--n", "8", "--q", "2", "--samples-file", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "bad_samples", "detail": "invalid literal for int() with base 10: '4x'"
+    }
 
 
 def test_mle_past_the_double_range(tmp_path, capsys):
@@ -257,6 +267,10 @@ def test_maxent_subcommand():
     r = run("maxent", "--energies", "2,2.0007156159253063", "--mean", "2.0007156159253063")
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["probs"] == [0.0, 1.0]
+    # energies whose squares overflow a double: solved in rationals
+    r = run("maxent", "--energies", "1e200,0", "--mean", "1")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["probs"] == [1e-200, 1.0]
     # ten levels: the neighbourhood walk visits the L1 ball, not the 13^10 box
     r = run("maxent", "--energies", "0,1,2,3,4,5,6,7,8,9", "--mean", "2.5",
             "--finite-n", "60", "--q", "2")

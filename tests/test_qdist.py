@@ -144,6 +144,26 @@ def test_growth_prob_past_the_double_range():
     assert 0 < qdist.mean(big) < 2000 and qdist.variance(big) > 0
 
 
+def test_bernoulli_chain_is_growth_prob_term_by_term():
+    # one running q^i gives every factor bit for bit, past the double range too
+    rng = random.Random(20261019)
+    specials = (0.0, 5e-324, 1e308, 0, 1, Fraction(1, 3), Fraction(7, 2))
+    for _ in range(1500):
+        kind = rng.random()
+        if kind < 0.5:
+            theta = 10.0 ** rng.uniform(-300, 300)
+        elif kind < 0.7:
+            theta = rng.randint(0, 50)
+        elif kind < 0.85:
+            theta = Fraction(rng.randint(0, 40), rng.randint(1, 40))
+        else:
+            theta = rng.choice(specials)
+        q = rng.choice((2, 3, 4, 5, 7, 9, 16, 27, 251))
+        n = rng.randint(0, 1200) if rng.random() < 0.2 else rng.randint(0, 80)
+        chain = qdist.bernoulli_chain(qdist.QBinomialParams(n, theta, q))
+        assert chain == tuple(qdist.growth_prob(theta, q, i) for i in range(n)), (theta, q, n)
+
+
 def test_chain_complement_keeps_relative_accuracy():
     # 1 - p is computed as 1/(1 + theta q^i), not by cancellation in 1 - p
     for theta, n, q in ((1e12, 5, 2), (1e6, 5, 2), (1e12, 40, 3), (1e6, 20, 4)):
