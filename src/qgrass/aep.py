@@ -6,15 +6,17 @@ block coding by rank/unrank (a codeword is its index written in base q with
 the gf digit codec, gf.to_text/gf.from_text), the total-Grassmannian growth
 check, and the Pochhammer-quotient bounds used in the tail estimates.
 
-The finite-n class-mass sums are exact and run in integers over one shared
-denominator: when theta = a/b is rational (int or Fraction) every class
-mass has the denominator prod_{i<n} (b + a q^i) and its numerator is read
-off the Gaussian column `qcomb._gaussian_column`, with one power of q
-formed per walk and divided down class by class; otherwise the walk sums
-the exact values of the float class masses of `qdist`, multiples of
-2^-1074.  That stop a_n alone makes the typical set and the block code;
-the class sizes, and the total Grassmannian size, are read off the same
-column.  mu and Delta, reported next to a_n, live in float (infinite
+The finite-n class-mass stop a_n is exact.  When theta = a/b is rational
+(int or Fraction) it walks the masses relative to class 0 by their exact
+successive ratios and bounds the unwalked tail by a geometric series, so it
+stops within a few classes of a_n and forms no class mass and no common
+denominator; otherwise it sums the exact values of the float class masses
+of `qdist`, multiples of 2^-1074.  That stop a_n alone makes the typical
+set and the block code.  Only the greedy minimal set needs the exact mass
+still missing at a_n, and forms prod_{i<n} (b + a q^i), the denominator of
+every rational class mass, as a product tree.  The class sizes, and the
+total Grassmannian size, are read off the Gaussian column
+`qcomb._gaussian_column`.  mu and Delta, reported next to a_n, live in float (infinite
 products): one walk, `_mu_values`, yields every mu(d), Delta bisects their
 partial sums, and mu and `check_aep` share `qdist._completed_square`.
 """
@@ -162,55 +164,113 @@ class TypicalSet:
         return range(self.delta_codim + 1)
 
 
-def _class_mass_stop(n, epsilon, theta, q):
-    """Walk the codimension classes up to a_n, the first whose cumulative
-    mass reaches 1 - epsilon; a_n is n if the sum never does.
-
-    Returns (a_n, deficit, mass, den) in integers: the mass still missing
-    when class a_n is entered is deficit / den and the mass of class a_n is
-    mass / den.  The walk adds integer numerators over one denominator and
-    compares cross products, so it is exact and runs no Fraction sum and no
-    gcd; no rounding decides the stop across the q^-(n^2/2) range of the
-    masses.  For a rational theta = a/b the denominator is
-    prod_{i<n} (b + a q^i) and class d, of dimension m = n - d, has the
-    numerator [n, d]_q q^(m(m-1)/2) a^m b^d.  A float class mass is a
-    multiple of 2^-1074, the least positive double, so 2^1074 is a
-    denominator of every one, and its exact value meets Fraction(1.0 - epsilon).
-    """
+def _stop_need(n, epsilon, theta):
+    """The mass 1 - epsilon that the stop must reach, as a Fraction: to 12
+    digits for a rational theta, the exact value of the double otherwise."""
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
     if isinstance(theta, (int, Fraction)):
-        need = 1 - Fraction(epsilon).limit_denominator(10**12)
-        a, b = Fraction(theta).as_integer_ratio()
-        total = math.prod(b + a * q**i for i in range(n))
-        masses = _rational_class_masses(n, a, b, q)
-    else:
-        need = Fraction(1.0 - epsilon)
-        total = 2**1074
-        masses = (
-            int(Fraction(float(q) ** log_mass) * total)
-            for log_mass in _log_class_masses(QBinomialParams(n, theta, q))
-        )
+        return 1 - Fraction(epsilon).limit_denominator(10**12)
+    return Fraction(1.0 - epsilon)
+
+
+def _class_mass_stop(n, epsilon, theta, q):
+    """a_n, the first codimension class whose cumulative mass reaches
+    1 - epsilon (n if the sum never does), exact for a rational and for a
+    float theta."""
+    need = _stop_need(n, epsilon, theta)
+    if isinstance(theta, (int, Fraction)):
+        return _ratio_stop(n, need, *Fraction(theta).as_integer_ratio(), q)
+    return _float_walk(n, need, theta, q)[0]
+
+
+def _ratio_stop(n, need, a, b, q):
+    """a_n for theta = a/b, from the class masses relative to class 0.
+
+    Class d has mass m_d proportional to [n, d]_q q^(m(m-1)/2) a^m b^d,
+    m = n - d, so u_d = m_d / m_0 obeys u_(d+1) = u_d g_d / f_d with
+    g_d = b (q^(n-d) - 1) and f_d = a (q^(d+1) - 1) q^(n-d-1).  Class k is
+    the stop iff (1 - need) S_k >= need T_k, S_k the sum of u_0..u_k and
+    T_k that of the rest.  For i >= j the ratio g_i / f_i is below
+    R_j = b q / (a (q^(j+1) - 1)), so once R_j < 1 the tail T_k lies between
+    the looked-ahead L = u_(k+1) + ... + u_j and L + u_j R_j / (1 - R_j).
+    The walk rejects k when even L is too heavy, accepts k when the upper
+    end is light enough, and else looks one class further, up to j = n,
+    where T_k = L.  Every sum is an integer over prod_(i<j) f_i, so the
+    stop is exact, and at concentration it ends within a few classes.
+    """
+    num, den = need.numerator, need.denominator
+    if num == 0:
+        return 0
+    if a == 0 or num == den:  # class n alone has mass, or every class has some
+        return n
+    rest = den - num
+    k = j = 0
+    s, ahead, last = 1, [], 1  # S_k, [u_(k+1) .. u_j], u_j; each times prod_(i<j) f_i
+    while True:
+        tail = sum(ahead)
+        if rest * s < num * tail:
+            s += ahead.pop(0)
+            k += 1
+            continue
+        if j == n:
+            return k
+        e = a * (q ** (j + 1) - 1) - b * q  # a (q^(j+1) - 1) (1 - R_j)
+        if e > 0 and rest * s * e >= num * (tail * e + last * b * q):
+            return k
+        f = a * (q ** (j + 1) - 1) * q ** (n - j - 1)
+        last *= b * (q ** (n - j) - 1)
+        s *= f
+        ahead = [u * f for u in ahead] + [last]
+        j += 1
+
+
+def _float_walk(n, need, theta, q):
+    """(a_n, the masses before it, its mass, their denominator) in integers
+    for a float theta: every float class mass is a multiple of 2^-1074, the
+    least positive double, so the cross products with need are exact."""
+    total = 2**1074
+    masses = (
+        int(Fraction(float(q) ** log_mass) * total)
+        for log_mass in _log_class_masses(QBinomialParams(n, theta, q))
+    )
     acc = 0
     for d, mass in enumerate(masses):
         if (acc + mass) * need.denominator >= need.numerator * total or d == n:
-            break
+            return d, acc, mass, total
         acc += mass
-    den = need.denominator * total
-    return d, need.numerator * total - acc * need.denominator, mass * need.denominator, den
 
 
-def _rational_class_masses(n, a, b, q):
-    """Yield [n, d]_q q^(m(m-1)/2) a^m b^d, m = n - d, for d = 0..n: the
-    power of q is formed once, q^(n(n-1)/2), and divided exactly by q^m on
-    the way to class d."""
-    q_pow = q ** (n * (n - 1) // 2)
-    for d, size in enumerate(_gaussian_column(n, q)):
-        if d:
-            q_pow //= q ** (n - d)
-        yield size * q_pow * a ** (n - d) * b**d
+def _chain_denominator(n, a, b, q):
+    """prod_(i<n) (b + a q^i), the denominator of every class mass at
+    theta = a/b, multiplied as a balanced tree of like-sized operands."""
+    factors = [b + a * q**i for i in range(n)] or [1]
+    while len(factors) > 1:
+        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0]
+
+
+def _stop_deficit(n, epsilon, theta, q):
+    """(a_n, deficit, mass, den) in integers: the mass still missing when
+    class a_n is entered is deficit / den, and its own mass is mass / den.
+    At theta = a/b class d has the numerator [n, d]_q q^(m(m-1)/2) a^m b^d,
+    m = n - d, formed only up to a_n."""
+    need = _stop_need(n, epsilon, theta)
+    if isinstance(theta, (int, Fraction)):
+        a, b = Fraction(theta).as_integer_ratio()
+        d = _ratio_stop(n, need, a, b, q)
+        total = _chain_denominator(n, a, b, q)
+        *before, mass = (
+            size * q ** ((n - c) * (n - c - 1) // 2) * a ** (n - c) * b**c
+            for c, size in enumerate(_class_sizes(n, d, q))
+        )
+        acc = sum(before)
+    else:
+        d, acc, mass, total = _float_walk(n, need, theta, q)
+    num, den = need.numerator, need.denominator
+    return d, num * total - acc * den, mass * den, den * total
 
 
 def _class_sizes(n, d, q):
@@ -226,7 +286,7 @@ def typical_set(n, epsilon, theta, q):
     collides with a partial sum of mu, the discontinuity flag is set and the
     limit is only bracketed between Delta and Delta + 1.
     """
-    a_n = _class_mass_stop(n, epsilon, theta, q)[0]
+    a_n = _class_mass_stop(n, epsilon, theta, q)
     size = sum(_class_sizes(n, a_n, q))
     table = build_mu_table(theta, q)
     p_eps = 1.0 - epsilon
@@ -274,7 +334,7 @@ def greedy_min_set_size(n, epsilon, theta, q):
     codimension b_n is the typical set's a_n: both are the same class-mass
     stop, whose partial class is never empty, which is asserted.
     """
-    d, deficit, mass, _ = _class_mass_stop(n, epsilon, theta, q)
+    d, deficit, mass, _ = _stop_deficit(n, epsilon, theta, q)
     *whole, last = _class_sizes(n, d, q)
     # ceil(deficit / (mass / last)): the spaces of class d, each of mass
     # mass / last, that cover the deficit; deficit and mass share one
@@ -307,7 +367,7 @@ def make_block_code(n, epsilon, theta, field):
     """Block code of the typical set A_n over field, from its stop a_n alone."""
     if field.q > TEXT_BASE_MAX:
         raise ValueError(f"codewords support q <= {TEXT_BASE_MAX}")
-    a_n = _class_mass_stop(n, epsilon, theta, field.q)[0]
+    a_n = _class_mass_stop(n, epsilon, theta, field.q)
     sizes = tuple(_class_sizes(n, a_n, field.q))
     total = sum(sizes)
     # ceil(log_q total) in exact integer arithmetic

@@ -5,17 +5,20 @@ Gr(k, n), so the codimension-d class has mass pmf(n - d).
 `growth_prob` is the one float chain factor theta q^i / (1 + theta q^i) and
 `growth_complement` its complement 1 / (1 + theta q^i), kept to relative
 accuracy; the variance, c_n and c_inf sum them.  `bernoulli_chain`, which
-the mean and every MLE bisection step read, yields growth_prob's terms bit
-for bit from one running power of q.  `_ln1p_q_pow` is the one factor
-ln(1 + q^u) of the log products (-theta; q)_n, (-1/theta; 1/q)_n and the
-two-parameter normaliser, summed left to right on every Python version.
+the mean reads, yields growth_prob's terms bit for bit from one running
+power of q, and `_chain_term` is their one quotient.  `_ln1p_q_pow` is the
+one factor ln(1 + q^u) of the log products (-theta; q)_n,
+(-1/theta; 1/q)_n and the two-parameter normaliser, summed left to right
+on every Python version.
 `_log_class_masses`, one walk of the Gaussian column, yields every float
 class mass, for the pmf column and `aep`'s class-mass stop.
 `_completed_square` holds x0 = 1/2 - log_q theta and the exponent
 -(d - x0)^2/2 + x0^2/2 that the codimension form and `aep`'s mu share.  The
 exact rational pmf and subspace law are the oracles.  MLE of theta bisects
-on the mean scale, on log theta below the reach of 200 linear halvings.
-The chain's one sampler is `grassproc.simulate`.
+on the mean scale, on log theta below the reach of 200 linear halvings;
+one call builds the doubles q^0..q^(n-1) once, and every step sums the
+chain over them, bit for bit the mean.  The chain's one sampler is
+`grassproc.simulate`.
 """
 
 import functools
@@ -94,12 +97,19 @@ def bernoulli_chain(params):
     chain, qi = [], 1
     try:
         for _ in range(n):
-            x = t * qi
-            chain.append(1.0 if x == math.inf else x / (1.0 + x))
+            chain.append(_chain_term(t * qi))
             qi *= q
     except OverflowError:
         chain.extend(growth_prob(t, q, i) for i in range(len(chain), n))
     return tuple(chain)
+
+
+def _chain_term(x):
+    """x / (1 + x) for x = theta q^i, and 1.0 once x overflows to inf, where
+    the quotient would be NaN: the factor of `bernoulli_chain` and of the
+    MLE's mean.  `growth_prob` keeps its own copy inline, since the process
+    draws one per growth step."""
+    return 1.0 if x == math.inf else x / (1.0 + x)
 
 
 def _sum_left(terms):
@@ -322,42 +332,59 @@ def mle_theta(samples, n, q, tol=MLE_DEFAULT_TOL):
     Returns math.inf when every sample equals n.  When the root lies below
     hi 2^-200, the least midpoint that bisecting [0, hi] can reach, it
     bisects log theta down to the smallest positive double instead, and
-    refuses a root below that.
+    refuses a root below that.  Every step reads one table of the doubles
+    q^0..q^(n-1), built once per call (`_mean_of`).
     """
     samples = list(samples)
     if not samples:
         raise ValueError("at least one sample is required")
-    for s in samples:
-        if s < 0 or s > n:
-            raise ValueError(f"sample {s!r} outside [0, {n}]")
+    if not (0 <= min(samples) and max(samples) <= n):
+        for s in samples:  # the first offender words the refusal
+            if s < 0 or s > n:
+                raise ValueError(f"sample {s!r} outside [0, {n}]")
     ybar = sum(samples) / len(samples)
     if ybar == 0:
         return 0.0
     if ybar == n:
         return math.inf
 
+    mean_at = _mean_of(n, q)
     lo, hi = 0.0, 1.0
-    while m_qn(hi, n, q) <= ybar:
+    while mean_at(hi) <= ybar:
         hi *= 2.0
         if hi > 1e300:
             return math.inf
     reach = hi * 2.0**-200
-    if m_qn(reach, n, q) <= ybar:
-        return _bisect_mean(lo, hi, ybar, n, q, tol, float)  # float(x) is x
+    if mean_at(reach) <= ybar:
+        return _bisect_mean(lo, hi, ybar, mean_at, tol, float)  # float(x) is x
     least = math.ulp(0.0)
-    if m_qn(least, n, q) > ybar:
+    if mean_at(least) > ybar:
         raise ValueError(
             f"theta_hat lies below the double range: m_qn({least}) exceeds "
             f"the sample mean {ybar}"
         )
-    return _bisect_mean(math.log(least), math.log(reach), ybar, n, q, tol, math.exp)
+    return _bisect_mean(math.log(least), math.log(reach), ybar, mean_at, tol, math.exp)
 
 
-def _bisect_mean(lo, hi, ybar, n, q, tol, theta_at):
-    """Bisect x in [lo, hi] for m_qn(theta_at(x)) = ybar, 200 halvings."""
+def _mean_of(n, q):
+    """theta -> m_qn(theta, n, q) for a float theta > 0, bit for bit.
+
+    The doubles q^i are built once: theta * q**i rounds the int q^i to its
+    double before it multiplies, so theta * p is the same product.  Once
+    q^(n-1) has no double the chain is `growth_prob`'s, through m_qn.
+    """
+    try:
+        powers = [float(q**i) for i in range(n)]
+    except OverflowError:
+        return lambda theta: m_qn(theta, n, q)
+    return lambda theta: sum(_chain_term(theta * p) for p in powers)
+
+
+def _bisect_mean(lo, hi, ybar, mean_at, tol, theta_at):
+    """Bisect x in [lo, hi] for mean_at(theta_at(x)) = ybar, 200 halvings."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        m = m_qn(theta_at(mid), n, q)
+        m = mean_at(theta_at(mid))
         if abs(m - ybar) < tol:
             return theta_at(mid)
         if m < ybar:

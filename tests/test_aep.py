@@ -344,8 +344,8 @@ def test_float_and_fraction_theta_stop_alike():
         for theta in (0.05, 0.7, 1.5, 10.0):
             for n in (1, 6, 13, 30):
                 for eps in (0.05, 0.1, 0.3):
-                    a_float = aep._class_mass_stop(n, eps, theta, q)[0]
-                    a_exact = aep._class_mass_stop(n, eps, Fraction(theta), q)[0]
+                    a_float = aep._class_mass_stop(n, eps, theta, q)
+                    a_exact = aep._class_mass_stop(n, eps, Fraction(theta), q)
                     assert a_float == a_exact, (q, theta, n, eps)
 
 
@@ -369,9 +369,10 @@ def _oracle_stop(n, eps, theta, q):
 
 def _check_stop_against_oracle(n, eps, theta, q, typical=True):
     d, deficit, mass = _oracle_stop(n, eps, theta, q)
-    a_n, deficit_num, mass_num, den = aep._class_mass_stop(n, eps, theta, q)
+    a_n, deficit_num, mass_num, den = aep._stop_deficit(n, eps, theta, q)
     case = (n, eps, theta, q)
     assert (a_n, Fraction(deficit_num, den), Fraction(mass_num, den)) == (d, deficit, mass), case
+    assert aep._class_mass_stop(n, eps, theta, q) == d, case
     sizes = [qcomb.q_binomial(n, n - c, q) for c in range(d + 1)]
     if typical:
         assert aep.typical_set(n, eps, theta, q).exact_size == sum(sizes), case
@@ -391,8 +392,71 @@ def test_integer_stop_matches_the_fraction_oracle():
                 _check_stop_against_oracle(n, 0.1, theta, q)
 
 
+def _product_walk_masses(n, a, b, q):
+    """Class numerators [n, d]_q q^(m(m-1)/2) a^m b^d, m = n - d, d = 0..n,
+    over the denominator prod_(i<n) (b + a q^i) at theta = a/b: the walk
+    that decided a_n before the ratio walk, kept here as its oracle."""
+    q_pow = q ** (n * (n - 1) // 2)
+    for d, size in enumerate(qcomb._gaussian_column(n, q)):
+        if d:
+            q_pow //= q ** (n - d)
+        yield size * q_pow * a ** (n - d) * b**d
+
+
+class _Prefix:
+    """The running sums of a lazy sequence, computed as far as they are read."""
+
+    def __init__(self, terms):
+        self.sums, self.rest = [], itertools.accumulate(terms)
+
+    def __getitem__(self, i):
+        while len(self.sums) <= i:
+            self.sums.append(next(self.rest))
+        return self.sums[i]
+
+
+def _product_walk_stops(n, epsilons, theta, q):
+    """a_n for each epsilon from the product walk's exact class numerators.
+
+    The walk from below is the old stop: the first d whose cumulative
+    numerator reaches need times the denominator, or n.  It is run together
+    with the same masses summed from class n down, where class n - m is the
+    stop at the first m whose top m + 1 classes outweigh (1 - need) times
+    the denominator; whichever decides first answers, so an a_n near n (need
+    rounded to 1, theta = 0) costs as few classes as one near 0.
+    """
+    a, b = Fraction(theta).as_integer_ratio()
+    factors = [b + a * q**i for i in range(n)] or [1]
+    while len(factors) > 1:  # balanced: at n = 1100, q = 16 a running product is 5x slower
+        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    total = factors[0]
+    below = _Prefix(_product_walk_masses(n, a, b, q))
+    above = _Prefix(
+        size * q ** (m * (m - 1) // 2) * a**m * b ** (n - m)
+        for m, size in enumerate(qcomb._gaussian_column(n, q))
+    )
+    stops = []
+    for eps in epsilons:
+        need = 1 - Fraction(eps).limit_denominator(10**12)
+        num, den = need.numerator, need.denominator
+        for step in range(n + 1):
+            if below[step] * den >= num * total or step == n:
+                stops.append(step)
+                break
+            if above[step] * den > (den - num) * total:
+                stops.append(n - step)
+                break
+    return stops
+
+
+STOP_THETAS = (0, 1, Fraction(1, 256), Fraction(7, 10), Fraction(3, 2), 1000, Fraction(1, 10**6))
+# 1e-13 and 1 - 1e-13 round need to exactly 1 and exactly 0
+STOP_EPSILONS = (1e-13, 0.05, 0.1, 0.5, 0.9, 1 - 1e-13)
+
+
 def test_rational_class_masses_match_the_per_class_formula():
-    # the running power of q gives each class the numerator written out
+    # the oracle's running power of q gives each class the numerator written
+    # out, and the numerators sum to the chain denominator
     for q in (2, 3, 4, 16):
         for theta in (0, 1, Fraction(1, 256), Fraction(7, 10), Fraction(3, 2)):
             a, b = Fraction(theta).as_integer_ratio()
@@ -401,7 +465,51 @@ def test_rational_class_masses_match_the_per_class_formula():
                     size * q ** ((n - d) * (n - d - 1) // 2) * a ** (n - d) * b**d
                     for d, size in enumerate(qcomb._gaussian_column(n, q))
                 ]
-                assert list(aep._rational_class_masses(n, a, b, q)) == want, (n, theta, q)
+                assert list(_product_walk_masses(n, a, b, q)) == want, (n, theta, q)
+                assert sum(want) == aep._chain_denominator(n, a, b, q), (n, theta, q)
+
+
+@pytest.mark.parametrize("ns", [range(65), (120, 200), (400,), (1100,)], ids=str)
+def test_ratio_stop_matches_the_product_walk(ns):
+    for n in ns:
+        for q in (2, 3, 4, 16):
+            for theta in STOP_THETAS:
+                want = _product_walk_stops(n, STOP_EPSILONS, theta, q)
+                got = [aep._class_mass_stop(n, eps, theta, q) for eps in STOP_EPSILONS]
+                assert got == want, (n, q, theta)
+
+
+def test_ratio_stop_decides_exact_ties():
+    # need equal to a partial sum: the tail bound never decides, and the walk
+    # looks ahead to class n, where the tail is exact
+    ties = 0
+    for n in range(9):
+        for q in (2, 3):
+            for theta in (1, Fraction(1, 2), Fraction(3, 2)):
+                a, b = Fraction(theta).as_integer_ratio()
+                total = aep._chain_denominator(n, a, b, q)
+                sums = itertools.accumulate(_product_walk_masses(n, a, b, q))
+                for k, partial in enumerate(sums):
+                    need = Fraction(partial, total)
+                    eps = float(1 - need)
+                    if not 0 < eps < 1 or 1 - Fraction(eps).limit_denominator(10**12) != need:
+                        continue
+                    ties += 1
+                    assert aep._class_mass_stop(n, eps, theta, q) == k, (n, q, theta, k)
+                    assert _product_walk_stops(n, [eps], theta, q) == [k], (n, q, theta, k)
+    assert ties == 128
+
+
+def test_only_greedy_forms_the_chain_denominator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the stop formed prod (b + a q^i)")
+
+    monkeypatch.setattr(aep, "_chain_denominator", refuse)
+    assert aep.typical_set(200, 0.1, 1, 2).delta_codim == 2
+    assert aep.check_aep(120, 0.1, 0.5, Fraction(7, 10), 3)["a_n"] >= 0
+    assert aep.make_block_code(24, 0.1, Fraction(1, 256), F2).codim_bound >= 0
+    with pytest.raises(AssertionError, match="formed prod"):
+        aep.greedy_min_set_size(12, 0.1, 1, 2)
 
 
 def test_float_stop_matches_the_per_class_oracle():

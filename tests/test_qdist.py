@@ -331,3 +331,71 @@ def test_mle_round_trip_consistency():
     th = qdist.mle_theta(draws, n, q)
     se = math.sqrt(qdist.variance(par) / len(draws))
     assert abs(qdist.m_qn(th, n, q) - qdist.m_qn(theta_star, n, q)) < 3 * se
+
+
+def test_mle_refusal_names_the_first_offender():
+    with pytest.raises(ValueError, match=r"sample -1 outside \[0, 4\]"):
+        qdist.mle_theta([2, -1, 9, 5], 4, 2)
+    with pytest.raises(ValueError, match=r"sample 9 outside \[0, 4\]"):
+        qdist.mle_theta([2, 9, -1, 5], 4, 2)
+
+
+def test_mle_mean_table_is_m_qn_bit_for_bit():
+    # theta * p with p the double of q^i is theta * q**i: one table per call
+    # gives m_qn exactly, and past the double range of q^(n-1) it is m_qn
+    thetas = [10.0**e for e in range(-300, 301, 7)]
+    thetas += [5e-324, 1e-310, 2.5e-320, 1e300, 1.7e308, 0.3, 1.0]
+    cases = [(n, q) for n in (1, 64, 600) for q in (2, 3, 16, 251)] + [(1100, 2)]
+    for n, q in cases:
+        mean_at = qdist._mean_of(n, q)
+        for theta in thetas:
+            assert mean_at(theta) == qdist.m_qn(theta, n, q), (theta, n, q)
+
+
+def _mle_by_m_qn(samples, n, q, tol=qdist.MLE_DEFAULT_TOL):
+    """The MLE as it was before the power table: every step calls m_qn."""
+    ybar = sum(samples) / len(samples)
+    if ybar == 0:
+        return 0.0
+    if ybar == n:
+        return math.inf
+
+    def bisect(lo, hi, theta_at):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            m = qdist.m_qn(theta_at(mid), n, q)
+            if abs(m - ybar) < tol:
+                return theta_at(mid)
+            if m < ybar:
+                lo = mid
+            else:
+                hi = mid
+        return theta_at(0.5 * (lo + hi))
+
+    hi = 1.0
+    while qdist.m_qn(hi, n, q) <= ybar:
+        hi *= 2.0
+        if hi > 1e300:
+            return math.inf
+    reach = hi * 2.0**-200
+    if qdist.m_qn(reach, n, q) <= ybar:
+        return bisect(0.0, hi, float)
+    least = math.ulp(0.0)
+    if qdist.m_qn(least, n, q) > ybar:
+        return "below"
+    return bisect(math.log(least), math.log(reach), math.exp)
+
+
+def test_mle_matches_the_m_qn_bisection():
+    for n in (1, 8, 64, 300, 2000):
+        for q in (2, 3, 16):
+            rng = random.Random(f"{n}/{q}")
+            for k in range(6):
+                size = rng.choice((1, 3, 20, 200))
+                samples = [rng.randint(0, min(n, 3 + k * n // 5)) for _ in range(size)]
+                want = _mle_by_m_qn(samples, n, q)
+                if want == "below":
+                    with pytest.raises(ValueError, match="below the double range"):
+                        qdist.mle_theta(samples, n, q)
+                else:
+                    assert qdist.mle_theta(samples, n, q) == want, (n, q, samples)
