@@ -6,19 +6,19 @@ block coding by rank/unrank (a codeword is its index written in base q with
 the gf digit codec, gf.to_text/gf.from_text), the total-Grassmannian growth
 check, and the Pochhammer-quotient bounds used in the tail estimates.
 
-The finite-n class-mass stop a_n is exact.  When theta = a/b is rational
-(int or Fraction) it walks the masses relative to class 0 by their exact
-successive ratios and bounds the unwalked tail by a geometric series, so it
-stops within a few classes of a_n and forms no class mass and no common
-denominator; otherwise it sums the exact values of the float class masses
-of `qdist`, multiples of 2^-1074.  That stop a_n alone makes the typical
-set and the block code.  Only the greedy minimal set needs the exact mass
-still missing at a_n, and forms prod_{i<n} (b + a q^i), the denominator of
-every rational class mass, as a product tree.  The class sizes, and the
-total Grassmannian size, are read off the Gaussian column
-`qcomb._gaussian_column`.  mu and Delta, reported next to a_n, live in float (infinite
-products): one walk, `_mu_values`, yields every mu(d), Delta bisects their
-partial sums, and mu and `check_aep` share `qdist._completed_square`.
+The finite-n class-mass stop a_n is exact for every theta = a/b (a float
+is the dyadic rational it equals) and reads a float epsilon as its decimal.
+It walks a window of class masses by their exact successive ratios from
+the class nearest the mode and bounds each side outside it geometrically,
+so it forms no class mass and no common denominator.  That stop a_n alone
+makes the typical set and the block code.  Only the greedy minimal set
+needs the exact mass still missing at a_n, and forms prod_{i<n} (b + a q^i),
+the denominator of every class mass, as a product tree.  The class sizes,
+and the total Grassmannian size, are read off the Gaussian column
+`qcomb._gaussian_column`.  mu and Delta, reported next to a_n, live in
+float (infinite products): one walk, `_mu_values`, yields every mu(d),
+Delta bisects their partial sums, and mu and `check_aep` share
+`qdist._completed_square`.
 """
 
 import bisect
@@ -32,7 +32,7 @@ from .gf import (
     TEXT_BASE_MAX, free_positions, from_text, full_space, subspace_from_pattern, to_text
 )
 from .qcomb import _gaussian_column, pochhammer_inf, q_binomial
-from .qdist import QBinomialParams, _codim_log_probs, _completed_square, _log_class_masses
+from .qdist import _codim_log_probs, _completed_square
 from .qdist import log_q_neg_inv_pochhammer
 
 MU_REL_CUT = 1e-15
@@ -164,83 +164,84 @@ class TypicalSet:
         return range(self.delta_codim + 1)
 
 
-def _stop_need(n, epsilon, theta):
-    """The mass 1 - epsilon that the stop must reach, as a Fraction: to 12
-    digits for a rational theta, the exact value of the double otherwise."""
+def _stop_need(n, epsilon):
+    """The mass 1 - epsilon that the stop must reach, as a Fraction.  A
+    float epsilon is read as the decimal it prints as, Fraction(str(eps)),
+    so 0.1 is 1/10 and 1e-13 is 10^-13; an int or a Fraction as itself."""
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
-    if isinstance(theta, (int, Fraction)):
-        return 1 - Fraction(epsilon).limit_denominator(10**12)
-    return Fraction(1.0 - epsilon)
+    return 1 - Fraction(str(epsilon))
 
 
 def _class_mass_stop(n, epsilon, theta, q):
     """a_n, the first codimension class whose cumulative mass reaches
-    1 - epsilon (n if the sum never does), exact for a rational and for a
-    float theta."""
-    need = _stop_need(n, epsilon, theta)
-    if isinstance(theta, (int, Fraction)):
-        return _ratio_stop(n, need, *Fraction(theta).as_integer_ratio(), q)
-    return _float_walk(n, need, theta, q)[0]
+    1 - epsilon (n if the sum never does), exact for every theta: a float
+    theta is the dyadic rational it equals."""
+    a, b = Fraction(theta).as_integer_ratio()
+    return _ratio_stop(n, _stop_need(n, epsilon), a, b, q)
 
 
-def _ratio_stop(n, need, a, b, q):
-    """a_n for theta = a/b, from the class masses relative to class 0.
+def _ratio_stop(n, need, a, b, q, start=None):
+    """a_n for theta = a/b, walked from class start, by default the class
+    nearest the mode x0 = 1/2 - log_q theta.
 
-    Class d has mass m_d proportional to [n, d]_q q^(m(m-1)/2) a^m b^d,
-    m = n - d, so u_d = m_d / m_0 obeys u_(d+1) = u_d g_d / f_d with
-    g_d = b (q^(n-d) - 1) and f_d = a (q^(d+1) - 1) q^(n-d-1).  Class k is
-    the stop iff (1 - need) S_k >= need T_k, S_k the sum of u_0..u_k and
-    T_k that of the rest.  For i >= j the ratio g_i / f_i is below
-    R_j = b q / (a (q^(j+1) - 1)), so once R_j < 1 the tail T_k lies between
-    the looked-ahead L = u_(k+1) + ... + u_j and L + u_j R_j / (1 - R_j).
-    The walk rejects k when even L is too heavy, accepts k when the upper
-    end is light enough, and else looks one class further, up to j = n,
-    where T_k = L.  Every sum is an integer over prod_(i<j) f_i, so the
-    stop is exact, and at concentration it ends within a few classes.
+    Class d has mass u_d proportional to [n, d]_q q^(m(m-1)/2) a^m b^d,
+    m = n - d, so u_(d+1) / u_d = g_d / f_d with g_d = b (q^(n-d) - 1) and
+    f_d = a (q^(d+1) - 1) q^(n-d-1), a ratio that decreases in d.  Class k
+    is the stop iff (1 - need) S_k >= need T_k, S_k the mass of classes
+    0..k and T_k that of the rest.  The walk holds the masses of a window
+    lo..hi as integers on one scale, forming each f_d and g_d once.  Past hi
+    every ratio is below b q / (a (q^(hi+1) - 1)), and below lo every
+    inverse ratio is below a (q^lo - 1) / (b (q - 1)), so each side outside
+    the window is below a geometric series.  Class k is the stop once these
+    bounds show that k reaches need and k - 1 does not; until then the
+    window grows to the left while the stop may lie below lo, else on the
+    side whose bound is larger.  The answer does not depend on start.
     """
-    num, den = need.numerator, need.denominator
-    if num == 0:
-        return 0
-    if a == 0 or num == den:  # class n alone has mass, or every class has some
+    if a < 0:
+        raise ValueError(f"theta must be >= 0, got {Fraction(a, b)}")
+    if a == 0:  # class n alone has mass
         return n
-    rest = den - num
-    k = j = 0
-    s, ahead, last = 1, [], 1  # S_k, [u_(k+1) .. u_j], u_j; each times prod_(i<j) f_i
+    if start is None:  # round(x0) in 0..n; x0 <= 1/2 when theta >= 1
+        start = 0 if a >= b else min(round(0.5 - (math.log(a) - math.log(b)) / math.log(q)), n)
+    num, rest = need.numerator, need.denominator - need.numerator
+    lo = hi = k = start
+    ql, pl = q**lo, q ** (n - lo)  # q^(d+1) and q^(n-d-1) at d = lo - 1
+    qr, pr = ql * q, pl // q  # and at d = hi
+    # the side below lo is below first * xl / (yl - xl) if yl > xl, the
+    # side past hi below last * xr / (yr - xr) if yr > xr
+    xl, yl = a * (ql - 1), b * (q - 1)
+    xr, yr = (b * q, a * (qr - 1)) if hi < n else (0, 1)
+    # u_lo + ... + u_k, u_(k+1) + ... + u_hi, [u_(k+1) .. u_hi], u_lo, u_hi;
+    # u_lo is read only while lo > 0: a walk from class 0 keeps it 0
+    s, tail, ahead, first, last = 1, 0, [], min(lo, 1), 1
     while True:
-        tail = sum(ahead)
-        if rest * s < num * tail:
-            s += ahead.pop(0)
-            k += 1
+        if k < hi and yl > xl and rest * (s * (yl - xl) + first * xl) < num * tail * (yl - xl):
+            u = ahead.pop(0)  # k does not reach need
+            s, tail, k = s + u, tail - u, k + 1
             continue
-        if j == n:
+        below = k == lo > 0 and not (yl > xl and rest * first * xl < num * (s + tail) * (yl - xl))
+        if not below and yr > xr and (rest * s - num * tail) * (yr - xr) >= num * last * xr:
             return k
-        e = a * (q ** (j + 1) - 1) - b * q  # a (q^(j+1) - 1) (1 - R_j)
-        if e > 0 and rest * s * e >= num * (tail * e + last * b * q):
-            return k
-        f = a * (q ** (j + 1) - 1) * q ** (n - j - 1)
-        last *= b * (q ** (n - j) - 1)
-        s *= f
-        ahead = [u * f for u in ahead] + [last]
-        j += 1
-
-
-def _float_walk(n, need, theta, q):
-    """(a_n, the masses before it, its mass, their denominator) in integers
-    for a float theta: every float class mass is a multiple of 2^-1074, the
-    least positive double, so the cross products with need are exact."""
-    total = 2**1074
-    masses = (
-        int(Fraction(float(q) ** log_mass) * total)
-        for log_mass in _log_class_masses(QBinomialParams(n, theta, q))
-    )
-    acc = 0
-    for d, mass in enumerate(masses):
-        if (acc + mass) * need.denominator >= need.numerator * total or d == n:
-            return d, acc, mass, total
-        acc += mass
+        if below or lo and (
+                yl <= xl or yr > xr and first * xl * (yr - xr) > last * xr * (yl - xl)):
+            f, g = a * (ql - 1) * pl, b * (pl * q - 1)
+            first, s, last, ahead = first * f, s * g, last * g, [u * g for u in ahead]
+            if k == lo:  # k - 1 may reach need: look again from the new lo
+                s, k, ahead = first, k - 1, [s] + ahead
+            else:
+                s += first
+            lo, ql, pl = lo - 1, ql // q, pl * q
+            xl = a * (ql - 1)
+        else:
+            f, g = a * (qr - 1) * pr, b * (pr * q - 1)
+            first, s, last = first * f, s * f, last * g
+            ahead = [u * f for u in ahead] + [last]
+            hi, qr, pr = hi + 1, qr * q, pr // q
+            xr, yr = (b * q, a * (qr - 1)) if hi < n else (0, 1)
+        tail = sum(ahead)
 
 
 def _chain_denominator(n, a, b, q):
@@ -255,22 +256,19 @@ def _chain_denominator(n, a, b, q):
 def _stop_deficit(n, epsilon, theta, q):
     """(a_n, deficit, mass, den) in integers: the mass still missing when
     class a_n is entered is deficit / den, and its own mass is mass / den.
-    At theta = a/b class d has the numerator [n, d]_q q^(m(m-1)/2) a^m b^d,
-    m = n - d, formed only up to a_n."""
-    need = _stop_need(n, epsilon, theta)
-    if isinstance(theta, (int, Fraction)):
-        a, b = Fraction(theta).as_integer_ratio()
-        d = _ratio_stop(n, need, a, b, q)
-        total = _chain_denominator(n, a, b, q)
-        *before, mass = (
-            size * q ** ((n - c) * (n - c - 1) // 2) * a ** (n - c) * b**c
-            for c, size in enumerate(_class_sizes(n, d, q))
-        )
-        acc = sum(before)
-    else:
-        d, acc, mass, total = _float_walk(n, need, theta, q)
+    At theta = a/b, a float theta being the dyadic rational it equals, class
+    d has the numerator [n, d]_q q^(m(m-1)/2) a^m b^d, m = n - d, over
+    prod_(i<n) (b + a q^i), formed only up to a_n."""
+    need = _stop_need(n, epsilon)
+    a, b = Fraction(theta).as_integer_ratio()
+    d = _ratio_stop(n, need, a, b, q)
+    total = _chain_denominator(n, a, b, q)
+    *before, mass = (
+        size * q ** ((n - c) * (n - c - 1) // 2) * a ** (n - c) * b**c
+        for c, size in enumerate(_class_sizes(n, d, q))
+    )
     num, den = need.numerator, need.denominator
-    return d, num * total - acc * den, mass * den, den * total
+    return d, num * total - sum(before) * den, mass * den, den * total
 
 
 def _class_sizes(n, d, q):

@@ -11,7 +11,7 @@ one factor ln(1 + q^u) of the log products (-theta; q)_n,
 (-1/theta; 1/q)_n and the two-parameter normaliser, summed left to right
 on every Python version.
 `_log_class_masses`, one walk of the Gaussian column, yields every float
-class mass, for the pmf column and `aep`'s class-mass stop.
+class mass, for the log branch of the pmf column alone.
 `_completed_square` holds x0 = 1/2 - log_q theta and the exponent
 -(d - x0)^2/2 + x0^2/2 that the codimension form and `aep`'s mu share.  The
 exact rational pmf and subspace law are the oracles.  MLE of theta bisects
@@ -167,7 +167,7 @@ def log_pmf(k, params):
 def _log_class_masses(params):
     """Yield log_pmf(n - d, params), the log_q mass of the codimension-d
     class, for d = 0..n: one normaliser, and [n, d]_q = [n, n - d]_q is
-    entry d of one walk of the Gaussian column."""
+    entry d of one walk of the Gaussian column: the pmf column's log branch."""
     n, t, q = params.n, params.theta, params.q
     if t == 0:
         yield from itertools.repeat(-math.inf, n)

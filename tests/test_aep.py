@@ -145,6 +145,12 @@ def test_typical_set_epsilon_near_one():
                      lambda: aep.make_block_code(10, eps, 1, F2)):
             with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
                 call()
+    for theta in (-1, -0.5, Fraction(-1, 3)):
+        for call in (lambda: aep.typical_set(10, 0.1, theta, 2),
+                     lambda: aep.greedy_min_set_size(10, 0.1, theta, 2),
+                     lambda: aep.make_block_code(10, 0.1, theta, F2)):
+            with pytest.raises(ValueError, match="theta must be >= 0"):
+                call()
 
 
 def test_typical_set_discontinuity_flag(table21):
@@ -158,8 +164,8 @@ def test_typical_set_discontinuity_flag(table21):
 
 
 def test_typical_set_float_theta_path():
-    # irrational-ish theta falls back to float tail sums; the bound must
-    # agree with the exact path at a rational theta nearby
+    # the double 0.7 is a dyadic rational near 7/10; the stop at each is
+    # exact, and here the two agree
     ts_f = aep.typical_set(20, 0.1, 0.7, 2)
     ts_r = aep.typical_set(20, 0.1, Fraction(7, 10), 2)
     assert ts_f.delta_codim == ts_r.delta_codim
@@ -350,20 +356,21 @@ def test_float_and_fraction_theta_stop_alike():
 
 
 def _oracle_stop(n, eps, theta, q):
-    """(a_n, deficit, mass) of the class-mass stop from the Fraction class
-    masses of the rational pmf, or the exact values of the float masses."""
+    """(a_n, deficit, mass) of the class-mass stop from the exact class
+    masses at Fraction(theta): per class from the rational pmf, or, for a
+    float theta, from the product walk's numerators over their denominator
+    (with a double's 53-bit ratio the per-class pmf takes ~0.1 s a class at
+    n = 400)."""
+    need = 1 - Fraction(str(eps))
     if isinstance(theta, float):
-        need = Fraction(1.0 - eps)
+        a, b = Fraction(theta).as_integer_ratio()
+        masses, total = _product_walk_masses(n, a, b, q), _product_walk_total(n, a, b, q)
     else:
-        need = 1 - Fraction(eps).limit_denominator(10**12)
-    acc = Fraction(0)
-    for d in range(n + 1):
-        if isinstance(theta, float):
-            mass = Fraction(float(q) ** qdist.log_pmf(n - d, qdist.QBinomialParams(n, theta, q)))
-        else:
-            mass = qdist.pmf_fraction(n - d, n, theta, q)
-        if acc + mass >= need or d == n:
-            return d, need - acc, mass
+        masses, total = (qdist.pmf_fraction(n - d, n, theta, q) for d in range(n + 1)), 1
+    acc = 0
+    for d, mass in enumerate(masses):
+        if acc + mass >= need * total or d == n:
+            return d, need - Fraction(acc, total), Fraction(mass, total)
         acc += mass
 
 
@@ -403,6 +410,26 @@ def _product_walk_masses(n, a, b, q):
         yield size * q_pow * a ** (n - d) * b**d
 
 
+def _product_walk_total(n, a, b, q):
+    """prod_(i<n) (b + a q^i), the sum of the product walk's numerators."""
+    factors = [b + a * q**i for i in range(n)] or [1]
+    while len(factors) > 1:  # balanced: at n = 1100, q = 16 a running product is 5x slower
+        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0]
+
+
+def _product_walk_masses_from_top(n, a, b, q):
+    """The same numerators from class n down, m = n - d = 0..n: each is the
+    last times (q^(n-m+1) - 1) q^(m-1) a / ((q^m - 1) b), an exact quotient
+    (each formed from its own factors, n = 1100 at theta = 10^-300 took
+    ~6 s)."""
+    mass = b**n
+    yield mass
+    for m in range(1, n + 1):
+        mass = mass * (q ** (n - m + 1) - 1) * q ** (m - 1) * a // ((q**m - 1) * b)
+        yield mass
+
+
 class _Prefix:
     """The running sums of a lazy sequence, computed as far as they are read."""
 
@@ -422,22 +449,16 @@ def _product_walk_stops(n, epsilons, theta, q):
     numerator reaches need times the denominator, or n.  It is run together
     with the same masses summed from class n down, where class n - m is the
     stop at the first m whose top m + 1 classes outweigh (1 - need) times
-    the denominator; whichever decides first answers, so an a_n near n (need
-    rounded to 1, theta = 0) costs as few classes as one near 0.
+    the denominator; whichever decides first answers, so an a_n near n (a
+    tiny theta, or theta = 0) costs as few classes as one near 0.
     """
     a, b = Fraction(theta).as_integer_ratio()
-    factors = [b + a * q**i for i in range(n)] or [1]
-    while len(factors) > 1:  # balanced: at n = 1100, q = 16 a running product is 5x slower
-        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
-    total = factors[0]
+    total = _product_walk_total(n, a, b, q)
     below = _Prefix(_product_walk_masses(n, a, b, q))
-    above = _Prefix(
-        size * q ** (m * (m - 1) // 2) * a**m * b ** (n - m)
-        for m, size in enumerate(qcomb._gaussian_column(n, q))
-    )
+    above = _Prefix(_product_walk_masses_from_top(n, a, b, q))
     stops = []
     for eps in epsilons:
-        need = 1 - Fraction(eps).limit_denominator(10**12)
+        need = 1 - Fraction(str(eps))
         num, den = need.numerator, need.denominator
         for step in range(n + 1):
             if below[step] * den >= num * total or step == n:
@@ -450,7 +471,8 @@ def _product_walk_stops(n, epsilons, theta, q):
 
 
 STOP_THETAS = (0, 1, Fraction(1, 256), Fraction(7, 10), Fraction(3, 2), 1000, Fraction(1, 10**6))
-# 1e-13 and 1 - 1e-13 round need to exactly 1 and exactly 0
+# epsilon is read as its decimal: 1e-13 and 1 - 1e-13 ask for need
+# 1 - 10^-13 and 10^-13 exactly
 STOP_EPSILONS = (1e-13, 0.05, 0.1, 0.5, 0.9, 1 - 1e-13)
 
 
@@ -466,6 +488,7 @@ def test_rational_class_masses_match_the_per_class_formula():
                     for d, size in enumerate(qcomb._gaussian_column(n, q))
                 ]
                 assert list(_product_walk_masses(n, a, b, q)) == want, (n, theta, q)
+                assert list(_product_walk_masses_from_top(n, a, b, q)) == want[::-1]
                 assert sum(want) == aep._chain_denominator(n, a, b, q), (n, theta, q)
 
 
@@ -480,9 +503,11 @@ def test_ratio_stop_matches_the_product_walk(ns):
 
 
 def test_ratio_stop_decides_exact_ties():
-    # need equal to a partial sum: the tail bound never decides, and the walk
-    # looks ahead to class n, where the tail is exact
-    ties = 0
+    # need equal to a partial sum: the tail bounds never decide, and the
+    # window grows to classes 0 and n, where every mass is exact.  epsilon
+    # is the Fraction 1 - need, and also the float whose decimal it is, where
+    # there is one
+    ties = floats = 0
     for n in range(9):
         for q in (2, 3):
             for theta in (1, Fraction(1, 2), Fraction(3, 2)):
@@ -491,13 +516,54 @@ def test_ratio_stop_decides_exact_ties():
                 sums = itertools.accumulate(_product_walk_masses(n, a, b, q))
                 for k, partial in enumerate(sums):
                     need = Fraction(partial, total)
-                    eps = float(1 - need)
-                    if not 0 < eps < 1 or 1 - Fraction(eps).limit_denominator(10**12) != need:
+                    if not 0 < need < 1:
                         continue
-                    ties += 1
-                    assert aep._class_mass_stop(n, eps, theta, q) == k, (n, q, theta, k)
-                    assert _product_walk_stops(n, [eps], theta, q) == [k], (n, q, theta, k)
-    assert ties == 128
+                    for eps in (1 - need, float(1 - need)):
+                        if 1 - Fraction(str(eps)) != need:
+                            continue
+                        ties += 1
+                        floats += isinstance(eps, float)
+                        assert aep._class_mass_stop(n, eps, theta, q) == k, (n, q, theta, k)
+                        assert _product_walk_stops(n, [eps], theta, q) == [k], (n, q, theta, k)
+                    for start in range(n + 1):
+                        assert aep._ratio_stop(n, need, a, b, q, start) == k, (n, q, theta, k)
+    assert (ties, floats) == (229, 13)
+
+
+START_THETAS = STOP_THETAS + (0.7, 1.5, 1e-30, 10.0)
+START_EPSILONS = STOP_EPSILONS + (4e-13, 1e-20)
+
+
+def test_ratio_stop_does_not_depend_on_its_start():
+    # the window may start at any class; the mode only makes it cheap
+    for n in range(14):
+        for q in (2, 3, 4, 16):
+            for theta in START_THETAS:
+                a, b = Fraction(theta).as_integer_ratio()
+                want = _product_walk_stops(n, START_EPSILONS, theta, q)
+                for eps, k in zip(START_EPSILONS, want):
+                    need = 1 - Fraction(str(eps))
+                    got = {aep._ratio_stop(n, need, a, b, q, start) for start in range(n + 1)}
+                    assert got == {k}, (n, q, theta, eps)
+                    assert aep._class_mass_stop(n, eps, theta, q) == k, (n, q, theta, eps)
+
+
+def test_ratio_stop_far_from_class_0():
+    # the mode x0 = 1/2 - log_q theta lies near class 997 and 333: the walk
+    # starts there, and the product walk decides from class n down
+    for n, theta, a_n in ((1100, Fraction(1, 10**300), 999), (600, Fraction(1, 10**100), 334)):
+        assert aep._class_mass_stop(n, 0.1, theta, 2) == a_n
+        assert _product_walk_stops(n, [0.1], theta, 2) == [a_n]
+
+
+def test_small_epsilon_is_read_as_its_decimal():
+    # epsilon = 1e-13 asks for need 1 - 10^-13 exactly, which the exact
+    # masses reach by class 2; at theta = 0 class n holds all the mass, so
+    # even need = 10^-13 stops there
+    assert aep._class_mass_stop(25, 1e-13, 1e6, 2) == 2
+    for n in (0, 1, 5, 40):
+        assert aep._class_mass_stop(n, 1 - 1e-13, 0, 2) == n
+        assert aep._class_mass_stop(n, 1 - 1e-13, 0.0, 3) == n
 
 
 def test_only_greedy_forms_the_chain_denominator(monkeypatch):
@@ -513,8 +579,9 @@ def test_only_greedy_forms_the_chain_denominator(monkeypatch):
 
 
 def test_float_stop_matches_the_per_class_oracle():
-    # the float class masses of one Gaussian-column walk are the per-class
-    # log_pmf values, theta = 0 included; the typical set is left out only
+    # a float theta is the dyadic rational it equals: the stop, the deficit
+    # and the greedy size are those of the exact class masses at
+    # Fraction(theta), theta = 0 included; the typical set is left out only
     # where its mu table is undefined (theta = 0)
     for q in (2, 3, 4):
         for theta in (0.0, 1e-30, 1e-10, 1.5, 10.0):
@@ -539,7 +606,8 @@ def test_greedy_float_path_agrees_with_rational():
         s_r, b_r = aep.greedy_min_set_size(n, 0.1, Fraction(7, 10), 2)
         s_f, b_f = aep.greedy_min_set_size(n, 0.1, 0.7, 2)
         assert b_r == b_f
-        # the partial top-up may differ by float rounding of the deficit only
+        # the double 0.7 is not 7/10: the exact partial top-up at each may
+        # differ by the spaces that the mass between the two thetas covers
         assert abs(s_r - s_f) <= max(2, 1e-9 * s_r)
 
 

@@ -172,6 +172,13 @@ def test_typical_and_aep_check():
     assert rep["pass"] and rep["a_n"] == 2
 
 
+def test_typical_reads_a_small_epsilon_as_its_decimal(capsys):
+    # --epsilon 4e-13 asks for need 1 - 4/10^13 exactly, met by class 9
+    argv = ["typical", "--n", "200", "--epsilon", "4e-13", "--theta", "1", "--q", "2"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["delta_codim"] == 9
+
+
 def test_aep_check_n_zero_is_domain_error():
     r = run("aep-check", "--n", "0", "--epsilon", "0.1", "--delta", "0.5",
             "--theta", "1", "--q", "2")
@@ -385,6 +392,10 @@ BAD_INPUTS = [
     (["code-encode", "--n", "4", "--epsilon", "0.2", "--theta", "1", "--q", "2",
       "--subspace", "1#00;0010"], "bad_subspace"),
     (["simulate", "--n", "2", "--theta", "1", "--q", "37"], "domain"),
+] + [
+    (["typical", "--n", "8", "--epsilon", eps, "--theta", "1", "--q", "2"], code)
+    for eps, code in (("1/0", "usage"), ("abc", "usage"), ("nan", "domain"),
+                      ("inf", "domain"), ("0", "domain"), ("1", "domain"))
 ]
 
 
