@@ -141,8 +141,12 @@ def delta(p, table):
 
 
 def is_continuity_point(p, table):
-    """True iff p is more than CONTINUITY_TOL from every partial sum of mu."""
-    return all(abs(p - c) > CONTINUITY_TOL for c in table.cumulative())
+    """True iff p is more than CONTINUITY_TOL (1 - p) from every partial sum
+    of mu, plus the table's own rounding |sum mu + tail - 1|: a tolerance
+    relative to the mass 1 - p left over, so a small epsilon keeps it."""
+    cumulative = table.cumulative()
+    tol = CONTINUITY_TOL * (1.0 - p) + abs(cumulative[-1] + table.tail_bound - 1.0)
+    return all(abs(p - c) > tol for c in cumulative)
 
 
 @dataclass(frozen=True)
@@ -263,12 +267,17 @@ def _stop_deficit(n, epsilon, theta, q):
     a, b = Fraction(theta).as_integer_ratio()
     d = _ratio_stop(n, need, a, b, q)
     total = _chain_denominator(n, a, b, q)
-    *before, mass = (
-        size * q ** ((n - c) * (n - c - 1) // 2) * a ** (n - c) * b**c
-        for c, size in enumerate(_class_sizes(n, d, q))
-    )
+    *before, last = _class_sizes(n, d, q)
+    # numerator c is power b^c prod_(c<=j<d) a q^(n-j-1), power its
+    # q^(m(m-1)/2) a^m at c = d: Horner's rule sums classes 0..d-1 with
+    # running powers b^c and q^(n-c-1)
+    head, bc, qc = 0, 1, q ** (n - 1)
+    for size in before:
+        head = (head + size * bc) * a * qc
+        bc, qc = bc * b, qc // q
+    power = q ** ((n - d) * (n - d - 1) // 2) * a ** (n - d)
     num, den = need.numerator, need.denominator
-    return d, num * total - sum(before) * den, mass * den, den * total
+    return d, num * total - power * head * den, last * power * bc * den, den * total
 
 
 def _class_sizes(n, d, q):
@@ -287,7 +296,8 @@ def typical_set(n, epsilon, theta, q):
     a_n = _class_mass_stop(n, epsilon, theta, q)
     size = sum(_class_sizes(n, a_n, q))
     table = build_mu_table(theta, q)
-    p_eps = 1.0 - epsilon
+    # a 1 - epsilon that rounds to 1.0 is read as the double just below it
+    p_eps = min(1.0 - epsilon, math.nextafter(1.0, 0.0))
     limit_delta = delta(p_eps, table)
     discontinuity = not is_continuity_point(p_eps, table)
     bracket = (limit_delta, limit_delta + 1) if discontinuity else (limit_delta, limit_delta)

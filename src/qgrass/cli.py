@@ -125,12 +125,12 @@ def _cmd_simulate(args):
         raise CliError("domain", f"samples must be >= 1, got {args.samples}")
     if args.histogram:
         # dim V_n is the number of growth decisions; no dilation is drawn
+        params = qdist.QBinomialParams(args.n, theta, args.q)
+        chain = qdist.bernoulli_chain(params)
         counts = Counter(
-            sum(rng is not None for rng in grassproc.growth_steps(
-                args.n, theta, field.q, f"{args.seed}:{i}"))
+            sum(rng is not None for rng in grassproc.growth_steps(chain, f"{args.seed}:{i}"))
             for i in range(args.samples)
         )
-        params = qdist.QBinomialParams(args.n, theta, args.q)
         exact = qdist._pmf_column(params)
         empirical = [counts.get(k, 0) / args.samples for k in range(args.n + 1)]
         tv = 0.5 * sum(abs(a - b) for a, b in zip(empirical, exact))

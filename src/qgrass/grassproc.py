@@ -5,17 +5,19 @@ probability theta q^(n-1) / (1 + theta q^(n-1)), in which case V_n is a
 uniform dilation of V_{n-1}; otherwise V_n is V_{n-1} embedded (append a
 zero coordinate).
 
-`growth_steps` makes the growth decisions of one chain and `simulate` is
-the one transition.  Simulation is deterministic given a root seed: step m
-draws from its own substream, labelled "<seed>/step/<m>", so trajectories
-can be replicated or parallelized without sharing RNG state.  A chain
-reseeds one generator per step, which gives the same stream as a fresh
-random.Random(label).  A dilation's coordinates are the values that
-rng.randrange(q) returns on the running interpreter, in order; over F_2 a
-step reads its m coordinates in one pass (`_f2_coordinates`), which gives
-those values without calling randrange.  dim V_n is the number of growth
-decisions, so a caller that needs only the dimension runs `growth_steps`
-alone and draws no dilation.
+`growth_steps` draws the growth decisions against the factors of one
+chain, `qdist.bernoulli_chain`, and `simulate`, which builds that chain
+once per trajectory, is the one transition.  Simulation is deterministic
+given a root seed: step m draws from its own substream, labelled
+"<seed>/step/<m>", so trajectories can be replicated or parallelized
+without sharing RNG state.  A chain reseeds one generator per step, which
+gives the same stream as a fresh random.Random(label).  A dilation's
+coordinates are the values that rng.randrange(q) returns on the running
+interpreter, in order; over F_2 a step reads its m coordinates in one pass
+(`_f2_coordinates`), which gives those values without calling randrange.
+dim V_n is the number of growth decisions, so a caller that needs only the
+dimension runs `growth_steps` alone, over one chain for all its samples,
+and draws no dilation.
 
 `simulate` keeps its state V_m as the annihilator V_m^perp
 (gf._Annihilator), one vector per free column of V_m's RREF: a step
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gf import Subspace, _Annihilator, dilations, format_subspace, zero_subspace
-from .qdist import growth_prob
+from .qdist import QBinomialParams, bernoulli_chain
 
 
 @dataclass(frozen=True)
@@ -89,37 +91,39 @@ def _f2_coordinates(rng, m):
     return int(bits[:m] or b"0", 2)
 
 
-def growth_steps(n, theta, q, seed):
-    """The growth decisions of one chain to time n.
+def growth_steps(chain, seed):
+    """The growth decisions of one chain, its factors p_1..p_n.
 
     Yields, for each step m + 1 <= n, that step's substream, just after its
-    growth draw, if V grows there, else None.  The chain reseeds one
-    generator, so draw from a yielded substream before the next step.
+    growth draw, if V grows there (the draw is below p_(m+1)), else None.
+    The chain reseeds one generator, so draw from a yielded substream
+    before the next step.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     # Random.__new__ skips the OS seeding of random.Random(); every step
     # reseeds the generator before it draws.
     rng = random.Random.__new__(random.Random)
     prefix = f"{seed}/step/"
-    for m in range(n):
+    for m, p in enumerate(chain):
         substream(rng, prefix + str(m + 1))
-        yield rng if rng.random() < growth_prob(theta, q, m) else None
+        yield rng if rng.random() < p else None
 
 
 def simulate(n, theta, field, seed, keep_history=False):
     """Run the process to time n; deterministic given the seed.
 
-    The state is V_m^perp (gf._Annihilator): a step without growth appends
-    a zero coordinate, and a growth step adds the dilation (x, c) by one
-    inner product per free column of V_m, so its cost grows with
-    codim V_m.  Dilations stay uniform because span(w, x) does not depend
-    on the basis chosen for w.  Step m + 1 draws the m coordinates of x by
-    rng.randrange(q) and its last, c, by rng.randrange(1, q); over F_2 the
-    m are read in one pass and packed into one int, and c, always 1, is
-    not drawn, since the next step reseeds the generator.  The history
-    reads V_m's RREF from the state after each growth step and embeds the
-    previous snapshot after a step without growth.
+    The growth decisions are `growth_steps` over one chain, built once by
+    `qdist.bernoulli_chain` from QBinomialParams, which refuses a negative
+    n and a negative or NaN theta.  The state is V_m^perp
+    (gf._Annihilator): a step without growth appends a zero coordinate, and
+    a growth step adds the dilation (x, c) by one inner product per free
+    column of V_m, so its cost grows with codim V_m.  Dilations stay
+    uniform because span(w, x) does not depend on the basis chosen for w.
+    Step m + 1 draws the m coordinates of x by rng.randrange(q) and its
+    last, c, by rng.randrange(1, q); over F_2 the m are read in one pass
+    and packed into one int, and c, always 1, is not drawn, since the next
+    step reseeds the generator.  The history reads V_m's RREF from the
+    state after each growth step and embeds the previous snapshot after a
+    step without growth.
 
     Where codim > dim, roughly theta < q^(-n/2), this state is the dearer
     one.  Over F_2 at n = 64 and theta = 1e-12 (codim ~40) a trajectory
@@ -128,10 +132,11 @@ def simulate(n, theta, field, seed, keep_history=False):
     (medians of 7 alternating runs on a 2-vCPU VM, Python 3.11.7).
     """
     q = field.q
+    chain = bernoulli_chain(QBinomialParams(n, theta, q))
     state = _Annihilator(field, n)
     grown = 0
     history = [ProcessState(0, zero_subspace(0, field))] if keep_history else None
-    for m, rng in enumerate(growth_steps(n, theta, q, seed)):
+    for m, rng in enumerate(growth_steps(chain, seed)):
         if rng is None:
             state.embed()
         else:

@@ -2,14 +2,13 @@
 Grassmannian process: dim V_n has the pmf, and V_n is uniform on each
 Gr(k, n), so the codimension-d class has mass pmf(n - d).
 
-`growth_prob` is the one float chain factor theta q^i / (1 + theta q^i) and
-`growth_complement` its complement 1 / (1 + theta q^i), kept to relative
-accuracy; the variance, c_n and c_inf sum them.  `bernoulli_chain`, which
-the mean reads, yields growth_prob's terms bit for bit from one running
-power of q, and `_chain_term` is their one quotient.  `_ln1p_q_pow` is the
-one factor ln(1 + q^u) of the log products (-theta; q)_n,
-(-1/theta; 1/q)_n and the two-parameter normaliser, summed left to right
-on every Python version.
+`growth_terms` is the one float chain: from one running power of q it
+yields the growth factor theta q^i / (1 + theta q^i) and its complement
+1 / (1 + theta q^i), kept to relative accuracy.  `bernoulli_chain`, which
+the mean sums and the process draws against, takes its factors; the
+variance, c_n and c_inf sum its pairs.  `_ln1p_q_pow` is the one factor
+ln(1 + q^u) of the log products (-theta; q)_n, (-1/theta; 1/q)_n and the
+two-parameter normaliser, summed left to right on every Python version.
 `_log_class_masses`, one walk of the Gaussian column, yields every float
 class mass, for the log branch of the pmf column alone.
 `_completed_square` holds x0 = 1/2 - log_q theta and the exponent
@@ -17,8 +16,8 @@ class mass, for the log branch of the pmf column alone.
 exact rational pmf and subspace law are the oracles.  MLE of theta bisects
 on the mean scale, on log theta below the reach of 200 linear halvings;
 one call builds the doubles q^0..q^(n-1) once, and every step sums the
-chain over them, bit for bit the mean.  The chain's one sampler is
-`grassproc.simulate`.
+quotient x / (1 + x) of theta times each, bit for bit the mean.  The
+chain's one sampler is `grassproc.growth_steps`.
 """
 
 import functools
@@ -51,65 +50,40 @@ class QBinomialParams:
             raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
 
 
-def growth_prob(theta, q, i):
-    """Growth probability theta q^i / (1 + theta q^i) of step i + 1; 1.0
-    once theta q^i overflows to inf, where the quotient would be NaN.
+def growth_terms(theta, q):
+    """Yield (p_i, 1 - p_i) = (theta q^i / (1 + theta q^i), 1 / (1 + theta q^i))
+    for i = 0, 1, ...: the one float chain of the process, its moments and
+    its histogram.
 
-    Past the double range of q^i (i > 1023 at q = 2) it is the logistic
-    1 / (1 + exp(-ln(theta q^i))), or 0.0 at theta = 0.
+    One running exact int q^i: a float theta rounds it once, as
+    theta * q**i does, and an int or Fraction theta keeps the exact product.
+    The complement is divided out, not subtracted from 1, so it keeps its
+    relative accuracy when theta q^i >> 1.  Once theta q^i overflows to inf
+    or has no float (q^i past the double range, i > 1023 at q = 2) the pair
+    is the logistic of ln(theta q^i), and (0.0, 1.0) at theta = 0.
     """
+    qi = 1
     try:
-        t = theta * q**i
-        return 1.0 if t == math.inf else t / (1.0 + t)
-    except OverflowError:  # the int q^i (or theta q^i, for an int theta) has no float
+        for i in itertools.count():
+            t = theta * qi
+            if t == math.inf:
+                break
+            u = 1.0 + t
+            yield t / u, 1.0 / u
+            qi *= q
+    except OverflowError:  # theta q^i has no float
         if not theta:
-            return 0.0
-        return 1.0 / (1.0 + math.exp(-(math.log(theta) + i * math.log(q))))
-
-
-def growth_complement(theta, q, i):
-    """1 - growth_prob(theta, q, i) = 1 / (1 + theta q^i), computed directly
-    so that it keeps its relative accuracy when theta q^i >> 1.
-
-    Once theta q^i has no float (or overflows to inf) it is
-    e / (1 + e) with e = exp(-ln(theta q^i)), or 1.0 at theta = 0.
-    """
-    try:
-        t = theta * q**i
-        if t != math.inf:
-            return 1.0 / (1.0 + t)
-    except OverflowError:  # as in growth_prob
-        if not theta:
-            return 1.0
-    e = math.exp(-(math.log(theta) + i * math.log(q)))
-    return e / (1.0 + e)
+            yield from itertools.repeat((0.0, 1.0))
+    log_theta, log_q = math.log(theta), math.log(q)
+    for i in itertools.count(i):
+        e = math.exp(-(log_theta + i * log_q))
+        yield 1.0 / (1.0 + e), e / (1.0 + e)
 
 
 def bernoulli_chain(params):
-    """Success probabilities p_i = theta q^(i-1) / (1 + theta q^(i-1)), i = 1..n.
-
-    Term i is `growth_prob(theta, q, i)` bit for bit, from one running exact
-    int q^i: a float theta rounds it once, as theta * q**i does, and an int
-    or Fraction theta keeps the exact product.  Once a term has no float
-    (q^i past the double range) the rest are `growth_prob`'s.
-    """
-    t, q, n = params.theta, params.q, params.n
-    chain, qi = [], 1
-    try:
-        for _ in range(n):
-            chain.append(_chain_term(t * qi))
-            qi *= q
-    except OverflowError:
-        chain.extend(growth_prob(t, q, i) for i in range(len(chain), n))
-    return tuple(chain)
-
-
-def _chain_term(x):
-    """x / (1 + x) for x = theta q^i, and 1.0 once x overflows to inf, where
-    the quotient would be NaN: the factor of `bernoulli_chain` and of the
-    MLE's mean.  `growth_prob` keeps its own copy inline, since the process
-    draws one per growth step."""
-    return 1.0 if x == math.inf else x / (1.0 + x)
+    """Success probabilities p_i = theta q^(i-1) / (1 + theta q^(i-1)), i = 1..n:
+    the first n terms of `growth_terms`."""
+    return tuple(p for p, _ in itertools.islice(growth_terms(params.theta, params.q), params.n))
 
 
 def _sum_left(terms):
@@ -294,15 +268,14 @@ def mean(params):
 
 def variance(params):
     """Variance of the dimension: sum_j p_j (1 - p_j) over the chain."""
-    t, q = params.theta, params.q
-    return sum(
-        growth_prob(t, q, j) * growth_complement(t, q, j) for j in range(params.n)
-    )
+    return sum(p * c for p, c in itertools.islice(growth_terms(params.theta, params.q), params.n))
 
 
 def c_n(theta, n, q):
     """Partial sum sum_{j<n} (1 - p_j) = sum_{j<n} 1/(1 + theta q^j) = n - mean."""
-    return sum(growth_complement(theta, q, j) for j in range(n))
+    if not theta >= 0:
+        raise ValueError(f"theta must be >= 0, got {theta!r}")
+    return sum(c for _, c in itertools.islice(growth_terms(theta, q), n))
 
 
 def c_inf(theta, q):
@@ -310,10 +283,9 @@ def c_inf(theta, q):
     if not theta > 0:
         raise ValueError("theta must be positive for a finite limit")
     total = 0.0
-    for j in itertools.count():
-        term = growth_complement(theta, q, j)
-        total += term
-        if term < C_INF_TOL:
+    for _, c in growth_terms(theta, q):
+        total += c
+        if c < C_INF_TOL:
             return total
 
 
@@ -370,14 +342,17 @@ def _mean_of(n, q):
     """theta -> m_qn(theta, n, q) for a float theta > 0, bit for bit.
 
     The doubles q^i are built once: theta * q**i rounds the int q^i to its
-    double before it multiplies, so theta * p is the same product.  Once
-    q^(n-1) has no double the chain is `growth_prob`'s, through m_qn.
+    double before it multiplies, so theta * p is the same product, and its
+    quotient is `growth_terms`' p_i.  Once q^(n-1) has no double the chain
+    is `growth_terms`', through m_qn.
     """
     try:
         powers = [float(q**i) for i in range(n)]
     except OverflowError:
         return lambda theta: m_qn(theta, n, q)
-    return lambda theta: sum(_chain_term(theta * p) for p in powers)
+    return lambda theta: sum(
+        1.0 if (x := theta * p) == math.inf else x / (1.0 + x) for p in powers
+    )
 
 
 def _bisect_mean(lo, hi, ybar, mean_at, tol, theta_at):

@@ -163,6 +163,20 @@ def test_typical_set_discontinuity_flag(table21):
     assert ts.limit_delta == 1
 
 
+def test_limit_delta_at_small_epsilon():
+    # several partial sums of mu lie within 1e-12 of 1, but none within the
+    # tolerance CONTINUITY_TOL (1 - p) plus the table's rounding of 1 - p
+    for eps in (1e-11, 1e-12, 4e-13, 1e-13):
+        ts = aep.typical_set(200, eps, 1, 2)
+        assert not ts.discontinuity, eps
+        assert ts.bracket == (ts.limit_delta, ts.limit_delta)
+    # a 1 - epsilon that rounds to 1.0 is read as the double just below it
+    table = aep.build_mu_table(1, 2)
+    ts = aep.typical_set(200, 1e-17, 1, 2)
+    assert ts.limit_delta == aep.delta(math.nextafter(1.0, 0.0), table)
+    assert aep.check_aep(200, 1e-17, 0.5, 1, 2)["limit_delta"] == ts.limit_delta
+
+
 def test_typical_set_float_theta_path():
     # the double 0.7 is a dyadic rational near 7/10; the stop at each is
     # exact, and here the two agree

@@ -110,7 +110,8 @@ def test_growth_steps_replays_substreams(q):
     for n in (0, 1, 6, 24, 64):
         for theta in (0, 1 / 256, 1, 1e6):
             for seed in (0, 7, "s:3"):
-                steps = list(grassproc.growth_steps(n, theta, q, seed))
+                chain = qdist.bernoulli_chain(qdist.QBinomialParams(n, theta, q))
+                steps = list(grassproc.growth_steps(chain, seed))
                 replay = _replayed_growth(n, theta, q, seed)
                 assert len(steps) == n
                 grown = sum(rng is not None for rng in steps)

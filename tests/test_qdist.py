@@ -5,7 +5,40 @@ from fractions import Fraction
 
 import pytest
 
-from qgrass import qcomb, qdist
+from qgrass import gf, grassproc, qcomb, qdist
+
+
+def _growth_prob(theta, q, i):
+    """Oracle: the chain factor theta q^i / (1 + theta q^i) of step i + 1,
+    with q^i powered afresh; 1.0 once theta q^i overflows to inf, and past
+    the double range the logistic of ln(theta q^i), or 0.0 at theta = 0."""
+    try:
+        t = theta * q**i
+        return 1.0 if t == math.inf else t / (1.0 + t)
+    except OverflowError:
+        if not theta:
+            return 0.0
+        return 1.0 / (1.0 + math.exp(-(math.log(theta) + i * math.log(q))))
+
+
+def _growth_complement(theta, q, i):
+    """Oracle: 1 / (1 + theta q^i), computed directly; once theta q^i has
+    no float (or overflows to inf) e / (1 + e) with e = exp(-ln(theta q^i)),
+    or 1.0 at theta = 0."""
+    try:
+        t = theta * q**i
+        if t != math.inf:
+            return 1.0 / (1.0 + t)
+    except OverflowError:
+        if not theta:
+            return 1.0
+    e = math.exp(-(math.log(theta) + i * math.log(q)))
+    return e / (1.0 + e)
+
+
+def _term(theta, q, i):
+    """Term i of qdist.growth_terms: the pair (p_i, 1 - p_i)."""
+    return next(itertools.islice(qdist.growth_terms(theta, q), i, None))
 
 
 def test_params_validation():
@@ -116,7 +149,7 @@ def test_mean_variance():
 
 def test_growth_prob_past_the_double_range():
     # theta q^i is inf for i >= 1: the chain grows surely, not with NaN
-    assert qdist.growth_prob(1e308, 2, 1) == 1.0
+    assert _term(1e308, 2, 1)[0] == 1.0
     p = qdist.QBinomialParams(5, 1e308, 2)
     assert qdist.bernoulli_chain(p) == (1.0,) * 5
     assert qdist.mean(p) == 5
@@ -129,23 +162,24 @@ def test_growth_prob_past_the_double_range():
     assert abs(Fraction(qdist.variance(p)) - exact_var) <= 1e-12 * exact_var
     # past i = 1023 the int 2^i has no float; the factor is the logistic
     # of ln(theta 2^i), and 0 at theta = 0
-    assert qdist.growth_prob(0.0, 2, 1024) == 0.0
-    assert qdist.growth_prob(1.0, 2, 1100) == qdist.growth_prob(1, 2, 1100) == 1.0
+    assert _term(0.0, 2, 1024)[0] == 0.0
+    assert _term(1.0, 2, 1100)[0] == _term(1, 2, 1100)[0] == 1.0
     for theta in (5e-324, 1e-300):
         want = 1 / (1 + math.exp(-(math.log(theta) + 1500 * math.log(2))))
-        assert qdist.growth_prob(theta, 2, 1500) == want
-    assert abs(qdist.growth_prob(5e-324, 2, 1024) - 5e-324 * 2.0**1023 * 2) < 1e-28
+        assert _term(theta, 2, 1500)[0] == want
+    assert abs(_term(5e-324, 2, 1024)[0] - 5e-324 * 2.0**1023 * 2) < 1e-28
     # wherever theta q^i has a float the factor is the quotient
     for q, i in ((2, 0), (2, 1023), (3, 40), (16, 255)):
         for theta in (0.0, 1e-300, 0.3, 1.0, 7.0):
             t = theta * q**i
-            assert qdist.growth_prob(theta, q, i) == (1.0 if t == math.inf else t / (1 + t))
+            assert _term(theta, q, i)[0] == (1.0 if t == math.inf else t / (1 + t))
     big = qdist.QBinomialParams(2000, 1e-290, 2)
     assert 0 < qdist.mean(big) < 2000 and qdist.variance(big) > 0
 
 
 def test_bernoulli_chain_is_growth_prob_term_by_term():
-    # one running q^i gives every factor bit for bit, past the double range too
+    # one running q^i gives every pair (p, 1 - p) bit for bit, past the
+    # double range too, and the chain is its first n factors
     rng = random.Random(20261019)
     specials = (0.0, 5e-324, 1e308, 0, 1, Fraction(1, 3), Fraction(7, 2))
     for _ in range(1500):
@@ -160,8 +194,13 @@ def test_bernoulli_chain_is_growth_prob_term_by_term():
             theta = rng.choice(specials)
         q = rng.choice((2, 3, 4, 5, 7, 9, 16, 27, 251))
         n = rng.randint(0, 1200) if rng.random() < 0.2 else rng.randint(0, 80)
+        pairs = tuple(itertools.islice(qdist.growth_terms(theta, q), n))
+        want = tuple(
+            (_growth_prob(theta, q, i), _growth_complement(theta, q, i)) for i in range(n)
+        )
+        assert pairs == want, (theta, q, n)
         chain = qdist.bernoulli_chain(qdist.QBinomialParams(n, theta, q))
-        assert chain == tuple(qdist.growth_prob(theta, q, i) for i in range(n)), (theta, q, n)
+        assert chain == tuple(p for p, _ in want), (theta, q, n)
 
 
 def test_chain_complement_keeps_relative_accuracy():
@@ -178,11 +217,45 @@ def test_chain_complement_keeps_relative_accuracy():
     # past the double range of q^i the complement is the logistic's
     for theta, i in ((1e-10, 1050), (1e-300, 1100), (5e-324, 1030), (0.0, 1100)):
         want = 1 / (1 + Fraction(theta) * 2**i)
-        got = qdist.growth_complement(theta, 2, i)
+        got = _term(theta, 2, i)[1]
         assert abs(Fraction(got) - want) <= 1e-12 * want, (theta, i)
-    # the mean sums growth_prob alone
+    # the mean sums the factors p alone
     p = qdist.QBinomialParams(40, 1e6, 3)
-    assert qdist.mean(p) == sum(qdist.growth_prob(1e6, 3, j) for j in range(40))
+    assert qdist.mean(p) == sum(_growth_prob(1e6, 3, j) for j in range(40))
+
+
+def test_simulate_past_the_double_range_follows_the_oracle():
+    # at theta = 2^-1030 the steps past i = 1023, where 2^i has no float,
+    # decide the dimension: each step draws against the logistic term
+    n, theta, seed = 1100, 2.0**-1030, 5
+    grown = [
+        random.Random(f"{seed}/step/{m + 1}").random() < _growth_prob(theta, 2, m)
+        for m in range(n)
+    ]
+    assert 0 < sum(grown[1024:]) < n - 1024
+    chain = qdist.bernoulli_chain(qdist.QBinomialParams(n, theta, 2))
+    steps = grassproc.growth_steps(chain, seed)
+    assert [rng is not None for rng in steps] == grown
+    # simulate's basis is the rref of the dilations the oracle's steps draw
+    rows = []
+    for m in range(n):
+        if grown[m]:
+            rng = random.Random(f"{seed}/step/{m + 1}")
+            rng.random()
+            rows.append([rng.randrange(2) for _ in range(m)] + [1] + [0] * (n - m - 1))
+    final = grassproc.simulate(n, theta, gf.FieldSpec(2), seed).final.current
+    assert final.dim == sum(grown)
+    assert final == gf.rref(rows, n, gf.FieldSpec(2))
+
+
+def test_bad_theta_is_refused():
+    # a negative or NaN theta is a ValueError, not a ZeroDivisionError
+    for theta in (-1.0, -1, Fraction(-1, 3), math.nan):
+        with pytest.raises(ValueError, match="theta must be >= 0"):
+            qdist.c_n(theta, 3, 2)
+        with pytest.raises(ValueError, match="theta must be >= 0"):
+            grassproc.simulate(5, theta, gf.FieldSpec(2), 0)
+    assert qdist.c_n(0, 3, 2) == 3.0
 
 
 def test_mle_below_the_bisection_reach():
