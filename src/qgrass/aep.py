@@ -22,6 +22,7 @@ Delta bisects their partial sums, and mu and `check_aep` share
 """
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,7 +48,8 @@ def _mu_values(theta, q):
     x0 = 1/2 - log_q theta,  N = (1/q; 1/q)_inf (-1/theta; 1/q)_inf.
 
     theta is checked, and N computed, once per walk, and the exponents are
-    read off `qdist._completed_square`.  Once x0 passes ~45 at q = 2 (theta
+    read off `qdist._completed_square`; the tail (q^-(d+1); 1/q)_inf is
+    `_mu_tail`'s, once per (d, q).  Once x0 passes ~45 at q = 2 (theta
     below ~3e-14), N and the power overflow a double while their quotient
     does not; there, and only there, a term is taken in log_q, with log_q N
     summed over ceil(x0) + 80 factors of (-1/theta; 1/q) (the factors left
@@ -65,7 +67,7 @@ def _mu_values(theta, q):
     for d, (off, expo) in enumerate(_completed_square(theta, q)):
         if d == 0:
             x0 = -off  # the walk's x0
-        tail = pochhammer_inf(q ** -(d + 1.0), qinv)
+        tail = _mu_tail(d, q)
         try:
             value = q**expo * tail / norm if norm < math.inf else None
         except OverflowError:
@@ -75,6 +77,13 @@ def _mu_values(theta, q):
                 log_norm = math.log(euler, q) + log_q_neg_inv_pochhammer(theta, math.ceil(x0) + 80, q)
             value = q ** (expo + math.log(tail, q) - log_norm)
         yield off, value
+
+
+@functools.cache
+def _mu_tail(d, q):
+    """(q^-(d+1); 1/q)_inf, the theta-free factor of mu(d): computed once
+    per (d, q) in a process, the same call every time."""
+    return pochhammer_inf(q ** -(d + 1.0), 1.0 / q)
 
 
 def mu(d, theta, q):
@@ -258,16 +267,17 @@ def _chain_denominator(n, a, b, q):
 
 
 def _stop_deficit(n, epsilon, theta, q):
-    """(a_n, deficit, mass, den) in integers: the mass still missing when
-    class a_n is entered is deficit / den, and its own mass is mass / den.
-    At theta = a/b, a float theta being the dyadic rational it equals, class
-    d has the numerator [n, d]_q q^(m(m-1)/2) a^m b^d, m = n - d, over
-    prod_(i<n) (b + a q^i), formed only up to a_n."""
+    """(a_n, deficit, unit, den) in integers: the mass still missing when
+    class a_n is entered is deficit / den, and each space of class a_n has
+    mass unit / den.  At theta = a/b, a float theta being the dyadic
+    rational it equals, class d has the numerator
+    [n, d]_q q^(m(m-1)/2) a^m b^d, m = n - d, over prod_(i<n) (b + a q^i),
+    formed only up to a_n."""
     need = _stop_need(n, epsilon)
     a, b = Fraction(theta).as_integer_ratio()
     d = _ratio_stop(n, need, a, b, q)
     total = _chain_denominator(n, a, b, q)
-    *before, last = _class_sizes(n, d, q)
+    before = _class_sizes(n, d - 1, q)
     # numerator c is power b^c prod_(c<=j<d) a q^(n-j-1), power its
     # q^(m(m-1)/2) a^m at c = d: Horner's rule sums classes 0..d-1 with
     # running powers b^c and q^(n-c-1)
@@ -277,7 +287,7 @@ def _stop_deficit(n, epsilon, theta, q):
         bc, qc = bc * b, qc // q
     power = q ** ((n - d) * (n - d - 1) // 2) * a ** (n - d)
     num, den = need.numerator, need.denominator
-    return d, num * total - power * head * den, last * power * bc * den, den * total
+    return d, num * total - power * head * den, power * bc * den, den * total
 
 
 def _class_sizes(n, d, q):
@@ -342,14 +352,12 @@ def greedy_min_set_size(n, epsilon, theta, q):
     codimension b_n is the typical set's a_n: both are the same class-mass
     stop, whose partial class is never empty, which is asserted.
     """
-    d, deficit, mass, _ = _stop_deficit(n, epsilon, theta, q)
-    *whole, last = _class_sizes(n, d, q)
-    # ceil(deficit / (mass / last)): the spaces of class d, each of mass
-    # mass / last, that cover the deficit; deficit and mass share one
-    # denominator, which cancels
-    partial = -(-deficit * last // mass)
+    d, deficit, unit, _ = _stop_deficit(n, epsilon, theta, q)
+    # ceil(deficit / unit): the spaces of class d that cover the deficit;
+    # deficit and unit share one denominator, which cancels
+    partial = -(-deficit // unit)
     assert partial > 0, f"empty partial class at the class-mass stop {d}"
-    return sum(whole) + partial, d
+    return sum(_class_sizes(n, d - 1, q)) + partial, d
 
 
 # -- block coding ----------------------------------------------------------

@@ -17,6 +17,11 @@ exact rational pmf and subspace law are the oracles.  MLE of theta bisects
 on the mean scale, on log theta below the reach of 200 linear halvings;
 one call builds the doubles q^0..q^(n-1) once, and every step sums the
 quotient x / (1 + x) of theta times each, bit for bit the mean.  The
+bisection is certified: Newton steps on log theta over the same table
+find the root, two float means on either side of it, each farther than
+tol + 2E from the sample mean (E = 4 n^2 2^-53 bounds the float mean's
+error), decide every midpoint outside them, and only the midpoints between
+are evaluated, so the estimate is the plain bisection's bit for bit.  The
 chain's one sampler is `grassproc.growth_steps`.
 """
 
@@ -300,13 +305,49 @@ def mle_theta(samples, n, q, tol=MLE_DEFAULT_TOL):
     """Maximum-likelihood theta from dimension samples in {0..n}.
 
     Solves m_qn(theta) = sample mean by bracketing bisection, converging
-    on the mean scale (theta itself is ill-conditioned near mean = n).
-    Returns math.inf when every sample equals n.  When the root lies below
+    on the mean scale (theta itself is ill-conditioned near mean = n), to
+    the residual tol, finite and >= 0 (at 0 only an exact hit ends the 200
+    halvings early).  Returns
+    math.inf when every sample equals n.  When the root lies below
     hi 2^-200, the least midpoint that bisecting [0, hi] can reach, it
     bisects log theta down to the smallest positive double instead, and
     refuses a root below that.  Every step reads one table of the doubles
     q^0..q^(n-1), built once per call (`_mean_of`).
+
+    The answer is a function of the bisection's decisions alone, so a
+    midpoint whose decision is certified is not evaluated.  Newton steps on
+    log theta find the root; the float means at theta_lo below it and
+    theta_hi above it then certify every midpoint outside them, since the
+    exact mean increases with theta and the float mean lies within
+    E = 4 n^2 2^-53 of it.  With u = 2^-53:
+
+    - q^i rounds to its double with relative error <= u, and theta times it
+      rounds once more, so x = theta q^i (1 + e) with |e| <= 2u + u^2;
+    - t / (1 + t) has relative condition 1 / (1 + t) <= 1, so its exact
+      value at x is within 2u + u^2 of the term's;
+    - 1 + x and the quotient round once each, so each float term lies
+      within (1 + u)^3 / (1 - u) - 1 < 4.1u of the term, relatively, and
+      the n terms, each below 1, err by less than 4.1u n together;
+    - a partial sum of k float terms, each at most 1, is at most k, so the
+      addition that forms it errs by at most u k; the first, 0 + p_0, is
+      exact, and the running sum errs by at most u (n (n + 1) / 2 - 1).
+      From Python 3.12 `sum` is compensated (Neumaier), with an error of
+      about 2u n at most, which the bound below covers as well.
+
+    That is at most u (4.1 n + n (n + 1) / 2 - 1) <= 4 n^2 u for n >= 2;
+    at n = 1, q^0 = 1 is exact and nothing is added, so 3.1u.  Then a float
+    mean(theta_lo) < ybar - tol - 2E (decided exactly, by `math.fsum`) puts
+    the float mean at every theta <= theta_lo below ybar - tol: the
+    decision there is lo = mid, with no early return; symmetrically above
+    theta_hi.  A side that fails the certificate after two widenings
+    certifies nothing, and past the double range of q^(n-1), where the
+    means are m_qn's, no side is certified: there every midpoint is
+    evaluated, as before.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     samples = list(samples)
     if not samples:
         raise ValueError("at least one sample is required")
@@ -320,48 +361,133 @@ def mle_theta(samples, n, q, tol=MLE_DEFAULT_TOL):
     if ybar == n:
         return math.inf
 
-    mean_at = _mean_of(n, q)
-    lo, hi = 0.0, 1.0
+    mean_at, slope_at = _mean_of(n, q)
+    hi = 1.0
     while mean_at(hi) <= ybar:
         hi *= 2.0
         if hi > 1e300:
             return math.inf
     reach = hi * 2.0**-200
-    if mean_at(reach) <= ybar:
-        return _bisect_mean(lo, hi, ybar, mean_at, tol, float)  # float(x) is x
-    least = math.ulp(0.0)
-    if mean_at(least) > ybar:
-        raise ValueError(
-            f"theta_hat lies below the double range: m_qn({least}) exceeds "
-            f"the sample mean {ybar}"
-        )
-    return _bisect_mean(math.log(least), math.log(reach), ybar, mean_at, tol, math.exp)
+    if mean_at(reach) <= ybar:  # the root lies in [reach, hi]
+        span, theta_at, lo = (0.0, hi), float, reach  # float(x) is x
+    else:  # in [least, reach]
+        lo = math.ulp(0.0)
+        if mean_at(lo) > ybar:
+            raise ValueError(
+                f"theta_hat lies below the double range: m_qn({lo}) exceeds "
+                f"the sample mean {ybar}"
+            )
+        span, theta_at, hi = (math.log(lo), math.log(reach)), math.exp, reach
+    bracket = (-math.inf, math.inf)
+    if slope_at is not None:
+        bracket = _certified_bracket(mean_at, slope_at, lo, hi, ybar, tol, n, q)
+    return _bisect_mean(*span, ybar, mean_at, tol, theta_at, bracket)
 
 
 def _mean_of(n, q):
-    """theta -> m_qn(theta, n, q) for a float theta > 0, bit for bit.
+    """(mean_at, slope_at) for a float theta > 0: mean_at(theta) is
+    m_qn(theta, n, q) bit for bit, and slope_at(theta) is the same mean
+    with d m_qn / d log theta = sum p_i (1 - p_i), from one pass.
 
     The doubles q^i are built once: theta * q**i rounds the int q^i to its
     double before it multiplies, so theta * p is the same product, and its
     quotient is `growth_terms`' p_i.  Once q^(n-1) has no double the chain
-    is `growth_terms`', through m_qn.
+    is `growth_terms`', through m_qn, and slope_at is None.
     """
     try:
         powers = [float(q**i) for i in range(n)]
     except OverflowError:
-        return lambda theta: m_qn(theta, n, q)
+        return (lambda theta: m_qn(theta, n, q)), None
+
+    def slope_at(theta):
+        m = dm = 0.0
+        for p in powers:
+            u = 1.0 if (x := theta * p) == math.inf else x / (1.0 + x)
+            m += u
+            dm += u * (1.0 - u)
+        return m, dm
+
     return lambda theta: sum(
         1.0 if (x := theta * p) == math.inf else x / (1.0 + x) for p in powers
-    )
+    ), slope_at
 
 
-def _bisect_mean(lo, hi, ybar, mean_at, tol, theta_at):
-    """Bisect x in [lo, hi] for mean_at(theta_at(x)) = ybar, 200 halvings."""
+def _certified_bracket(mean_at, slope_at, lo, hi, ybar, tol, n, q):
+    """(theta_lo, theta_hi) about the root of mean = ybar in [lo, hi]: the
+    float mean is below ybar - tol at every theta <= theta_lo and above
+    ybar + tol at every theta >= theta_hi (see `mle_theta`).  A side that
+    is not certified is -inf or inf.
+
+    At most eight Newton steps on log theta solve g(mean) = g(ybar), g the
+    chain's integral m ~ log_q((1 + b q^n) / (1 + b)), theta = b q^(1/2),
+    solved for log theta: g(mean(theta)) is close to log theta itself, and
+    g(ybar) is the first guess.  A step that leaves [lo, hi], where the
+    mean crosses ybar, bisects log theta instead.  Each side then tries the
+    distances w, 8w and 64w in log theta from the root,
+    w = 2 (tol + 2E) / slope, at most 1.
+    """
+    ln_q = math.log(q)
+    e2 = 8.0 * n * n * 2.0**-53  # 2E, exact
+
+    def log_theta_of(m):  # the chain's integral, solved for log theta
+        return (m - n + 0.5) * ln_q + math.log(
+            math.expm1(-m * ln_q) / math.expm1((m - n) * ln_q))
+
+    goal = log_theta_of(ybar)
+    theta = math.exp(max(min(goal, math.log(hi)), math.log(lo)))
+    width = 1.0
+    for _ in range(8):
+        if not lo <= theta <= hi:
+            theta = math.sqrt(lo) * math.sqrt(hi)
+        m, dm = slope_at(theta)
+        if m <= ybar:
+            lo = theta
+        else:
+            hi = theta
+        if not (0.0 < m < n and dm > 0.0):
+            theta = math.sqrt(lo) * math.sqrt(hi)
+            continue
+        width = min(2.0 * (tol + e2) / dm, 1.0)
+        step = (goal - log_theta_of(m)) / (dm * ln_q * (
+            1.0 + 1.0 / math.expm1(m * ln_q) + 1.0 / math.expm1((n - m) * ln_q)))
+        theta *= math.exp(max(min(step, 700.0), -700.0))
+        if abs(step) < 0.25 * width:
+            break
+    return tuple(_certified_side(mean_at, theta, side * width, ybar, tol, e2)
+                 for side in (-1.0, 1.0))
+
+
+def _certified_side(mean_at, theta, width, ybar, tol, e2):
+    """The first t of theta e^width, e^(8 width), e^(64 width) whose float
+    mean m has s (m - ybar) > tol + e2, s the sign of width, decided in
+    exact arithmetic; else s inf."""
+    s = math.copysign(1.0, width)
+    for scale in (1.0, 8.0, 64.0):
+        t = theta * math.exp(scale * width)
+        if math.fsum((s * mean_at(t), -s * ybar, -tol, -e2)) > 0.0:
+            return t
+    return s * math.inf
+
+
+def _bisect_mean(lo, hi, ybar, mean_at, tol, theta_at, bracket):
+    """Bisect x in [lo, hi] for mean_at(theta_at(x)) = ybar, 200 halvings.
+
+    A midpoint whose theta is <= bracket[0] or >= bracket[1] is decided
+    without evaluating the mean: `_certified_bracket` certified it.
+    """
+    theta_lo, theta_hi = bracket
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        m = mean_at(theta_at(mid))
+        theta = theta_at(mid)
+        if theta <= theta_lo:
+            lo = mid
+            continue
+        if theta >= theta_hi:
+            hi = mid
+            continue
+        m = mean_at(theta)
         if abs(m - ybar) < tol:
-            return theta_at(mid)
+            return theta
         if m < ybar:
             lo = mid
         else:

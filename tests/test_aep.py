@@ -390,11 +390,13 @@ def _oracle_stop(n, eps, theta, q):
 
 def _check_stop_against_oracle(n, eps, theta, q, typical=True):
     d, deficit, mass = _oracle_stop(n, eps, theta, q)
-    a_n, deficit_num, mass_num, den = aep._stop_deficit(n, eps, theta, q)
+    a_n, deficit_num, unit_num, den = aep._stop_deficit(n, eps, theta, q)
     case = (n, eps, theta, q)
-    assert (a_n, Fraction(deficit_num, den), Fraction(mass_num, den)) == (d, deficit, mass), case
-    assert aep._class_mass_stop(n, eps, theta, q) == d, case
     sizes = [qcomb.q_binomial(n, n - c, q) for c in range(d + 1)]
+    # the class mass is one space's mass times the class size
+    assert (a_n, Fraction(deficit_num, den), Fraction(unit_num * sizes[d], den)) == (
+        d, deficit, mass), case
+    assert aep._class_mass_stop(n, eps, theta, q) == d, case
     if typical:
         assert aep.typical_set(n, eps, theta, q).exact_size == sum(sizes), case
     if n:

@@ -249,6 +249,33 @@ def test_mle_past_the_double_range(tmp_path, capsys):
     assert 0 < payload["theta_hat"] < 1 and payload["m_residual"] < 1e-12
 
 
+@pytest.mark.parametrize("flags, detail", [
+    (["--tol", "inf"], "tol must be finite and >= 0, got inf"),
+    (["--tol", "nan"], "tol must be finite and >= 0, got nan"),
+    (["--tol", "-1"], "tol must be finite and >= 0, got -1.0"),
+    (["--n", "-3"], "n must be a nonnegative integer, got -3"),
+])
+def test_mle_refuses_a_bad_tol_or_n(flags, detail, tmp_path, capsys):
+    # an infinite tol returned the first midpoint, a NaN or negative one ran
+    # every halving, and a negative n blamed the first sample
+    path = tmp_path / "samples.txt"
+    path.write_text("3\n4\n5\n4\n")
+    argv = ["mle", "--n", "8", "--q", "2", "--samples-file", str(path), *flags]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {"error": "domain", "detail": detail}
+
+
+def test_mle_tol_zero_runs_to_the_end(tmp_path, capsys):
+    # tol 0 asks for no early return; the estimate is still the root
+    path = tmp_path / "samples.txt"
+    path.write_text("3\n4\n5\n4\n")
+    assert cli.main(["mle", "--n", "8", "--q", "2", "--samples-file", str(path),
+                     "--tol", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["m_residual"] < 1e-14 and payload["samples"] == 4
+
+
 def test_histogram_past_the_double_range(capsys):
     argv = ["simulate", "--n", "1100", "--theta", "1", "--q", "2", "--histogram",
             "--samples", "3"]

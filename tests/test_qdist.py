@@ -420,43 +420,50 @@ def test_mle_mean_table_is_m_qn_bit_for_bit():
     thetas += [5e-324, 1e-310, 2.5e-320, 1e300, 1.7e308, 0.3, 1.0]
     cases = [(n, q) for n in (1, 64, 600) for q in (2, 3, 16, 251)] + [(1100, 2)]
     for n, q in cases:
-        mean_at = qdist._mean_of(n, q)
+        mean_at, slope_at = qdist._mean_of(n, q)
+        assert (slope_at is None) == ((n - 1) * math.log2(q) >= 1024), (n, q)
         for theta in thetas:
             assert mean_at(theta) == qdist.m_qn(theta, n, q), (theta, n, q)
 
 
-def _mle_by_m_qn(samples, n, q, tol=qdist.MLE_DEFAULT_TOL):
-    """The MLE as it was before the power table: every step calls m_qn."""
+def _old_bisect_mean(lo, hi, ybar, mean_at, tol, theta_at):
+    """The MLE's bisection as it was before certified brackets: every
+    midpoint is evaluated, up to the early return or the 200th halving."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        m = mean_at(theta_at(mid))
+        if abs(m - ybar) < tol:
+            return theta_at(mid)
+        if m < ybar:
+            lo = mid
+        else:
+            hi = mid
+    return theta_at(0.5 * (lo + hi))
+
+
+def _mle_by_m_qn(samples, n, q, tol=qdist.MLE_DEFAULT_TOL, mean_at=None):
+    """The MLE as it was before the power table: every step calls m_qn, or
+    mean_at if given, and bisects with `_old_bisect_mean`."""
+    if mean_at is None:
+        def mean_at(theta):
+            return qdist.m_qn(theta, n, q)
     ybar = sum(samples) / len(samples)
     if ybar == 0:
         return 0.0
     if ybar == n:
         return math.inf
-
-    def bisect(lo, hi, theta_at):
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            m = qdist.m_qn(theta_at(mid), n, q)
-            if abs(m - ybar) < tol:
-                return theta_at(mid)
-            if m < ybar:
-                lo = mid
-            else:
-                hi = mid
-        return theta_at(0.5 * (lo + hi))
-
     hi = 1.0
-    while qdist.m_qn(hi, n, q) <= ybar:
+    while mean_at(hi) <= ybar:
         hi *= 2.0
         if hi > 1e300:
             return math.inf
     reach = hi * 2.0**-200
-    if qdist.m_qn(reach, n, q) <= ybar:
-        return bisect(0.0, hi, float)
+    if mean_at(reach) <= ybar:
+        return _old_bisect_mean(0.0, hi, ybar, mean_at, tol, float)
     least = math.ulp(0.0)
-    if qdist.m_qn(least, n, q) > ybar:
+    if mean_at(least) > ybar:
         return "below"
-    return bisect(math.log(least), math.log(reach), math.exp)
+    return _old_bisect_mean(math.log(least), math.log(reach), ybar, mean_at, tol, math.exp)
 
 
 def test_mle_matches_the_m_qn_bisection():
@@ -472,3 +479,104 @@ def test_mle_matches_the_m_qn_bisection():
                         qdist.mle_theta(samples, n, q)
                 else:
                     assert qdist.mle_theta(samples, n, q) == want, (n, q, samples)
+
+
+def _exact_mean_scaled(theta, n, q, bits):
+    """floor(2^bits sum_i theta q^i / (1 + theta q^i)), term by term, in
+    integers: within n 2^-bits below the exact mean, times 2^bits."""
+    a, b = Fraction(theta).as_integer_ratio()
+    return sum((a * q**i << bits) // (b + a * q**i) for i in range(n))
+
+
+def test_float_mean_is_within_the_error_bound():
+    # E = 4 n^2 2^-53 bounds the float mean's error (the derivation is in
+    # `mle_theta`'s docstring), for the mean and for the Newton pass alike
+    bits = 200
+    for q in (2, 3, 16):
+        for n in (8, 64, 200):
+            rng = random.Random(f"bound/{n}/{q}")
+            mean_at, slope_at = qdist._mean_of(n, q)
+            bound = Fraction(4 * n * n, 2**53)
+            low = -(n - 1) * math.log(q) - 20.0
+            for _ in range(40):
+                theta = math.exp(rng.uniform(low, 20.0))
+                exact = Fraction(_exact_mean_scaled(theta, n, q, bits), 2**bits)
+                slack = Fraction(n, 2**bits)
+                for got in (mean_at(theta), slope_at(theta)[0]):
+                    assert abs(Fraction(got) - exact) <= bound + slack, (theta, n, q)
+                # the slope d mean / d log theta is sum p (1 - p), the variance
+                want = qdist.variance(qdist.QBinomialParams(n, theta, q))
+                assert slope_at(theta)[1] == pytest.approx(want, rel=1e-6), (theta, n, q)
+
+
+def _mle_grid():
+    """(samples, n, q, tol): chain draws over q in {2, 3, 16}, n from 1 to
+    200, theta from 1e-300 to 1e4 and 1 to 1,000 samples, three tolerances;
+    roots below the linear reach (the log-theta branch); and n = 1100 at
+    q = 2, where q^(n-1) has no double and the means are m_qn's."""
+    rng = random.Random("mle-grid")
+    for q in (2, 3, 16):
+        for n in (1, 2, 8, 16, 64, 200):
+            for theta in (1e-300, 1e-30, 1e-6, 0.3, 1.0, 30.0, 1e4):
+                chain = qdist.bernoulli_chain(qdist.QBinomialParams(n, theta, q))
+                for size in (1, 3, 50, 1000):
+                    samples = [sum(rng.random() < p for p in chain) for _ in range(size)]
+                    for tol in (1e-12, 0.0, 1e-6):
+                        yield samples, n, q, tol
+    for n, q in ((200, 2), (300, 2), (64, 16), (600, 3)):
+        for samples in ([1], [1, 0, 0], [0] * 999 + [1], [2, 1]):
+            for tol in (1e-12, 0.0):
+                yield samples, n, q, tol
+    for samples in ([1], [3, 4], [1095, 1099, 1098], [550]):
+        yield samples, 1100, 2, 1e-12
+
+
+def test_mle_matches_the_old_bisection(monkeypatch):
+    # bit for bit the old bisection's theta_hat, never at more than a few
+    # mean evaluations (Newton passes included) above the old count
+    calls = [0]
+    mean_of = qdist._mean_of
+
+    def counted_mean_of(n, q):
+        mean_at, slope_at = mean_of(n, q)
+
+        def counted(f):
+            def g(theta):
+                calls[0] += 1
+                return f(theta)
+            return g
+
+        return counted(mean_at), slope_at and counted(slope_at)
+
+    monkeypatch.setattr(qdist, "_mean_of", counted_mean_of)
+    log_branch = tol_zero = 0
+    for samples, n, q, tol in _mle_grid():
+        calls[0] = 0
+        want = _mle_by_m_qn(samples, n, q, tol, counted_mean_of(n, q)[0])
+        old_calls, calls[0] = calls[0], 0
+        case = (samples[:5], len(samples), n, q, tol)
+        if want == "below":
+            with pytest.raises(ValueError, match="below the double range"):
+                qdist.mle_theta(samples, n, q, tol)
+            continue
+        assert qdist.mle_theta(samples, n, q, tol) == want, case
+        assert calls[0] <= old_calls + 8, (case, calls[0], old_calls)
+        log_branch += 0 < want < 2.0**-200
+        tol_zero += tol == 0 and 0 < want < math.inf
+    assert log_branch >= 10 and tol_zero >= 100
+
+
+def test_certificate_keeps_tol_and_twice_the_error_bound():
+    # a side is certified only where the float mean lies more than
+    # tol + 2E beyond the sample mean; a theta whose mean is nearer
+    # certifies nothing, at any of the three distances
+    n, q, tol = 8, 2, 1e-6
+    mean_at, _ = qdist._mean_of(n, q)
+    e2 = 8.0 * n * n * 2.0**-53
+    for side in (-1.0, 1.0):
+        width = side * 1e-9
+        m = mean_at(math.exp(width))
+        near = m - side * tol / 2
+        assert qdist._certified_side(mean_at, 1.0, width, near, tol, e2) == side * math.inf
+        far = m - side * (tol + 2 * e2)
+        assert qdist._certified_side(mean_at, 1.0, width, far, tol, e2) == math.exp(width)
