@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .entropy import binary_quadratic_entropy, log_q_int
 from .gf import (
-    TEXT_BASE_MAX, free_positions, from_text, full_space, subspace_from_pattern, to_text
+    _DIGIT_BYTES, _DIGIT_VALUES, TEXT_BASE_MAX, Subspace, from_text, full_space, to_text
 )
 from .qcomb import _gaussian_column, pochhammer_inf, q_binomial
 from .qdist import _codim_log_probs, _completed_square
@@ -414,10 +414,13 @@ def _rank_in_class(v):
         for c in range(lo, p):
             rank += _pivot_block(c, k - 1 - i, n, q, base)
         base, lo = base + n - 1 - p, p + 1
-    local = 0
-    for (i, j) in free_positions(v.pivot_cols, n):
-        local = local * q + v.basis[i][j]
-    return rank + local
+    # row i's entries in the non-pivot columns are p_i - i zeros, then its
+    # free entries; all free entries, row-major, are the base-q digits of
+    # the rank within the pivot set
+    pivots = set(v.pivot_cols)
+    rows = zip(*[col for j, col in enumerate(zip(*v.basis)) if j not in pivots])
+    text = b"".join([bytes(row)[p - i:] for i, (p, row) in enumerate(zip(v.pivot_cols, rows))])
+    return rank + from_text(text.translate(_DIGIT_BYTES).decode(), q)
 
 
 def _unrank_in_class(rank, k, n, field):
@@ -434,14 +437,23 @@ def _unrank_in_class(rank, k, n, field):
             raise ValueError("rank out of range for this Grassmannian")
         pivots.append(c)
         base, lo = base + n - 1 - c, c + 1
-    free = free_positions(pivots, n)
-    if rank >= q ** len(free):
+    # _rank_in_class's reading backwards: the base-q digits of rank are the
+    # free entries, row-major, and the pivot columns are unit vectors
+    d = n - k
+    length = sum(d - p + i for i, p in enumerate(pivots))
+    if rank >= q**length:
         raise ValueError("rank out of range for this Grassmannian")
-    values = [0] * len(free)
-    for idx in range(len(free) - 1, -1, -1):
-        values[idx] = rank % q
-        rank //= q
-    return subspace_from_pattern(pivots, values, n, field)
+    if not k:
+        return Subspace(field, n, (), ())
+    values = to_text(rank, length, q).encode().translate(_DIGIT_VALUES)
+    rows, end = [], 0
+    for i, p in enumerate(pivots):
+        start, end = end, end + d - p + i
+        rows.append(bytes(p - i) + values[start:end])
+    units = {p: bytes(i) + b"\1" + bytes(k - 1 - i) for i, p in enumerate(pivots)}
+    free = zip(*rows)
+    columns = [units[j] if j in units else next(free) for j in range(n)]
+    return Subspace(field, n, tuple(zip(*columns)), tuple(pivots))
 
 
 def encode(v, code):

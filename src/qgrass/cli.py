@@ -74,6 +74,21 @@ def _json(payload):
     return json.dumps(payload) + "\n"
 
 
+_DECIMAL_CHUNK = 10**gf._INT_CHUNK
+
+
+def _decimal(x):
+    """The decimal string of an exact integer x >= 0 of any size, written
+    gf._INT_CHUNK digits at a time: str() refuses an int past
+    sys.get_int_max_str_digits() digits, 4300 by default."""
+    chunks = []
+    while x >= _DECIMAL_CHUNK:
+        x, r = divmod(x, _DECIMAL_CHUNK)
+        chunks.append(str(r).zfill(gf._INT_CHUNK))
+    chunks.append(str(x))
+    return "".join(reversed(chunks))
+
+
 def _csv(header, rows):
     lines = [",".join(header)]
     for row in rows:
@@ -115,7 +130,7 @@ def _cmd_qcoeff(args):
         if sum(ks) != n:
             raise CliError("domain", f"parts {ks} do not sum to n={n}")
         parts = tuple(ks)
-    return str(qcomb.q_multinomial(parts, args.q)) + "\n"
+    return _decimal(qcomb.q_multinomial(parts, args.q)) + "\n"
 
 
 def _cmd_simulate(args):
@@ -197,7 +212,7 @@ def _cmd_typical(args):
             "theta": ts.theta,
             "q": ts.q,
             "delta_codim": ts.delta_codim,
-            "exact_size": str(ts.exact_size),
+            "exact_size": _decimal(ts.exact_size),
             "limit_delta": ts.limit_delta,
             "discontinuity": ts.discontinuity,
             "bracket": list(ts.bracket),
@@ -255,14 +270,18 @@ def _cmd_mle(args):
             raw = fh.read()
     else:
         raw = sys.stdin.read()
-    try:
-        samples = list(map(int, raw.split()))
-    except ValueError as exc:
-        raise CliError("bad_samples", str(exc))
-    if not samples:
+    # the samples as a histogram, one int() per distinct token; a Counter
+    # keeps first occurrences in order, so the first bad token is reported
+    counts = Counter()
+    for token, count in Counter(raw.split()).items():
+        try:
+            counts[int(token)] += count
+        except ValueError as exc:
+            raise CliError("bad_samples", str(exc))
+    if not counts:
         raise CliError("bad_samples", "no samples provided")
-    theta_hat = qdist.mle_theta(samples, args.n, args.q, args.tol)
-    ybar = sum(samples) / len(samples)
+    theta_hat = qdist.mle_theta(counts, args.n, args.q, args.tol)
+    size, ybar = qdist._sample_mean(counts)
     if theta_hat == math.inf:
         residual = abs(args.n - ybar)
         theta_out = "infinite"
@@ -274,7 +293,7 @@ def _cmd_mle(args):
             "schema": SCHEMA,
             "theta_hat": theta_out,
             "m_residual": residual,
-            "samples": len(samples),
+            "samples": size,
         }
     )
 
@@ -351,9 +370,11 @@ SHARED_FLAGS = {
 
 
 @functools.cache
-def build_parser():
-    """The one parser of the process: it keeps no state between parse_args
-    calls, each of which fills a fresh namespace."""
+def _parsers():
+    """The one parser of the process and its subcommand parsers by name,
+    the `choices` map of its subparsers action.  Built on the first parse;
+    no parser keeps state between calls, each of which fills a fresh
+    namespace."""
     top = _Parser(
         prog="qgrass",
         description="q-deformed information theory over finite vector spaces",
@@ -420,12 +441,35 @@ def build_parser():
     p = command("growth", _cmd_growth, "total Grassmannian growth rates", "q", csv="n,value")
     p.add_argument("--n-list", required=True)
 
-    return top
+    return top, sub.choices
+
+
+def build_parser():
+    return _parsers()[0]
+
+
+def _parse_args(argv):
+    """build_parser().parse_args(argv) in one argparse pass where it can be.
+
+    The full parser hands everything after the subcommand name to that
+    subcommand's parser and reports what it leaves over, so where argv[0]
+    names a subcommand its parser reads argv[1:] directly.  Anything else,
+    an empty argv, an unknown command, a leading option or a leftover
+    argument, goes to the full parser, which words every usage error
+    (the qgrass: prefix of an unrecognized argument among them).
+    """
+    top, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return top.parse_args(argv)
 
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
         if hasattr(args, "theta"):

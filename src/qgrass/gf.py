@@ -32,14 +32,19 @@ theta < q^(-n/2), it is the dearer state (see grassproc.simulate).
 
 Every text form goes through one digit codec, to_text/from_text: an
 integer written as a fixed number of base-b digits over 0-9a-z, most
-significant first.  An element is its e base-p digits; a subspace row
-(c_1..c_n) is the integer sum c_i q^(n-i) written with n*e base-p digits,
-which is each coordinate's e digits in turn.  Over a prime field a
+significant first.  to_text writes bases 2, 8 and 16 with format() and the
+other bases digit by digit; from_text checks every digit with one
+str.lstrip of the base's digits, which names the first bad one, and then
+converts with int(text, base), 640 digits at a time, below any limit
+sys.set_int_max_str_digits allows.  An element is its e base-p digits; a
+subspace row (c_1..c_n) is the integer sum c_i q^(n-i) written with n*e
+base-p digits, which is each coordinate's e digits in turn.  Over a prime field a
 coordinate is one digit, so format_subspace writes the rows' entries as
 bytes and translates them to digits in one pass; over an extension field it
 joins the texts of the coordinates from a per-field table of the q element
-texts.  A codeword (module aep) is its index written in base q.  Bases
-above 36 have no text form.
+texts.  A codeword (module aep) is its index written in base q, and a
+member of a class is ranked by its free entries read as one base-q digit
+string.  Bases above 36 have no text form.
 """
 
 import bisect
@@ -72,6 +77,14 @@ TEXT_BASE_MAX = len(_DIGITS)  # largest base the digit alphabet can write
 # bytes.translate table: a value d < 36 becomes its digit, and every byte
 # above, the row separator ';' among them, becomes ';'
 _DIGIT_BYTES = _DIGITS.encode().ljust(256, b";")
+# and back: a digit becomes its value
+_DIGIT_VALUES = bytes.maketrans(_DIGITS.encode(), bytes(range(TEXT_BASE_MAX)))
+# the bases that format() writes in C
+_FORMAT_SPECS = {2: "b", 8: "o", 16: "x"}
+# int(text, base) and str(x) refuse more digits than
+# sys.get_int_max_str_digits() (4300 by default, never set below 640) where
+# the base is not a power of 2, so long texts go 640 digits at a time
+_INT_CHUNK = 640
 
 
 def _factor_prime_power(q):
@@ -690,6 +703,9 @@ def to_text(x, length, base):
     digits over 0-9a-z, most significant first."""
     if base > TEXT_BASE_MAX:
         raise ValueError(f"text format supports base <= {TEXT_BASE_MAX}")
+    spec = _FORMAT_SPECS.get(base)
+    if spec and length:
+        return format(x, f"0{length}{spec}")
     digits = []
     for _ in range(length):
         x, d = divmod(x, base)
@@ -701,12 +717,13 @@ def from_text(text, base):
     """The integer written by to_text; only lowercase digits are accepted."""
     if base > TEXT_BASE_MAX:
         raise ValueError(f"text format supports base <= {TEXT_BASE_MAX}")
+    bad = text.lstrip(_DIGITS[:base])
+    if bad:
+        raise ValueError(f"digit {bad[0]!r} out of range for base {base}")
     x = 0
-    for ch in text:
-        d = _DIGITS.find(ch)
-        if not 0 <= d < base:
-            raise ValueError(f"digit {ch!r} out of range for base {base}")
-        x = x * base + d
+    for i in range(0, len(text), _INT_CHUNK):
+        chunk = text[i:i + _INT_CHUNK]
+        x = x * base ** len(chunk) + int(chunk, base)
     return x
 
 

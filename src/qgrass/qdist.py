@@ -29,6 +29,8 @@ import functools
 import itertools
 import math
 import operator
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -302,7 +304,9 @@ def m_qn(theta, n, q):
 
 
 def mle_theta(samples, n, q, tol=MLE_DEFAULT_TOL):
-    """Maximum-likelihood theta from dimension samples in {0..n}.
+    """Maximum-likelihood theta from dimension samples in {0..n}, given as
+    an iterable or as a histogram {sample: count} (the MLE reads only their
+    number, sum and range).
 
     Solves m_qn(theta) = sample mean by bracketing bisection, converging
     on the mean scale (theta itself is ill-conditioned near mean = n), to
@@ -348,14 +352,14 @@ def mle_theta(samples, n, q, tol=MLE_DEFAULT_TOL):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    samples = list(samples)
-    if not samples:
+    counts = samples if isinstance(samples, Mapping) else Counter(samples)
+    if not counts:
         raise ValueError("at least one sample is required")
-    if not (0 <= min(samples) and max(samples) <= n):
-        for s in samples:  # the first offender words the refusal
+    if not (0 <= min(counts) and max(counts) <= n):
+        for s in counts:  # in first-occurrence order: the first offender
             if s < 0 or s > n:
                 raise ValueError(f"sample {s!r} outside [0, {n}]")
-    ybar = sum(samples) / len(samples)
+    ybar = _sample_mean(counts)[1]
     if ybar == 0:
         return 0.0
     if ybar == n:
@@ -382,6 +386,13 @@ def mle_theta(samples, n, q, tol=MLE_DEFAULT_TOL):
     if slope_at is not None:
         bracket = _certified_bracket(mean_at, slope_at, lo, hi, ybar, tol, n, q)
     return _bisect_mean(*span, ybar, mean_at, tol, theta_at, bracket)
+
+
+def _sample_mean(counts):
+    """(number of samples, their mean) for a histogram {sample: count} of
+    integer samples: exact integer sums, one rounding."""
+    size = sum(counts.values())
+    return size, sum(s * c for s, c in counts.items()) / size
 
 
 def _mean_of(n, q):
@@ -470,7 +481,8 @@ def _certified_side(mean_at, theta, width, ybar, tol, e2):
 
 
 def _bisect_mean(lo, hi, ybar, mean_at, tol, theta_at, bracket):
-    """Bisect x in [lo, hi] for mean_at(theta_at(x)) = ybar, 200 halvings.
+    """Bisect x in [lo, hi] for mean_at(theta_at(x)) = ybar, 200 halvings,
+    or fewer once a halving leaves [lo, hi] as it was.
 
     A midpoint whose theta is <= bracket[0] or >= bracket[1] is decided
     without evaluating the mean: `_certified_bracket` certified it.
@@ -480,15 +492,17 @@ def _bisect_mean(lo, hi, ybar, mean_at, tol, theta_at, bracket):
         mid = 0.5 * (lo + hi)
         theta = theta_at(mid)
         if theta <= theta_lo:
-            lo = mid
-            continue
-        if theta >= theta_hi:
-            hi = mid
-            continue
-        m = mean_at(theta)
-        if abs(m - ybar) < tol:
-            return theta
-        if m < ybar:
+            below = True
+        elif theta >= theta_hi:
+            below = False
+        else:
+            m = mean_at(theta)
+            if abs(m - ybar) < tol:
+                return theta
+            below = m < ybar
+        if mid == (lo if below else hi):
+            break  # (lo, hi) is unchanged, so every later halving repeats this one
+        if below:
             lo = mid
         else:
             hi = mid

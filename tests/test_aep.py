@@ -838,3 +838,36 @@ def test_tail_quotient_bounds():
     qinv = 0.5
     ratio = qcomb.pochhammer_inf(2.0**-81, qinv) / qcomb.pochhammer_inf(2.0**-101, qinv)
     assert abs(ratio - 1.0) < 1e-20
+
+
+def _local_rank_by_positions(v):
+    """The rank of v among the members of its pivot set: its free entries,
+    row-major, read one by one as base-q digits."""
+    local = 0
+    for i, j in gf.free_positions(v.pivot_cols, v.ambient_dim):
+        local = local * v.field.q + v.basis[i][j]
+    return local
+
+
+def test_rank_reads_free_entries_as_one_digit_string():
+    # every class of Gr(n) at q in {2, 3, 16}: a random member ranks as its
+    # free entries read one by one, after the pivot sets before its own,
+    # and unranks back to itself
+    for q in (2, 3, 16):
+        field = gf.FieldSpec(q)
+        rng = random.Random(f"rank/{q}")
+        for n in (1, 2, 5, 9, 24):
+            for k in range(n + 1):
+                for _ in range(3):
+                    pivots = sorted(rng.sample(range(n), k))
+                    free = gf.free_positions(pivots, n)
+                    values = [rng.randrange(q) for _ in free]
+                    v = gf.subspace_from_pattern(pivots, values, n, field)
+                    first = gf.subspace_from_pattern(pivots, [0] * len(free), n, field)
+                    rank = aep._rank_in_class(v)
+                    assert rank - aep._rank_in_class(first) == _local_rank_by_positions(v)
+                    assert aep._unrank_in_class(rank, k, n, field) == v
+                    last = aep._rank_in_class(first) + q ** len(free) - 1
+                    assert aep._unrank_in_class(last, k, n, field).pivot_cols == tuple(pivots)
+                with pytest.raises(ValueError, match="rank out of range"):
+                    aep._unrank_in_class(qcomb.q_binomial(n, k, q), k, n, field)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,7 +7,7 @@ import sys
 
 import pytest
 
-from qgrass import cli, qcomb
+from qgrass import aep, cli, gf, qcomb
 
 CLI = [sys.executable, "-m", "qgrass.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -31,6 +33,25 @@ def test_qcoeff_binomial_and_multinomial():
     assert r.stdout.strip() == "1"
     r = run("qcoeff", "3", "1", "1", "1", "--q", "2")
     assert r.stdout.strip() == "21"
+
+
+def test_qcoeff_past_the_int_text_limit(capsys):
+    # 4,336 digits: more than str() writes under CPython's default limit
+    assert cli.main(["qcoeff", "--q", "2", "240", "120"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and len(out) == 4337 and out.endswith("\n")
+    assert gf.from_text(out[:-1], 10) == qcomb.q_binomial(240, 120, 2)
+    for x in (0, 7, 10**640 - 1, 10**640, 10**641 + 5, 10**1280, 3**4000):
+        assert cli._decimal(x) == str(x)
+
+
+def test_typical_size_past_the_int_text_limit(capsys):
+    argv = ["typical", "--n", "300", "--epsilon", "0.1", "--theta", "1e-40", "--q", "2"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    size = json.loads(out)["exact_size"]
+    assert err == "" and len(size) > 4300
+    assert gf.from_text(size, 10) == aep.typical_set(300, 0.1, 1e-40, 2).exact_size
 
 
 def test_qcoeff_domain_error_json():
@@ -528,3 +549,54 @@ def test_limit_law_at_tiny_theta(capsys):
     assert cli.main(["aep-check"] + argv + ["--delta", "0.5"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["a_n"] == ts["delta_codim"] and report["limit_delta"] == ts["limit_delta"]
+
+
+def _parse_outcome(parse, argv):
+    """What parsing argv ends in: the namespace (as text, so that a NaN
+    equals itself), the CliError, or the exit with what it printed."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed):
+            return "args", repr(sorted(vars(parse(list(argv))).items()))
+    except cli.CliError as exc:
+        return "error", exc.code, exc.detail
+    except SystemExit as exc:
+        return "exit", exc.code, printed.getvalue()
+
+
+TYPICAL_ARGV = GOLDEN_CASES["typical"][0]
+PARSE_CASES = (
+    [argv for argv, _ in GOLDEN_CASES.values()]
+    + [argv for argv, _ in BAD_INPUTS]
+    + [argv for argv in IN_PROCESS_SEQUENCE]
+    + [["--bogus"], ["--"], [], ["nope"], ["-h"], ["--help"], ["-h", "typical"],
+       TYPICAL_ARGV + ["--bogus"], TYPICAL_ARGV + ["extra"], TYPICAL_ARGV + ["--"],
+       TYPICAL_ARGV + ["--", "extra"], ["typical", "--", "--n", "12"], ["typical", "-h"],
+       ["typical", "--bogus"], ["typical", "--n", "x"], ["typical", "--n"],
+       ["qcoeff", "--q", "2", "--", "4", "2"], ["qcoeff", "--q", "2", "4", "-2"],
+       ["qcoeff", "--q=2", "4", "2"], ["qcoeff", "4", "--q", "2", "2"],
+       ["mle", "--n", "8", "--q", "2", "--sample", "f"],
+       ["mle", "--n", "8", "--q", "2", "--s", "f"],
+       ["growth", "--n-list", "4", "--q", "2", "--format"], ["simulate", "simulate"],
+       ["typical", "typical"], ["Typical"], ["qcoeff"]]
+)
+
+
+def test_one_pass_parse_matches_the_full_parser():
+    # each argv ends in the same namespace, or the same usage error with the
+    # same detail (an unrecognized argument is the full parser's, qgrass:),
+    # or the same exit and help text
+    full = cli.build_parser().parse_args
+    for argv in PARSE_CASES:
+        assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(full, argv), argv
+    assert _parse_outcome(cli._parse_args, TYPICAL_ARGV + ["--bogus"]) == (
+        "error", "usage", "qgrass: unrecognized arguments: --bogus")
+
+
+def test_a_subcommand_argv_is_parsed_once(monkeypatch):
+    def no_full_parse(*args, **kwargs):
+        raise AssertionError("the full parser ran")
+
+    monkeypatch.setattr(cli.build_parser(), "parse_args", no_full_parse)
+    for argv, _ in GOLDEN_CASES.values():
+        assert cli._parse_args(list(argv)).command == argv[0]

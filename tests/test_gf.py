@@ -433,3 +433,70 @@ def test_text_codec_refuses_bases_above_36():
             write()
     with pytest.raises(ValueError, match="text format supports base <= 36"):
         gf.parse_subspace("015", 3, gf.FieldSpec(37))
+
+
+_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def _to_text_by_digits(x, length, base):
+    """The codec's writer as a digit loop: the oracle of gf.to_text."""
+    digits = []
+    for _ in range(length):
+        x, d = divmod(x, base)
+        digits.append(_DIGITS[d])
+    return "".join(reversed(digits))
+
+
+def _from_text_by_digits(text, base):
+    """The codec's reader as a digit loop: the oracle of gf.from_text."""
+    x = 0
+    for ch in text:
+        d = _DIGITS.find(ch)
+        if not 0 <= d < base:
+            raise ValueError(f"digit {ch!r} out of range for base {base}")
+        x = x * base + d
+    return x
+
+
+def test_text_codec_matches_the_digit_loops():
+    # format() and chunked int() write and read what the digit loops do,
+    # past the 4,300-digit limit of int() on one string too
+    rng = random.Random("codec")
+    chunk = gf._INT_CHUNK
+    for base in range(2, 37):
+        for length in (0, 1, 2, chunk - 1, chunk, chunk + 1, 5000):
+            for x in {0, base**length - 1, rng.randrange(base**length)}:
+                text = _to_text_by_digits(x, length, base)
+                assert gf.to_text(x, length, base) == text, (base, length)
+                assert gf.from_text(text, base) == x, (base, length)
+    for base in (2, 3, 10, 16, 36):
+        for length in range(12):
+            for _ in range(5):
+                x = rng.randrange(base**length)
+                text = gf.to_text(x, length, base)
+                assert text == _to_text_by_digits(x, length, base)
+                assert gf.from_text(text, base) == x
+
+
+def _read(read, text, base):
+    try:
+        return read(text, base)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_text_codec_refuses_what_int_would_read():
+    # int() alone would read a sign, '_', whitespace, an uppercase or a
+    # non-ASCII digit; the codec names the first offender as the loop did
+    for base in range(2, 37):
+        top = _DIGITS[base - 1]
+        refused = ["A1", "1Z", "1_0", "_1", " 1", "1 ", "1\n", "-1", "+1", "٣", "1٣",
+                   "1.0", "0X1"]
+        if base < 36:
+            refused += [_DIGITS[base], f"0{_DIGITS[base]}1"]
+        for text in refused + ["", f"{top}0", f"{top}{top.upper()}", "0x1"]:
+            want = _read(_from_text_by_digits, text, base)
+            assert _read(gf.from_text, text, base) == want, (base, text)
+            assert isinstance(want, str) or text not in refused
+    long_text = "1" * 5000 + "2"
+    assert _read(gf.from_text, long_text, 2) == "digit '2' out of range for base 2"
