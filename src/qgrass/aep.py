@@ -2,9 +2,10 @@
 
 The limiting codimension law mu(d), its quantile function Delta(p), typical
 sets A_n with their exact sizes, the greedy minimal covering set, subspace
-block coding by rank/unrank (a codeword is its index written in base q with
-the gf digit codec, gf.to_text/gf.from_text), the total-Grassmannian growth
-check, and the Pochhammer-quotient bounds used in the tail estimates.
+block coding (a codeword is its index written in base q with the gf digit
+codec, gf.to_text/gf.from_text; the order within a class, its rank and
+unrank, are gf's), the total-Grassmannian growth check, and the
+Pochhammer-quotient bounds used in the tail estimates.
 
 The finite-n class-mass stop a_n is exact for every theta = a/b (a float
 is the dyadic rational it equals) and reads a float epsilon as its decimal.
@@ -22,17 +23,14 @@ Delta bisects their partial sums, and mu and `check_aep` share
 """
 
 import bisect
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .entropy import binary_quadratic_entropy, log_q_int
-from .gf import (
-    _DIGIT_BYTES, _DIGIT_VALUES, TEXT_BASE_MAX, Subspace, from_text, full_space, to_text
-)
-from .qcomb import _gaussian_column, pochhammer_inf, q_binomial
+from .gf import TEXT_BASE_MAX, _rank_in_class, _unrank_in_class, from_text, full_space, to_text
+from .qcomb import _euler_product, _gaussian_column, _tail_product, pochhammer_inf
 from .qdist import _codim_log_probs, _completed_square
 from .qdist import log_q_neg_inv_pochhammer
 
@@ -48,8 +46,9 @@ def _mu_values(theta, q):
     x0 = 1/2 - log_q theta,  N = (1/q; 1/q)_inf (-1/theta; 1/q)_inf.
 
     theta is checked, and N computed, once per walk, and the exponents are
-    read off `qdist._completed_square`; the tail (q^-(d+1); 1/q)_inf is
-    `_mu_tail`'s, once per (d, q).  Once x0 passes ~45 at q = 2 (theta
+    read off `qdist._completed_square`; the theta-free products
+    (q^-(d+1); 1/q)_inf and (1/q; 1/q)_inf are cached in `qcomb`
+    (`_tail_product`, `_euler_product`).  Once x0 passes ~45 at q = 2 (theta
     below ~3e-14), N and the power overflow a double while their quotient
     does not; there, and only there, a term is taken in log_q, with log_q N
     summed over ceil(x0) + 80 factors of (-1/theta; 1/q) (the factors left
@@ -61,13 +60,13 @@ def _mu_values(theta, q):
         raise ValueError(f"theta = {theta!r} is too small: 1/theta overflows a double")
     theta = float(theta)
     qinv = 1.0 / q
-    euler = pochhammer_inf(qinv, qinv)
+    euler = _euler_product(q)
     norm = euler * pochhammer_inf(-1.0 / theta, qinv)
     log_norm = None
     for d, (off, expo) in enumerate(_completed_square(theta, q)):
         if d == 0:
             x0 = -off  # the walk's x0
-        tail = _mu_tail(d, q)
+        tail = _tail_product(d, q)
         try:
             value = q**expo * tail / norm if norm < math.inf else None
         except OverflowError:
@@ -77,13 +76,6 @@ def _mu_values(theta, q):
                 log_norm = math.log(euler, q) + log_q_neg_inv_pochhammer(theta, math.ceil(x0) + 80, q)
             value = q ** (expo + math.log(tail, q) - log_norm)
         yield off, value
-
-
-@functools.cache
-def _mu_tail(d, q):
-    """(q^-(d+1); 1/q)_inf, the theta-free factor of mu(d): computed once
-    per (d, q) in a process, the same call every time."""
-    return pochhammer_inf(q ** -(d + 1.0), 1.0 / q)
 
 
 def mu(d, theta, q):
@@ -326,6 +318,8 @@ def check_aep(n, epsilon, delta_tol, theta, q):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not delta_tol >= 0:  # refuses NaN too; inf passes every gap
+        raise ValueError(f"delta_tol must be >= 0, got {delta_tol!r}")
     ts = typical_set(n, epsilon, theta, q)
     terms = list(zip(ts.member_codims, _codim_log_probs(n, theta, q)))
     gaps = [abs(-lp / n - (n / 2.0) * binary_quadratic_entropy(d / n)) for d, (lp, _) in terms]
@@ -366,9 +360,10 @@ def greedy_min_set_size(n, epsilon, theta, q):
 class BlockCode:
     """Fixed-length base-q code for the typical subspaces at time n.
 
-    Ranking order: codimension ascending, then the deterministic
-    Grassmannian enumeration order (pivot sets lexicographic, free entries
-    lexicographic row-major).
+    Ranking order: codimension ascending, then gf's Grassmannian order
+    (gf.enumerate_grassmannian: pivot sets lexicographic, free entries
+    lexicographic row-major), ranked and unranked by gf._rank_in_class and
+    gf._unrank_in_class.
     """
 
     n: int
@@ -392,68 +387,6 @@ def make_block_code(n, epsilon, theta, field):
         reach *= field.q
         length += 1
     return BlockCode(n, field, a_n, sizes, total, length)
-
-
-def _pivot_block(c, m, n, q, base):
-    """Number of subspaces whose next pivot is c, followed by any m pivots
-    in range(c + 1, n): the sum of q**(free entries) over those pivot sets.
-    base is sum(n - 1 - p) over the pivots p before c, minus k(k - 1)/2."""
-    return q ** (base + n - 1 - c + m * (m - 1) // 2) * q_binomial(n - 1 - c, m, q)
-
-
-def _rank_in_class(v):
-    """Rank of v inside Gr(k, n) under the enumeration order.
-
-    The shapes before v's pivot set are counted in blocks that share a
-    prefix, so no pivot set is walked one by one."""
-    n = v.ambient_dim
-    q = v.field.q
-    k = v.dim
-    rank, base, lo = 0, -k * (k - 1) // 2, 0
-    for i, p in enumerate(v.pivot_cols):
-        for c in range(lo, p):
-            rank += _pivot_block(c, k - 1 - i, n, q, base)
-        base, lo = base + n - 1 - p, p + 1
-    # row i's entries in the non-pivot columns are p_i - i zeros, then its
-    # free entries; all free entries, row-major, are the base-q digits of
-    # the rank within the pivot set
-    pivots = set(v.pivot_cols)
-    rows = zip(*[col for j, col in enumerate(zip(*v.basis)) if j not in pivots])
-    text = b"".join([bytes(row)[p - i:] for i, (p, row) in enumerate(zip(v.pivot_cols, rows))])
-    return rank + from_text(text.translate(_DIGIT_BYTES).decode(), q)
-
-
-def _unrank_in_class(rank, k, n, field):
-    q = field.q
-    pivots, base, lo = [], -k * (k - 1) // 2, 0
-    for i in range(k):
-        m = k - 1 - i
-        for c in range(lo, n - m):
-            block = _pivot_block(c, m, n, q, base)
-            if rank < block:
-                break
-            rank -= block
-        else:
-            raise ValueError("rank out of range for this Grassmannian")
-        pivots.append(c)
-        base, lo = base + n - 1 - c, c + 1
-    # _rank_in_class's reading backwards: the base-q digits of rank are the
-    # free entries, row-major, and the pivot columns are unit vectors
-    d = n - k
-    length = sum(d - p + i for i, p in enumerate(pivots))
-    if rank >= q**length:
-        raise ValueError("rank out of range for this Grassmannian")
-    if not k:
-        return Subspace(field, n, (), ())
-    values = to_text(rank, length, q).encode().translate(_DIGIT_VALUES)
-    rows, end = [], 0
-    for i, p in enumerate(pivots):
-        start, end = end, end + d - p + i
-        rows.append(bytes(p - i) + values[start:end])
-    units = {p: bytes(i) + b"\1" + bytes(k - 1 - i) for i, p in enumerate(pivots)}
-    free = zip(*rows)
-    columns = [units[j] if j in units else next(free) for j in range(n)]
-    return Subspace(field, n, tuple(zip(*columns)), tuple(pivots))
 
 
 def encode(v, code):
@@ -519,10 +452,7 @@ def check_tail_quotient_bounds(n, d, q):
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
     if d > 2 * math.sqrt(n):
         raise ValueError("lower bound requires d <= 2 sqrt(n)")
-    qinv = 1.0 / q
-    ratio = pochhammer_inf(q ** -(n - d + 1.0), qinv) / pochhammer_inf(
-        q ** -(n + 1.0), qinv
-    )
-    c_q = 2.0 / pochhammer_inf(qinv, qinv)
+    ratio = _tail_product(n - d, q) / _tail_product(n, q)
+    c_q = 2.0 / _euler_product(q)
     lower = 1.0 - c_q * q ** -((math.sqrt(n) - 1.0) ** 2)
     return ratio <= 1.0 + TAIL_FLOAT_SLACK and ratio >= lower - TAIL_FLOAT_SLACK

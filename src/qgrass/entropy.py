@@ -4,7 +4,7 @@ checks that tie multinomial and q-multinomial coefficients to them.
 
 import math
 
-from .qcomb import multinomial, pochhammer_inf, q_multinomial
+from .qcomb import _euler_product, _tail_product, multinomial, q_multinomial
 
 PROB_SUM_TOL = 1e-12
 CHAIN_RULE_TOL = 1e-12
@@ -114,15 +114,13 @@ def asymptotic_constant(limits, q):
         raise ValueError("at least one part limit is required")
     if not q >= 2:
         raise ValueError(f"q must be >= 2, got {q!r}")
-    qinv = 1.0 / q
-    euler = pochhammer_inf(qinv, qinv)
-    out = euler ** (1 - len(limits))
+    out = _euler_product(q) ** (1 - len(limits))
     for l in limits:
         if l == math.inf:
             continue
         if l < 0:
             raise ValueError(f"finite limits must be nonnegative, got {l!r}")
-        out *= pochhammer_inf(q ** -(l + 1.0), qinv)
+        out *= _tail_product(l, q)
     return out
 
 

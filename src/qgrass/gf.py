@@ -24,6 +24,11 @@ the three arithmetic cases above; tabled characteristic-2 extension fields
 XOR in the row mul_table[c] (table row operations as in M4RIE).  A
 Subspace basis is a tuple of int tuples for every field.
 
+gf holds the one order of Gr(k, n), which enumeration and block coding
+(module aep) share: pivot sets lexicographic, then free entries row-major.
+Its one builder is _member; rank and unrank count the pivot sets before a
+member in blocks and read its free entries as one base-q digit string.
+
 The Grassmannian process (module grassproc) keeps its state V as V^perp
 instead, in _Annihilator: a growth step costs O(codim V) inner products
 (_dot) where an echelon state reduces against all dim V rows.  On the
@@ -42,9 +47,8 @@ base-p digits, which is each coordinate's e digits in turn.  Over a prime field 
 coordinate is one digit, so format_subspace writes the rows' entries as
 bytes and translates them to digits in one pass; over an extension field it
 joins the texts of the coordinates from a per-field table of the q element
-texts.  A codeword (module aep) is its index written in base q, and a
-member of a class is ranked by its free entries read as one base-q digit
-string.  Bases above 36 have no text form.
+texts.  A codeword (module aep) is its index written in base q.  Bases
+above 36 have no text form.
 """
 
 import bisect
@@ -628,29 +632,27 @@ def zero_subspace(n, field):
 
 
 def full_space(n, field):
-    rows = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    return Subspace(field, n, tuple(tuple(r) for r in rows), tuple(range(n)))
+    return _member(tuple(range(n)), (), n, field)
 
 
-def free_positions(pivots, n):
-    """Row-major free coordinates of the RREF shape with the given pivots."""
-    pivot_set = set(pivots)
-    out = []
-    for i, pc in enumerate(pivots):
-        for j in range(pc + 1, n):
-            if j not in pivot_set:
-                out.append((i, j))
-    return out
-
-
-def subspace_from_pattern(pivots, values, n, field):
+def _member(pivots, values, n, field):
+    """The member of Gr(k, n) with these pivot columns and these free
+    entries, row-major: the one builder of the order.  In the non-pivot
+    columns row i is p_i - i zeros, then its free entries; each pivot column
+    is a unit vector.  The columns are laid out and transposed once."""
     k = len(pivots)
-    rows = [[0] * n for _ in range(k)]
-    for i, pc in enumerate(pivots):
-        rows[i][pc] = 1
-    for (i, j), v in zip(free_positions(pivots, n), values):
-        rows[i][j] = v
-    return Subspace(field, n, tuple(tuple(r) for r in rows), tuple(pivots))
+    if not k:
+        return zero_subspace(n, field)
+    values, d = tuple(values), n - k
+    rows, end = [], 0
+    for i, p in enumerate(pivots):
+        start, end = end, end + d - p + i
+        rows.append((0,) * (p - i) + values[start:end])
+    unit = (0,) * (k - 1) + (1,) + (0,) * (k - 1)
+    units = {p: unit[k - 1 - i : 2 * k - 1 - i] for i, p in enumerate(pivots)}
+    free = zip(*rows)
+    columns = [units[j] if j in units else next(free) for j in range(n)]
+    return Subspace(field, n, tuple(zip(*columns)), tuple(pivots))
 
 
 def enumerate_grassmannian(k, n, field):
@@ -668,11 +670,61 @@ def enumerate_grassmannian(k, n, field):
             f"Gr({k},{n}) over F_{field.q} has {count} elements, "
             f"beyond the enumeration guard {GRASSMANNIAN_GUARD}"
         )
-    q = field.q
     for pivots in itertools.combinations(range(n), k):
-        free = free_positions(pivots, n)
-        for values in itertools.product(range(q), repeat=len(free)):
-            yield subspace_from_pattern(pivots, values, n, field)
+        length = sum(n - k - p + i for i, p in enumerate(pivots))
+        for values in itertools.product(range(field.q), repeat=length):
+            yield _member(pivots, values, n, field)
+
+
+def _pivot_block(c, m, n, q, base):
+    """Number of subspaces whose next pivot is c, followed by any m pivots
+    in range(c + 1, n): the sum of q**(free entries) over those pivot sets.
+    base is sum(n - 1 - p) over the pivots p before c, minus k(k - 1)/2."""
+    return q ** (base + n - 1 - c + m * (m - 1) // 2) * q_binomial(n - 1 - c, m, q)
+
+
+def _rank_in_class(v):
+    """Rank of v inside Gr(k, n) under the enumeration order.
+
+    The shapes before v's pivot set are counted in blocks that share a
+    prefix, so no pivot set is walked one by one."""
+    n = v.ambient_dim
+    q = v.field.q
+    k = v.dim
+    rank, base, lo = 0, -k * (k - 1) // 2, 0
+    for i, p in enumerate(v.pivot_cols):
+        for c in range(lo, p):
+            rank += _pivot_block(c, k - 1 - i, n, q, base)
+        base, lo = base + n - 1 - p, p + 1
+    # row i's entries in the non-pivot columns are p_i - i zeros, then its
+    # free entries; all free entries, row-major, are the base-q digits of
+    # the rank within the pivot set
+    pivots = set(v.pivot_cols)
+    rows = zip(*[col for j, col in enumerate(zip(*v.basis)) if j not in pivots])
+    text = b"".join([bytes(row)[p - i:] for i, (p, row) in enumerate(zip(v.pivot_cols, rows))])
+    return rank + from_text(text.translate(_DIGIT_BYTES).decode(), q)
+
+
+def _unrank_in_class(rank, k, n, field):
+    q = field.q
+    pivots, base, lo = [], -k * (k - 1) // 2, 0
+    for i in range(k):
+        m = k - 1 - i
+        for c in range(lo, n - m):
+            block = _pivot_block(c, m, n, q, base)
+            if rank < block:
+                break
+            rank -= block
+        else:
+            raise ValueError("rank out of range for this Grassmannian")
+        pivots.append(c)
+        base, lo = base + n - 1 - c, c + 1
+    # _rank_in_class's reading backwards: the base-q digits of rank are the
+    # free entries, row-major
+    length = sum(n - k - p + i for i, p in enumerate(pivots))
+    if rank >= q**length:
+        raise ValueError("rank out of range for this Grassmannian")
+    return _member(pivots, to_text(rank, length, q).encode().translate(_DIGIT_VALUES), n, field)
 
 
 def dilations(w):

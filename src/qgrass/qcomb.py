@@ -12,6 +12,7 @@ polynomial identities).  Floating point appears only in the infinite
 products and the q-gamma function.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -154,6 +155,20 @@ def pochhammer_inf(a, qinv):
     return out
 
 
+@functools.cache
+def _euler_product(q):
+    """(1/q; 1/q)_inf, once per q.  Not _tail_product(0, q): for some q,
+    q ** -1.0 and 1.0 / q differ in the last bit."""
+    qinv = 1.0 / q
+    return pochhammer_inf(qinv, qinv)
+
+
+@functools.cache
+def _tail_product(l, q):
+    """(q^-(l+1); 1/q)_inf, once per (l, q)."""
+    return pochhammer_inf(q ** -(l + 1.0), 1.0 / q)
+
+
 def gamma_q(x, q):
     """q-gamma function for x > 0, q > 1 (product form).
 
@@ -163,13 +178,11 @@ def gamma_q(x, q):
         raise ValueError(f"x must be positive, got {x!r}")
     if not q > 1:
         raise ValueError(f"q must exceed 1, got {q!r}")
-    qinv = 1.0 / q
-    euler = pochhammer_inf(qinv, qinv)
     return (
-        euler
+        _euler_product(q)
         * q ** (x * (x - 1) / 2.0)
         * (q - 1.0) ** (1.0 - x)
-        / pochhammer_inf(q**-x, qinv)
+        / pochhammer_inf(q**-x, 1.0 / q)
     )
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qgrass import aep, gf, grassproc, qcomb, qdist
 from qgrass.entropy import binary_quadratic_entropy
+from qgrass.gf import Subspace
 
 F2 = gf.FieldSpec(2)
 F16 = gf.FieldSpec(16)
@@ -207,6 +208,15 @@ def test_check_aep_gap_decreases():
     r = reports[-1]
     for gap, g in zip(r["gaps"], r["g_over_n"]):
         assert abs(gap - abs(g)) < 1e-9
+
+
+def test_check_aep_refuses_a_bad_delta_tol():
+    # a NaN or negative tolerance is refused, not reported as a failed check
+    for bad in (math.nan, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="delta_tol must be >= 0"):
+            aep.check_aep(10, 0.1, bad, 1.0, 2)
+    assert aep.check_aep(10, 0.1, math.inf, 1.0, 2)["pass"]
+    assert aep.check_aep(10, 0.1, 0.0, 1.0, 2)["pass"] is False
 
 
 def test_check_aep_sums_the_tail_once(monkeypatch):
@@ -689,6 +699,29 @@ def test_round_trip_all_typical_q16():
     _assert_round_trips(code)
 
 
+# The RREF shape written one position at a time: test-local oracles of the
+# Grassmannian order that gf builds in one transposition.
+def free_positions(pivots, n):
+    """Row-major free coordinates of the RREF shape with the given pivots."""
+    pivot_set = set(pivots)
+    out = []
+    for i, pc in enumerate(pivots):
+        for j in range(pc + 1, n):
+            if j not in pivot_set:
+                out.append((i, j))
+    return out
+
+
+def subspace_from_pattern(pivots, values, n, field):
+    k = len(pivots)
+    rows = [[0] * n for _ in range(k)]
+    for i, pc in enumerate(pivots):
+        rows[i][pc] = 1
+    for (i, j), v in zip(free_positions(pivots, n), values):
+        rows[i][j] = v
+    return Subspace(field, n, tuple(tuple(r) for r in rows), tuple(pivots))
+
+
 @functools.lru_cache(maxsize=None)
 def _typical_code(n, q):
     return aep.make_block_code(n, 0.1, 1, gf.FieldSpec(q))
@@ -702,9 +735,9 @@ def test_encode_decode_is_a_bijection(data):
     code = _typical_code(n, q)
     d = data.draw(st.integers(0, code.codim_bound))
     pivots = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=n - d, max_size=n - d)))
-    free = gf.free_positions(pivots, n)
+    free = free_positions(pivots, n)
     values = data.draw(st.lists(st.integers(0, q - 1), min_size=len(free), max_size=len(free)))
-    v = gf.subspace_from_pattern(pivots, values, n, code.field)
+    v = subspace_from_pattern(pivots, values, n, code.field)
     word = aep.encode(v, code)
     assert len(word) == code.codeword_len
     assert aep.decode(word, code) == v
@@ -749,7 +782,7 @@ def test_rank_counts_pivot_blocks():
     n = 24
     code = aep.make_block_code(n, 0.1, Fraction(1, 256), F2)
     k = n - code.codim_bound
-    last = gf.subspace_from_pattern(tuple(range(n - k, n)), [], n, F2)
+    last = subspace_from_pattern(tuple(range(n - k, n)), [], n, F2)
     word = aep.encode(last, code)
     assert int(word, 2) == code.exact_size - 1
     assert aep.decode(word, code) == last
@@ -757,6 +790,14 @@ def test_rank_counts_pivot_blocks():
     for _ in range(50):
         word = format(rng.randrange(code.exact_size), f"0{code.codeword_len}b")
         assert aep.encode(aep.decode(word, code), code) == word
+    # rank and unrank read positions in the enumeration, at q up to 16
+    for q in (3, 4, 16):
+        field = gf.FieldSpec(q)
+        for n in range(5):
+            for k in range(n + 1):
+                for idx, v in enumerate(gf.enumerate_grassmannian(k, n, field)):
+                    assert gf._rank_in_class(v) == idx
+                    assert gf._unrank_in_class(idx, k, n, field) == v
 
 
 def test_atypical_encodes_to_error_word(code4):
@@ -844,7 +885,7 @@ def _local_rank_by_positions(v):
     """The rank of v among the members of its pivot set: its free entries,
     row-major, read one by one as base-q digits."""
     local = 0
-    for i, j in gf.free_positions(v.pivot_cols, v.ambient_dim):
+    for i, j in free_positions(v.pivot_cols, v.ambient_dim):
         local = local * v.field.q + v.basis[i][j]
     return local
 
@@ -860,14 +901,14 @@ def test_rank_reads_free_entries_as_one_digit_string():
             for k in range(n + 1):
                 for _ in range(3):
                     pivots = sorted(rng.sample(range(n), k))
-                    free = gf.free_positions(pivots, n)
+                    free = free_positions(pivots, n)
                     values = [rng.randrange(q) for _ in free]
-                    v = gf.subspace_from_pattern(pivots, values, n, field)
-                    first = gf.subspace_from_pattern(pivots, [0] * len(free), n, field)
-                    rank = aep._rank_in_class(v)
-                    assert rank - aep._rank_in_class(first) == _local_rank_by_positions(v)
-                    assert aep._unrank_in_class(rank, k, n, field) == v
-                    last = aep._rank_in_class(first) + q ** len(free) - 1
-                    assert aep._unrank_in_class(last, k, n, field).pivot_cols == tuple(pivots)
+                    v = subspace_from_pattern(pivots, values, n, field)
+                    first = subspace_from_pattern(pivots, [0] * len(free), n, field)
+                    rank = gf._rank_in_class(v)
+                    assert rank - gf._rank_in_class(first) == _local_rank_by_positions(v)
+                    assert gf._unrank_in_class(rank, k, n, field) == v
+                    last = gf._rank_in_class(first) + q ** len(free) - 1
+                    assert gf._unrank_in_class(last, k, n, field).pivot_cols == tuple(pivots)
                 with pytest.raises(ValueError, match="rank out of range"):
-                    aep._unrank_in_class(qcomb.q_binomial(n, k, q), k, n, field)
+                    gf._unrank_in_class(qcomb.q_binomial(n, k, q), k, n, field)

@@ -207,6 +207,15 @@ def test_aep_check_n_zero_is_domain_error():
     assert json.loads(r.stderr) == {"error": "domain", "detail": "n must be >= 1"}
 
 
+def test_aep_check_bad_delta_is_domain_error(capsys):
+    argv = ["aep-check", "--n", "20", "--epsilon", "0.1", "--theta", "1", "--q", "2"]
+    for bad in ("nan", "-1"):
+        assert cli.main(argv + ["--delta", bad]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "domain"
+        assert json.loads(err)["detail"].startswith("delta_tol must be >= 0")
+
+
 def test_code_round_trip():
     enc = run(
         "code-encode", "--n", "4", "--epsilon", "0.2", "--theta", "1",

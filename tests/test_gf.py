@@ -289,6 +289,11 @@ def test_enumerate_grassmannian_counts():
         for k in range(n + 1):
             spaces = list(gf.enumerate_grassmannian(k, n, F5))
             assert len(spaces) == qcomb.q_binomial(n, k, 5)
+    # entries past one byte: Gr(1, 2) over F_257 has 258 distinct members
+    F257 = gf.FieldSpec(257)
+    for k, count in ((0, 1), (1, 258), (2, 1)):
+        spaces = list(gf.enumerate_grassmannian(k, 2, F257))
+        assert len(spaces) == len(set(spaces)) == count
 
 
 def test_enumerate_grassmannian_edges_and_order():
