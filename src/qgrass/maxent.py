@@ -47,20 +47,6 @@ class MaxEntSolution:
     active_support: tuple
 
 
-def energies_from_telescoped(tilde_energies):
-    """Convert telescoped increments back to level energies.
-
-    With E_{m+1} = 0 and tilde E_i = E_i - E_{i+1}, the inverse is the
-    reversed cumulative sum E_i = sum_{j >= i} tilde E_j.
-    """
-    out = []
-    acc = 0.0
-    for t in reversed(list(tilde_energies)):
-        acc += float(t)
-        out.append(acc)
-    return list(reversed(out))
-
-
 def _solve_on_support(energies, support, target, det_cut):
     """Affine coefficients (a, b) from the Lagrange conditions on a support,
     or None where its energies coincide (det below det_cut) but their mean

@@ -32,10 +32,9 @@ import operator
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .entropy import binary_quadratic_entropy, log_q_int
-from .qcomb import _gaussian_column, pochhammer, q_binomial
+from .qcomb import _gaussian_column, q_binomial
 
 LOG_DOMAIN_THRESHOLD = 30
 MLE_DEFAULT_TOL = 1e-12
@@ -185,20 +184,6 @@ def _pmf_column(params):
         coeff * float(q) ** (k * (k - 1) // 2) * t**k / den
         for k, coeff in enumerate(_gaussian_column(n, q))
     ]
-
-
-def pmf_fraction(k, n, theta, q):
-    """Exact rational pmf for rational theta (oracle path)."""
-    t = Fraction(theta)
-    if k < 0 or k > n:
-        return Fraction(0)
-    num = q_binomial(n, k, q) * Fraction(q) ** (k * (k - 1) // 2) * t**k
-    return num / pochhammer(-t, q, n)
-
-
-def exact_pmf_fraction(k, n, theta, q):
-    """Exact rational Pr{V_n = v}, dim v = k, for rational theta (oracle path)."""
-    return pmf_fraction(k, n, theta, q) / q_binomial(n, k, q)
 
 
 def _completed_square(theta, q):

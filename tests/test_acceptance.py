@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import exact_pmf_fraction, pmf_fraction
 from qgrass import aep, entropy, gf, grassproc, maxent, qcomb, qdist
 
 F2 = gf.FieldSpec(2)
@@ -101,7 +102,7 @@ def test_criterion_04_law_of_vn_exhaustive():
                 if len(law) != expected_support:
                     ok = False
                 for v, pr in law.items():
-                    if pr != qdist.exact_pmf_fraction(v.dim, n, theta, q):
+                    if pr != exact_pmf_fraction(v.dim, n, theta, q):
                         ok = False
     elapsed = time.time() - t0
     ok = ok and elapsed < 60
@@ -133,7 +134,7 @@ def test_criterion_05_monte_carlo_consistency():
     z_max = 6
     tv = tv_mean = tv_var = 0.0
     for k in range(n + 1):
-        p = float(qdist.exact_pmf_fraction(k, n, Fraction(1), q))
+        p = float(exact_pmf_fraction(k, n, Fraction(1), q))
         spread = p * (1 - p) / n_draws
         for v in gf.enumerate_grassmannian(k, n, F2):
             tv += abs(counts.get(v, 0) / n_draws - p)
@@ -264,7 +265,7 @@ def test_criterion_10_coding():
                 if aep.decode(aep.encode(v, code), code) != v:
                     ok = False
         miss = 1 - sum(
-            qdist.pmf_fraction(n - d, n, Fraction(1), 2)
+            pmf_fraction(n - d, n, Fraction(1), 2)
             for d in range(code.codim_bound + 1)
         )
         if miss > Fraction(2, 10):

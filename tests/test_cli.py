@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
-from qgrass import aep, cli, gf, qcomb
+from qgrass import aep, cli, gf, qcomb, qdist
 
 CLI = [sys.executable, "-m", "qgrass.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -54,13 +56,17 @@ def test_typical_size_past_the_int_text_limit(capsys):
     assert gf.from_text(size, 10) == aep.typical_set(300, 0.1, 1e-40, 2).exact_size
 
 
-def test_qcoeff_domain_error_json():
+def test_qcoeff_domain_error_json(capsys):
     r = run("qcoeff", "4", "9", "--q", "2")
     assert r.returncode == 1
     err = json.loads(r.stderr)
     assert err["error"] == "domain" and err["detail"]
     r = run("qcoeff", "4", "2", "--q", "1")
     assert r.returncode == 1 and json.loads(r.stderr)["error"] == "domain"
+    # a negative n is named as such, not as a k that exceeds it
+    assert cli.main(["qcoeff", "--q", "2", "-5", "0"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "domain", "detail": "n must be a nonnegative integer, got -5"}
 
 
 def test_simulate_deterministic_and_zero():
@@ -449,6 +455,7 @@ BAD_INPUTS = [
     (["code-encode", "--n", "4", "--epsilon", "0.2", "--theta", "1", "--q", "2",
       "--subspace", "1#00;0010"], "bad_subspace"),
     (["simulate", "--n", "2", "--theta", "1", "--q", "37"], "domain"),
+    (["qcoeff", "--q", "2", "-5", "0"], "domain"),
 ] + [
     (["typical", "--n", "8", "--epsilon", eps, "--theta", "1", "--q", "2"], code)
     for eps, code in (("1/0", "usage"), ("abc", "usage"), ("nan", "domain"),
@@ -509,6 +516,192 @@ def test_simulate_refuses_text_base_before_running(q, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err) == {"error": "domain", "detail": "text format supports base <= 36"}
+
+
+class FakeCpus:
+    """Runs of the CLI in this process as if it could run on `count` CPUs:
+    os.sched_getaffinity reports range(count), os.sched_setaffinity records
+    its calls instead of making them, and os.fork counts its calls."""
+
+    def __init__(self, monkeypatch):
+        self.count, self.forks, self.pins = 1, 0, []
+        fork = os.fork
+
+        def counted_fork():
+            self.forks += 1
+            return fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(self.count)))
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: self.pins.append(
+            (pid, set(cpus))))
+        monkeypatch.setattr(os, "fork", counted_fork)
+
+    def main(self, argv, count, capsys):
+        """(exit code, stdout, stderr) of cli.main(argv) on count CPUs; no
+        child is left after it."""
+        self.count = count
+        rc = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return rc, out, err
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    return FakeCpus(monkeypatch)
+
+
+HISTOGRAM_ARGV, _ = GOLDEN_CASES["simulate-histogram"]
+
+
+def _golden(name):
+    with open(os.path.join(GOLDEN, f"{name}.txt")) as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("count, forks", [(1, 0), (2, 1), (3, 2), (5, 2)])
+def test_golden_histogram_on_any_cpu_count(count, forks, cpus, capsys):
+    # 400 samples of n = 8 are 3,200 steps: at most 3 blocks of >= 1024,
+    # here of 200 + 200 or 133 + 133 + 134 samples
+    assert cpus.main(HISTOGRAM_ARGV, count, capsys) == (0, _golden("simulate-histogram"), "")
+    assert cpus.forks == forks
+    if forks:
+        assert cpus.pins == [(pid, {j}) for j, (pid, _) in enumerate(cpus.pins[:forks], 1)] + [
+            (0, {0}), (0, set(range(count)))]
+
+
+@pytest.mark.parametrize("q", [2, 3, 16])
+@pytest.mark.parametrize("theta", ["0", "1", "0.5", "1e300"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_histogram_split_matches_one_block(q, theta, fmt, cpus, capsys):
+    argv = ["simulate", "--n", "8", "--theta", theta, "--q", str(q), "--samples", "400",
+            "--histogram", "--seed", "5", "--format", fmt]
+    one = cpus.main(argv, 1, capsys)
+    assert cpus.forks == 0 and one[0] == 0
+    assert cpus.main(argv, 3, capsys) == one
+    assert cpus.forks == 2
+    chain = qdist.bernoulli_chain(qdist.QBinomialParams(8, float(theta), q))
+    counts = cli._dim_counts(chain, 5, 0, 400)
+    if fmt == "json":
+        assert json.loads(one[1])["dim_counts"] == counts
+    else:
+        assert [int(line.split(",")[1]) for line in one[1].splitlines()[1:]] == counts
+
+
+def test_histogram_with_fewer_samples_than_cpus(cpus):
+    # 3 samples of n = 1024 on 8 CPUs: one sample per block
+    cpus.count = 8
+    chain = qdist.bernoulli_chain(qdist.QBinomialParams(1024, 1.0, 2))
+    assert cli._histogram_counts(chain, 4, 3) == cli._dim_counts(chain, 4, 0, 3)
+    assert cpus.forks == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_histogram_reads_counts_past_the_pipe_buffer(cpus, monkeypatch):
+    # 100,001 counts are ~200 kB of text, more than a pipe holds: the child
+    # blocks in its write until the parent reads
+    def one_class(chain, seed, start, stop):
+        return [stop - start] + [0] * len(chain)
+
+    monkeypatch.setattr(cli, "_dim_counts", one_class)
+    cpus.count = 2
+    assert cli._histogram_counts((0.0,) * 100_000, 1, 5) == [5] + [0] * 100_000
+    assert cpus.forks == 1
+
+
+def _in_child(action):
+    """cli._dim_counts with action(counts) in place of its counts in a
+    forked child; unchanged in this process."""
+    parent, real = os.getpid(), cli._dim_counts
+
+    def dim_counts(*args):
+        counts = real(*args)
+        return counts if os.getpid() == parent else action(counts)
+
+    return dim_counts
+
+
+def _exit_3(counts):
+    os._exit(3)
+
+
+def _raise(counts):
+    raise RuntimeError("a failing child")
+
+
+@pytest.mark.parametrize("action", [
+    _exit_3,
+    _raise,
+    lambda counts: counts[:-1],  # a short message
+    lambda counts: [counts[0] + 1] + counts[1:],  # one sample too many
+    lambda counts: counts + [0],  # one count too many
+    lambda counts: ["x"] + counts[1:],
+], ids=["exit_3", "raise", "short", "wrong_sum", "long", "not_a_number"])
+def test_histogram_counts_a_failed_block_itself(action, cpus, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_dim_counts", _in_child(action))
+    assert cpus.main(HISTOGRAM_ARGV, 3, capsys) == (0, _golden("simulate-histogram"), "")
+    assert cpus.forks == 2
+
+
+def test_histogram_interrupted_kills_and_reaps_its_children(cpus, monkeypatch):
+    parent, real = os.getpid(), cli._dim_counts
+
+    def dim_counts(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+            return real(*args)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_dim_counts", dim_counts)
+    cpus.count = 3
+    chain = qdist.bernoulli_chain(qdist.QBinomialParams(8, 1.0, 2))
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli._histogram_counts(chain, 1, 400)
+    assert time.monotonic() - start < 30
+    assert cpus.forks == 2 and cpus.pins[-1] == (0, {0, 1, 2})
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _refuse_fork():
+    raise AssertionError("forked")
+
+
+@pytest.mark.parametrize("case", ["second_thread", "one_cpu", "few_steps"])
+def test_histogram_stays_in_one_process(case, cpus, monkeypatch, capsys):
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    argv, count = HISTOGRAM_ARGV, 2
+    if case == "one_cpu":
+        count = 1
+    if case == "few_steps":
+        # 255 samples of n = 8 are 2,040 steps, short of two blocks
+        argv = [a.replace("400", "255") for a in argv]
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if case == "second_thread":
+        thread.start()
+    try:
+        rc, out, err = cpus.main(argv, count, capsys)
+    finally:
+        release.set()
+        if thread.is_alive():
+            thread.join()
+    assert rc == 0 and err == "" and cpus.pins == []
+    if case != "few_steps":
+        assert out == _golden("simulate-histogram")
+
+
+def test_histogram_leaves_the_affinity_as_it_was(capsys):
+    # the real calls: on a host with two CPUs or more the samples split
+    before = os.sched_getaffinity(0)
+    assert cli.main(list(HISTOGRAM_ARGV)) == 0
+    assert capsys.readouterr().out == _golden("simulate-histogram")
+    assert os.sched_getaffinity(0) == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_histogram_builds_no_subspace(monkeypatch, capsys):
