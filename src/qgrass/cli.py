@@ -254,8 +254,9 @@ def _histogram_counts(chain, seed, samples):
     not be made or failed.  Meanwhile this process is pinned to the first
     CPU; its affinity is restored, and every child reaped, before this
     returns or raises, and an exception here kills the children first."""
-    affinity = _affinity(samples * len(chain))
-    cpus = sorted(affinity or ())[:min(samples, samples * len(chain) // _BLOCK_STEPS)]
+    steps = samples * len(chain)
+    affinity = _affinity(steps)
+    cpus = sorted(affinity or ())[:min(samples, steps // _BLOCK_STEPS)]
     if len(cpus) < 2:
         return _dim_counts(chain, seed, 0, samples)
     bounds = [samples * j // len(cpus) for j in range(len(cpus) + 1)]

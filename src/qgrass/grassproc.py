@@ -10,7 +10,9 @@ chain, `qdist.bernoulli_chain`, and `simulate`, which builds that chain
 once per trajectory, is the one transition.  Simulation is deterministic
 given a root seed: step m draws from its own substream, labelled
 "<seed>/step/<m>", so trajectories can be replicated or parallelized
-without sharing RNG state.  A chain reseeds one generator per step, which
+without sharing RNG state.  This module runs in one process; the CLI's
+histogram counts contiguous blocks of its samples in forked processes
+(`cli._histogram_counts`), with the same counts as one process.  A chain reseeds one generator per step, which
 gives the same stream as a fresh random.Random(label).  A dilation's
 coordinates are the values that rng.randrange(q) returns on the running
 interpreter, in order; over F_2 a step reads its m coordinates in one pass

@@ -13,7 +13,8 @@ two-parameter normaliser, summed left to right on every Python version.
 class mass, for the log branch of the pmf column alone.
 `_completed_square` holds x0 = 1/2 - log_q theta and the exponent
 -(d - x0)^2/2 + x0^2/2 that the codimension form and `aep`'s mu share.  The
-exact rational pmf and subspace law are the oracles.  MLE of theta bisects
+exact rational pmf and subspace law, the oracles of these floats, live with
+the tests (tests/oracles.py).  MLE of theta bisects
 on the mean scale, on log theta below the reach of 200 linear halvings;
 one call builds the doubles q^0..q^(n-1) once, and every step sums the
 quotient x / (1 + x) of theta times each, bit for bit the mean.  The

@@ -611,16 +611,21 @@ def test_histogram_reads_counts_past_the_pipe_buffer(cpus, monkeypatch):
     assert cpus.forks == 1
 
 
-def _in_child(action):
-    """cli._dim_counts with action(counts) in place of its counts in a
-    forked child; unchanged in this process."""
-    parent, real = os.getpid(), cli._dim_counts
+class SplitCalls:
+    """cli._dim_counts as the parent and its forked children call it: a
+    child calls child(counts) on its counts, and `parent` counts the calls
+    made in this process."""
 
-    def dim_counts(*args):
-        counts = real(*args)
-        return counts if os.getpid() == parent else action(counts)
+    def __init__(self, monkeypatch, child=lambda counts: counts):
+        self.parent, self.pid, real = 0, os.getpid(), cli._dim_counts
 
-    return dim_counts
+        def dim_counts(*args):
+            if os.getpid() == self.pid:
+                self.parent += 1
+                return real(*args)
+            return child(real(*args))
+
+        monkeypatch.setattr(cli, "_dim_counts", dim_counts)
 
 
 def _exit_3(counts):
@@ -631,35 +636,54 @@ def _raise(counts):
     raise RuntimeError("a failing child")
 
 
-@pytest.mark.parametrize("action", [
-    _exit_3,
-    _raise,
-    lambda counts: counts[:-1],  # a short message
-    lambda counts: [counts[0] + 1] + counts[1:],  # one sample too many
-    lambda counts: counts + [0],  # one count too many
-    lambda counts: ["x"] + counts[1:],
-], ids=["exit_3", "raise", "short", "wrong_sum", "long", "not_a_number"])
-def test_histogram_counts_a_failed_block_itself(action, cpus, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_dim_counts", _in_child(action))
+@pytest.mark.parametrize("child, exit_status", [
+    (_exit_3, None),
+    (_raise, None),
+    (lambda counts: counts[:-1], None),  # a short message
+    (lambda counts: [counts[0] + 1] + counts[1:], None),  # one sample too many
+    (lambda counts: counts + [0], None),  # one count too many
+    (lambda counts: ["x"] + counts[1:], None),
+    (lambda counts: counts, 5),  # the right counts, then a nonzero exit
+], ids=["exit_3", "raise", "short", "wrong_sum", "long", "not_a_number", "exit_5"])
+def test_histogram_counts_a_failed_block_itself(child, exit_status, cpus, monkeypatch, capsys):
+    if exit_status is not None:
+        pid, exit = os.getpid(), os._exit
+        monkeypatch.setattr(os, "_exit", lambda status: exit(
+            exit_status if os.getpid() != pid else status))
+    calls = SplitCalls(monkeypatch, child)
     assert cpus.main(HISTOGRAM_ARGV, 3, capsys) == (0, _golden("simulate-histogram"), "")
-    assert cpus.forks == 2
+    # its own block and one for each failed child
+    assert cpus.forks == 2 and calls.parent == 3
 
 
-def test_histogram_interrupted_kills_and_reaps_its_children(cpus, monkeypatch):
-    parent, real = os.getpid(), cli._dim_counts
+def test_histogram_sums_what_its_children_send(cpus, monkeypatch, capsys):
+    calls = SplitCalls(monkeypatch)
+    assert cpus.main(HISTOGRAM_ARGV, 3, capsys) == (0, _golden("simulate-histogram"), "")
+    assert cpus.forks == 2 and calls.parent == 1
 
-    def dim_counts(*args):
-        if os.getpid() != parent:
-            time.sleep(60)
-            return real(*args)
-        raise KeyboardInterrupt
+
+def _interrupt(*args):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("where", ["own_block", "pipe_read"])
+def test_histogram_interrupted_kills_and_reaps_its_children(where, cpus, monkeypatch):
+    pid = os.getpid()
+
+    def dim_counts(chain, seed, start, stop):
+        if os.getpid() != pid:
+            time.sleep(60)  # unless killed
+        elif where == "own_block":
+            raise KeyboardInterrupt
+        return [0] * len(chain) + [stop - start]
 
     monkeypatch.setattr(cli, "_dim_counts", dim_counts)
+    if where == "pipe_read":
+        monkeypatch.setattr(os, "read", _interrupt)
     cpus.count = 3
-    chain = qdist.bernoulli_chain(qdist.QBinomialParams(8, 1.0, 2))
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        cli._histogram_counts(chain, 1, 400)
+        cli._histogram_counts((0.5,) * 8, 1, 400)
     assert time.monotonic() - start < 30
     assert cpus.forks == 2 and cpus.pins[-1] == (0, {0, 1, 2})
     with pytest.raises(ChildProcessError):
@@ -687,8 +711,9 @@ def test_histogram_stays_in_one_process(case, cpus, monkeypatch, capsys):
         rc, out, err = cpus.main(argv, count, capsys)
     finally:
         release.set()
-        if thread.is_alive():
-            thread.join()
+        if case == "second_thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
     assert rc == 0 and err == "" and cpus.pins == []
     if case != "few_steps":
         assert out == _golden("simulate-histogram")
