@@ -22,7 +22,11 @@ row's pivot column is n - x.bit_length() (the word-packed elimination of
 M4RI).  Over other fields a row step is row - c * brow on entry lists, by
 the three arithmetic cases above; tabled characteristic-2 extension fields
 XOR in the row mul_table[c] (table row operations as in M4RIE).  A
-Subspace basis is a tuple of int tuples for every field.
+Subspace keeps its rows packed, and == and hash compare them; its basis,
+the rows as int tuples, is a view.  Over F_2 every builder makes the packed
+rows and the view is built on first use; over other fields the builders
+hold entries and hand them over, and the packed rows are built on first
+use.
 
 gf holds the one order of Gr(k, n), which enumeration and block coding
 (module aep) share: pivot sets lexicographic, then free entries row-major.
@@ -43,20 +47,22 @@ str.lstrip of the base's digits, which names the first bad one, and then
 converts with int(text, base), 640 digits at a time, below any limit
 sys.set_int_max_str_digits allows.  An element is its e base-p digits; a
 subspace row (c_1..c_n) is the integer sum c_i q^(n-i) written with n*e
-base-p digits, which is each coordinate's e digits in turn.  Over a prime field a
-coordinate is one digit, so format_subspace writes the rows' entries as
-bytes and translates them to digits in one pass; over an extension field it
-joins the texts of the coordinates from a per-field table of the q element
-texts.  A codeword (module aep) is its index written in base q.  Bases
-above 36 have no text form.
+base-p digits, which is each coordinate's e digits in turn.  In
+characteristic 2, where the packed rows are held, format_subspace writes
+each with one format().  Otherwise it writes the entries: over a prime
+field a coordinate is one digit, so it writes the rows' entries as bytes
+and translates them to digits in one pass; over an extension field it joins
+the texts of the coordinates from a per-field table of the q element texts.
+A codeword (module aep) is its index written in base q.  Bases above 36
+have no text form.
 """
 
 import bisect
+import dataclasses
 import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .qcomb import q_binomial
 
@@ -305,64 +311,111 @@ class FieldSpec:
         return self._texts
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of F_q^n, held as its unique RREF basis.
 
-    Do not construct directly; use rref() so the canonical-form invariants
-    (pivots 1, pivot columns elsewhere 0, rows ordered by pivot) hold.
+    `rows` holds one packed int per basis row, in pivot order: the row
+    (c_1..c_n) is the int sum c_j q^(n-j), the integer of its text.  The
+    rows are what == and hash compare (two subspaces that hold only entries
+    compare those, the same test).  `basis` is the same rows as tuples of
+    entries.  A builder hands over the form it holds, the packed rows
+    (over F_2) or the entries (over other fields), and the other form is
+    built on first use.  Built only by rref and the other builders of this
+    module, so the canonical-form invariants (pivots 1, pivot columns
+    elsewhere 0, rows ordered by pivot) hold.
     """
 
     field: FieldSpec
     ambient_dim: int
-    basis: tuple
+    _rows: tuple
     pivot_cols: tuple
+    _basis: tuple = None
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            object.__setattr__(self, "_rows", _pack(self._basis, self.field.q))
+        return self._rows
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            view = _entry_rows(self._rows, self.ambient_dim, self.field.q)
+            object.__setattr__(self, "_basis", view)
+        return self._basis
+
+    def __eq__(self, other):
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        if self.field != other.field or self.ambient_dim != other.ambient_dim:
+            return False
+        if self._rows is None and other._rows is None:  # both hold entries only
+            return self._basis == other._basis
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.field, self.ambient_dim, self.rows))
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.pivot_cols)
 
     def contains_vector(self, vec):
-        """True iff vec reduces to zero against the basis."""
-        return not any(_reduce_vector(self.field, vec, self.basis, self.pivot_cols))
+        """True iff vec, a row of F_q^n as rref takes one, lies in this subspace."""
+        (x,) = _packed_rows((vec,), self.ambient_dim, self.field.q)
+        return self._holds(x)
+
+    def _holds(self, x):
+        """True iff the packed row x reduces to zero against the rows."""
+        field, n = self.field, self.ambient_dim
+        if field.q == 2:
+            for row, pc in zip(self.rows, self.pivot_cols):
+                if x >> (n - 1 - pc) & 1:
+                    x ^= row
+            return not x
+        return not any(_reduce_vector(field, _unpack(x, n, field.q), self.basis, self.pivot_cols))
 
     def contains(self, other):
         """True iff every basis row of `other` lies in this subspace."""
         _check_compatible(self, other)
-        return all(self.contains_vector(row) for row in other.basis)
+        return all(map(self._holds, other.rows))
 
     def sum(self, other):
         """Canonical subspace sum (span of the union of bases)."""
         _check_compatible(self, other)
-        return rref(list(self.basis) + list(other.basis), self.ambient_dim, self.field)
+        return rref(self.rows + other.rows, self.ambient_dim, self.field)
 
     def intersect(self, other):
-        """Canonical intersection, via the Zassenhaus block construction."""
+        """Canonical intersection, via the Zassenhaus block construction.
+
+        The block rows are (x, x) for x in self and (y, 0) for y in other,
+        packed; the rows of its RREF below q**n are 0 on the left half, and
+        their right halves span the intersection.
+        """
         _check_compatible(self, other)
-        n = self.ambient_dim
-        f = self.field
-        block = []
-        for row in self.basis:
-            block.append(tuple(row) + tuple(row))
-        for row in other.basis:
-            block.append(tuple(row) + (0,) * n)
+        n, f = self.ambient_dim, self.field
+        shift = f.q**n
+        block = [x * shift + x for x in self.rows] + [y * shift for y in other.rows]
         reduced = rref(block, 2 * n, f)
-        inter_rows = [row[n:] for row in reduced.basis if not any(row[:n])]
-        return rref(inter_rows, n, f)
+        return rref([x for x in reduced.rows if x < shift], n, f)
 
     def embedded(self, extra=1):
-        """Image under appending `extra` zero coordinates (RREF-preserving)."""
+        """Image under appending `extra` zero coordinates (RREF-preserving):
+        each packed row times q**extra, each entry row padded with zeros,
+        for whichever forms are held."""
         if extra < 0:
             raise ValueError("extra must be nonnegative")
         if extra == 0:
             return self
-        pad = (0,) * extra
-        return Subspace(
-            self.field,
-            self.ambient_dim + extra,
-            tuple(row + pad for row in self.basis),
-            self.pivot_cols,
-        )
+        rows, basis = self._rows, self._basis
+        if rows is not None:
+            scale = self.field.q**extra
+            rows = tuple(x * scale for x in rows)
+        if basis is not None:
+            pad = (0,) * extra
+            basis = tuple(row + pad for row in basis)
+        return Subspace(self.field, self.ambient_dim + extra, rows, self.pivot_cols, basis)
 
     def __repr__(self):
         basis = format_subspace(self) if self.field.p <= TEXT_BASE_MAX else self.basis
@@ -425,17 +478,40 @@ def _reduce_vector(field, vec, basis, pivot_cols):
     return vec
 
 
-_BITS_TO_ENTRIES = bytes.maketrans(b"01", b"\0\1")
+def _unpack(x, n, q):
+    """The n entries of the packed row x of F_q^n, as a sequence of ints."""
+    if q in _FORMAT_SPECS:  # one format() call
+        return to_text(x, n, q).encode().translate(_DIGIT_VALUES)
+    row = [0] * n
+    for j in range(n - 1, -1, -1):
+        x, row[j] = divmod(x, q)
+    return row
+
+
+def _entry_rows(rows, n, q):
+    """The basis view of packed rows: one tuple of entries per row."""
+    return tuple(tuple(_unpack(x, n, q)) for x in rows)
+
+
+def _pack(basis, q):
+    """The packed rows of entry rows over F_q, each read as one base-q
+    integer; the inverse of _entry_rows."""
+    if q > TEXT_BASE_MAX:
+        return tuple(functools.reduce(lambda x, c: x * q + c, row, 0) for row in basis)
+    text = b";".join(map(bytes, basis)).translate(_DIGIT_BYTES)
+    return tuple(_text_int(part, q) for part in text.split(b";")) if basis else ()
 
 
 class Echelon:
     """A reduced echelon basis of F_q^n that grows one packed row at a time.
 
     `insert` is the one elimination kernel: rref folds it over its rows
-    and dilations inserts one row into a copy of the embedded subspace.  Rows are kept in the
-    order found, each reduced against all the others.  Over F_2 a row stays
-    packed and its pivot is its top set bit; over other fields a row is its
-    entry list and its pivot a column.
+    and dilations inserts one row into a copy of the embedded subspace.
+    Rows are kept in the order found, each reduced against all the others.
+    Over F_2 a row stays packed and its pivot is its top set bit, and
+    `subspace` hands the rows over as they are; over other fields a row is
+    its entry list and its pivot a column, and `subspace` hands the
+    entries over.
     """
 
     def __init__(self, field, n, rows=()):
@@ -466,10 +542,7 @@ class Echelon:
                 self.rows.append(x)
                 self.pivots.append(bit)
             return
-        row = [0] * self.n
-        for j in range(self.n - 1, -1, -1):
-            x, row[j] = divmod(x, q)
-        row = _reduce_vector(field, row, rows, self.pivots)
+        row = _reduce_vector(field, _unpack(x, self.n, q), rows, self.pivots)
         pc = next((j for j, c in enumerate(row) if c), None)
         if pc is None:
             return
@@ -486,22 +559,13 @@ class Echelon:
 
     def subspace(self):
         """The canonical Subspace of the rows inserted so far."""
-        n = self.n
-        if self.field.q == 2:
-            basis = sorted(self.rows, reverse=True)
-            return Subspace(
-                self.field,
-                n,
-                tuple(tuple(f"{x:0{n}b}".encode().translate(_BITS_TO_ENTRIES)) for x in basis),
-                tuple(n - x.bit_length() for x in basis),
-            )
+        field, n = self.field, self.n
+        if field.q == 2:
+            rows = tuple(sorted(self.rows, reverse=True))
+            return Subspace(field, n, rows, tuple(n - x.bit_length() for x in rows))
         ordered = sorted(zip(self.pivots, self.rows))  # distinct pivots: rows never compared
-        return Subspace(
-            self.field,
-            n,
-            tuple(tuple(row) for _, row in ordered),
-            tuple(pc for pc, _ in ordered),
-        )
+        basis = tuple(tuple(row) for _, row in ordered)
+        return Subspace(field, n, None, tuple(pc for pc, _ in ordered), basis)
 
 
 class _Annihilator:
@@ -514,8 +578,9 @@ class _Annihilator:
     columns it is column f of V's RREF, so `subspace` reads V with no field
     arithmetic.  `embed` appends a zero coordinate; `dilate` adds one row
     by one inner product and at most one row step per free column.  Over
-    F_2 each u_f is packed at width n like a row and a row step is XOR;
-    over other fields u_f is an entry list of length n.
+    F_2 each u_f is packed at width n like a row and a row step is XOR, and
+    `subspace` builds V's packed rows from bit tests; over other fields u_f
+    is an entry list of length n, and `subspace` hands over V's entries.
     """
 
     def __init__(self, field, n):
@@ -545,7 +610,8 @@ class _Annihilator:
         other fields x is a list of k entries.  t_f = <w_f, x> is entry f
         of x reduced against V's rows, so the least f with t_f != 0 becomes
         a pivot and coordinate k + 1 a free column; with no such f,
-        coordinate k + 1 becomes the pivot and nothing else changes.
+        coordinate k + 1 becomes the pivot and nothing else changes.  With
+        no free column at all (V = F_q^k) x is never read.
         """
         field, k, cols = self.field, self.k, self.cols
         if field.q == 2:
@@ -581,23 +647,32 @@ class _Annihilator:
         """The canonical Subspace V of F_q^k, read by one transposition.
 
         At a pivot p, column c of V's RREF holds the entry at p of e_c if c
-        is a pivot and of u_c if c is free.  Zipping those k vectors gives,
-        at each pivot p, the row of p.  Over F_2 every u_f is written in one
-        bit string.
+        is a pivot and of u_c if c is free.  Over F_2 the row of p is packed
+        directly: its unit bit, plus the bit of column f wherever u_f has
+        bit p.  Over other fields, zipping the k columns gives, at each
+        pivot p, the entries of the row of p, handed over as they are.
         """
-        k, pivots, cols = self.k, self.pivots, self.cols
+        field, k, pivots, cols = self.field, self.k, self.pivots, self.cols
+        if field.q == 2:
+            shift = self.n - k  # u_f >> shift is u_f packed at width k
+            free = [(1 << (k - 1 - f), u >> shift) for f, u in zip(self.free, cols)]
+            rows = []
+            for pc in pivots:
+                bit = 1 << (k - 1 - pc)
+                x = bit
+                for fbit, u in free:
+                    if u & bit:
+                        x |= fbit
+                rows.append(x)
+            return Subspace(field, k, tuple(rows), tuple(pivots))
         unit = (0,) * (k - 1) + (1,) + (0,) * (k - 1)
         columns = [None] * k
         for pc in pivots:
             columns[pc] = unit[k - 1 - pc : 2 * k - 1 - pc]
-        if self.field.q == 2:
-            n = self.n
-            bits = "".join(map(f"{{:0{n}b}}".format, cols)).encode().translate(_BITS_TO_ENTRIES)
-            cols = [bits[i * n : i * n + k] for i in range(len(cols))]
         for f, u in zip(self.free, cols):
             columns[f] = u  # zip stops at the k entries of a unit
         rows = list(zip(*columns))
-        return Subspace(self.field, k, tuple(map(rows.__getitem__, pivots)), tuple(pivots))
+        return Subspace(field, k, None, tuple(pivots), tuple(map(rows.__getitem__, pivots)))
 
 
 def rref(rows, n, field):
@@ -628,7 +703,7 @@ def _packed_rows(rows, n, q):
 
 
 def zero_subspace(n, field):
-    return Subspace(field, n, (), ())
+    return Subspace(field, n, (), (), ())
 
 
 def full_space(n, field):
@@ -652,7 +727,7 @@ def _member(pivots, values, n, field):
     units = {p: unit[k - 1 - i : 2 * k - 1 - i] for i, p in enumerate(pivots)}
     free = zip(*rows)
     columns = [units[j] if j in units else next(free) for j in range(n)]
-    return Subspace(field, n, tuple(zip(*columns)), tuple(pivots))
+    return Subspace(field, n, None, tuple(pivots), tuple(zip(*columns)))
 
 
 def enumerate_grassmannian(k, n, field):
@@ -724,7 +799,7 @@ def _unrank_in_class(rank, k, n, field):
     length = sum(n - k - p + i for i, p in enumerate(pivots))
     if rank >= q**length:
         raise ValueError("rank out of range for this Grassmannian")
-    return _member(pivots, to_text(rank, length, q).encode().translate(_DIGIT_VALUES), n, field)
+    return _member(pivots, _unpack(rank, length, q), n, field)
 
 
 def dilations(w):
@@ -736,7 +811,7 @@ def dilations(w):
     n = w.ambient_dim
     q = w.field.q
     free_cols = [j for j in range(n) if j not in w.pivot_cols]
-    base = Echelon(w.field, n + 1, w.embedded(1).basis)
+    base = Echelon(w.field, n + 1, w.embedded(1).rows)
     out = []
     for values in itertools.product(range(q), repeat=len(free_cols)):
         x = 1  # the packed row: coordinate j weighs q^(n - j), the last one is 1
@@ -772,6 +847,13 @@ def from_text(text, base):
     bad = text.lstrip(_DIGITS[:base])
     if bad:
         raise ValueError(f"digit {bad[0]!r} out of range for base {base}")
+    return _text_int(text, base)
+
+
+def _text_int(text, base):
+    """int(text, base) for a text (str or bytes) of valid digits, of any length."""
+    if 0 < len(text) <= _INT_CHUNK:
+        return int(text, base)
     x = 0
     for i in range(0, len(text), _INT_CHUNK):
         chunk = text[i:i + _INT_CHUNK]
@@ -782,12 +864,17 @@ def from_text(text, base):
 def format_subspace(v):
     """Rows of the RREF basis as digit strings joined by ';'.
 
-    Each coordinate is an e-digit base-p group, most significant first;
-    the zero subspace formats as the empty string.
+    Each coordinate is an e-digit base-p group, most significant first,
+    so a row is to_text(x, n * e, p) of its packed int x.  In
+    characteristic 2, where the packed rows are held, that is one format()
+    per row; otherwise the digits are written from the entries the builder
+    held.  The zero subspace formats as the empty string.
     """
-    if not v.basis:
+    if not v.pivot_cols:
         return ""
-    field = v.field
+    field, rows = v.field, v._rows
+    if field.p == 2 and rows is not None:
+        return ";".join(map(format, rows, itertools.repeat(f"0{v.ambient_dim * field.e}b")))
     if field.e == 1 and field.p <= TEXT_BASE_MAX:  # an entry is one digit
         return b";".join(map(bytes, v.basis)).translate(_DIGIT_BYTES).decode()
     texts = field.element_texts()

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from oracles import exact_pmf_fraction, pmf_fraction
 from qgrass import aep, gf, grassproc, qcomb, qdist
 from qgrass.entropy import binary_quadratic_entropy
-from qgrass.gf import Subspace
 
 F2 = gf.FieldSpec(2)
 F16 = gf.FieldSpec(16)
@@ -723,7 +722,7 @@ def subspace_from_pattern(pivots, values, n, field):
         rows[i][pc] = 1
     for (i, j), v in zip(free_positions(pivots, n), values):
         rows[i][j] = v
-    return Subspace(field, n, tuple(tuple(r) for r in rows), tuple(pivots))
+    return gf.rref(rows, n, field)  # already an RREF: rref keeps it as it is
 
 
 @functools.lru_cache(maxsize=None)

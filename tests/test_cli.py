@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -91,6 +92,27 @@ def test_simulate_seed_env_override():
     a = run("simulate", "--n", "5", "--theta", "1", "--q", "2", env_extra={"QGRASS_SEED": "77"})
     b = run("simulate", "--n", "5", "--theta", "1", "--q", "2", "--seed", "77")
     assert a.stdout == b.stdout
+
+
+# SHA-256 of simulate's stdout over the grid below, recorded while each
+# Subspace still held entry tuples and every growth step drew its dilation.
+SIMULATE_GRID_SHA256 = "fffed3ad94e49d0665e836bbbc1e5176317c0a7c2c7fd47ea7ff0cb778c2f2c9"
+
+
+def test_simulate_stdout_over_a_grid_is_pinned(capsys):
+    # prime, characteristic-2 and odd extension fields, every codimension
+    # regime from codim 0 to codim > dim, with and without the history
+    digest = hashlib.sha256()
+    for n in (0, 1, 6, 24, 64):
+        for q in (2, 3, 4, 8, 9, 16, 25, 27):
+            for theta in ("0", repr(2**-40), "1/256", "1", "1e6"):
+                for seed in (0, 7):
+                    for history in ([], ["--keep-history"]):
+                        argv = ["simulate", "--n", str(n), "--q", str(q), "--theta", theta,
+                                "--seed", str(seed), "--samples", "2", *history]
+                        assert cli.main(argv) == 0
+                        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SIMULATE_GRID_SHA256
 
 
 def test_simulate_histogram_tv():

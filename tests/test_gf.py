@@ -224,6 +224,99 @@ def test_contains():
         line_x.contains(gf.zero_subspace(3, F2))
 
 
+def test_contains_vector_checks_its_length():
+    # a vector is read as rref reads a row: its length must be n, entries
+    # reduce mod q, and an int is a packed row
+    for field in (F2, F3):
+        v = gf.rref([(1, 0, 0)], 3, field)
+        assert v.contains_vector([1, 0, 0]) and v.contains_vector([field.q + 1, 0, 0])
+        assert not v.contains_vector([0, 0, 1]) and not v.contains_vector((1, 1, 0))
+        assert v.contains_vector(field.q**2) and not v.contains_vector(1)
+        for vec in ([1], [1, 2], [1, 0, 0, 1]):
+            with pytest.raises(ValueError, match=f"row length {len(vec)} != ambient dimension 3"):
+                v.contains_vector(vec)
+        with pytest.raises(ValueError, match="is not in range"):
+            v.contains_vector(field.q**3)
+
+
+def _pack_reference(row, q):
+    return sum(c * q ** (len(row) - 1 - j) for j, c in enumerate(row))
+
+
+def _coordinate_text(c, field):
+    digits = [(c // field.p**i) % field.p for i in range(field.e)]
+    return "".join("0123456789abcdefghijklmnopqrstuvwxyz"[d] for d in reversed(digits))
+
+
+def _every_builder(field, rng):
+    """Subspaces from every builder of gf over field, with the builder's name."""
+    q = field.q
+    out = [("zero_subspace", gf.zero_subspace(4, field)), ("full_space", gf.full_space(4, field))]
+    for n in (0, 1, 3, 5):
+        for _ in range(4):
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+            v = gf.rref(rows, n, field)
+            echelon = gf.Echelon(field, n)
+            for row in rows[::-1]:
+                echelon.insert(_pack_reference(row, q))
+            w = echelon.subspace()
+            out += [("rref", v), ("Echelon.subspace", w), ("sum", v.sum(w)), ("intersect", v.intersect(w))]
+            other = gf.rref([[rng.randrange(q) for _ in range(n)] for _ in range(2)], n, field)
+            out += [("sum", v.sum(other)), ("intersect", v.intersect(other))]
+    state = gf._Annihilator(field, 6)
+    for k in range(6):
+        if rng.random() < 0.4:
+            state.embed()
+        else:
+            x = rng.getrandbits(k) if q == 2 else [rng.randrange(q) for _ in range(k)]
+            state.dilate(x, rng.randrange(1, q))
+        out.append(("_Annihilator.subspace", state.subspace()))
+    out += [("enumerate_grassmannian", v) for k in range(3) for v in gf.enumerate_grassmannian(k, 2, field)]
+    for k, n in ((1, 3), (2, 4), (3, 5)):
+        size = qcomb.q_binomial(n, k, q)
+        out += [("_unrank_in_class", gf._unrank_in_class(rng.randrange(size), k, n, field)) for _ in range(3)]
+    built = [v for _, v in out]
+    out += [("embedded", v.embedded(rng.randint(1, 2))) for v in built]
+    if field.p <= gf.TEXT_BASE_MAX:
+        out += [("parse_subspace", gf.parse_subspace(gf.format_subspace(v), v.ambient_dim, field)[0])
+                for v in built]
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 37])
+def test_packed_rows_of_every_builder(q):
+    field = gf.FieldSpec(q)
+    rng = random.Random(q)
+    spaces = _every_builder(field, rng)
+    assert {name for name, _ in spaces} == {
+        "zero_subspace", "full_space", "rref", "Echelon.subspace", "sum", "intersect",
+        "_Annihilator.subspace", "enumerate_grassmannian", "_unrank_in_class", "embedded",
+    } | ({"parse_subspace"} if field.p <= gf.TEXT_BASE_MAX else set())
+    for name, v in spaces:
+        n = v.ambient_dim
+        # the rows are the packing of the basis, whichever form the builder held
+        assert v.rows == tuple(_pack_reference(row, q) for row in v.basis), name
+        assert all(len(row) == n for row in v.basis), name
+        assert v.pivot_cols == tuple(next(j for j, c in enumerate(row) if c) for row in v.basis), name
+        assert v.dim == len(v.rows) == len(v.basis), name
+        if field.p <= gf.TEXT_BASE_MAX or not v.dim:
+            expected = ";".join("".join(_coordinate_text(c, field) for c in row) for row in v.basis)
+            assert gf.format_subspace(v) == expected, name
+        else:
+            with pytest.raises(ValueError):
+                gf.format_subspace(v)
+        # == and hash follow the rows: the same rows from packed ints and from
+        # entries give the same subspace
+        twins = [gf.rref(v.rows, n, field), gf.rref(v.basis, n, field)]
+        for w in twins:
+            assert w == v and hash(w) == hash(v) and w.rows == v.rows, name
+    for (_, a), (_, b) in itertools.combinations(spaces, 2):
+        same = (a.ambient_dim, a.rows) == (b.ambient_dim, b.rows)
+        assert (a == b) == same
+        if same:
+            assert hash(a) == hash(b)
+
+
 def test_sum_intersect_examples():
     line_x = gf.rref([(1, 0)], 2, F2)
     line_y = gf.rref([(0, 1)], 2, F2)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import exact_pmf_fraction, pmf_fraction
-from qgrass import gf, grassproc, qcomb, qdist
+from qgrass import cli, gf, grassproc, qcomb, qdist
 from qgrass.entropy import log_q_int
 
 F2 = gf.FieldSpec(2)
@@ -248,6 +248,71 @@ def test_simulate_builds_no_echelon(monkeypatch):
         for keep_history in (False, True):
             traj = grassproc.simulate(64, 1, gf.FieldSpec(q), 3, keep_history=keep_history)
             assert traj.final.current.dim > 32
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("a dilation coordinate was drawn")
+
+
+@pytest.mark.parametrize("q", [2, 3, 16])
+def test_growth_at_codim_0_reads_nothing(q, monkeypatch):
+    field = gf.FieldSpec(q)
+    # theta = 1: a growth step reads its coordinates once where V_m != F_q^m.
+    # codim V_m never falls, so the steps at codim 0 are the growth steps
+    # before the first step without growth.
+    skipped = read = 0
+    for seed in range(8):
+        history = grassproc.simulate(64, 1, field, seed, keep_history=True).history
+        dims = [st.current.dim for st in history]
+        drawn = sum(b > a < m for m, (a, b) in enumerate(zip(dims, dims[1:])))
+        skipped += dims[-1] - drawn
+        reads = []
+        with monkeypatch.context() as patch:
+            if q == 2:
+                coordinates = grassproc._f2_coordinates
+                patch.setattr(grassproc, "_f2_coordinates",
+                              lambda rng, m: reads.append(m) or coordinates(rng, m))
+            else:
+                randrange = random.Random.randrange
+
+                def counted(rng, start, stop=None):
+                    if stop is not None:  # randrange(1, q): c, the last draw of a step
+                        reads.append(start)
+                    return randrange(rng, start, stop)
+
+                patch.setattr(random.Random, "randrange", counted)
+            final = grassproc.simulate(64, 1, field, seed).final
+        assert final == history[-1] and len(reads) == drawn
+        read += drawn
+    assert skipped and read  # growth steps at codim 0 and at codim >= 1 both ran
+    # theta = 1e6: every step grows, so V_m = F_q^m at every step and no
+    # step draws a coordinate
+    monkeypatch.setattr(grassproc, "_f2_coordinates", _raise)
+    monkeypatch.setattr(random.Random, "randrange", _raise)
+    for seed in range(3):
+        assert grassproc.simulate(64, 1e6, field, seed).final.current == gf.full_space(64, field)
+
+
+@pytest.mark.parametrize("q", [2, 16])
+def test_trajectory_builds_no_basis_view(q, monkeypatch, capsys):
+    # in characteristic 2 the text is written from the packed rows: neither
+    # simulate nor the CLI unpacks a row into its entries
+    argv = ["simulate", "--n", "24", "--theta", "1", "--q", str(q), "--seed", "5", "--samples", "3"]
+    field = gf.FieldSpec(q)
+    want = [cli.main(argv + flags) or capsys.readouterr().out for flags in ([], ["--keep-history"])]
+    records = [grassproc.trajectory_record(grassproc.simulate(64, theta, field, 1, keep_history=True))
+               for theta in (2**-40, 1)]
+
+    def no_view(*args):
+        raise AssertionError("a basis view was built")
+
+    monkeypatch.setattr(gf, "_entry_rows", no_view)
+    for flags, out in zip(([], ["--keep-history"]), want):
+        assert cli.main(argv + flags) == 0
+        assert capsys.readouterr().out == out
+    for theta, rec in zip((2**-40, 1), records):
+        traj = grassproc.simulate(64, theta, field, 1, keep_history=True)
+        assert grassproc.trajectory_record(traj) == rec
 
 
 def test_simulate_deterministic_replay():
