@@ -295,8 +295,9 @@ def test_growth_at_codim_0_reads_nothing(q, monkeypatch):
 
 @pytest.mark.parametrize("q", [2, 16])
 def test_trajectory_builds_no_basis_view(q, monkeypatch, capsys):
-    # in characteristic 2 the text is written from the packed rows: neither
-    # simulate nor the CLI unpacks a row into its entries
+    # in characteristic 2 a trajectory's text is written from the form its
+    # builder held (F_2: packed rows, F_16: entries): neither simulate nor
+    # the CLI unpacks a packed row into its entries
     argv = ["simulate", "--n", "24", "--theta", "1", "--q", str(q), "--seed", "5", "--samples", "3"]
     field = gf.FieldSpec(q)
     want = [cli.main(argv + flags) or capsys.readouterr().out for flags in ([], ["--keep-history"])]
