@@ -317,25 +317,26 @@ class Subspace:
 
     `rows` holds one packed int per basis row, in pivot order: the row
     (c_1..c_n) is the int sum c_j q^(n-j), the integer of its text.  The
-    rows are what == and hash compare (two subspaces that hold only entries
-    compare those, the same test).  `basis` is the same rows as tuples of
-    entries.  A builder hands over the form it holds, the packed rows
-    (over F_2) or the entries (over other fields), and the other form is
-    built on first use.  Built only by rref and the other builders of this
-    module, so the canonical-form invariants (pivots 1, pivot columns
-    elsewhere 0, rows ordered by pivot) hold.
+    rows are what == and hash compare.  `basis` is the same rows as tuples
+    of entries.  A builder hands over the form it holds, the packed rows
+    (over F_2) or the entries (over other fields), as the keyword-only
+    `_rows` or `_basis`, and the other form is built on first use.  Built
+    only by rref and the other builders of this module, so the
+    canonical-form invariants (pivots 1, pivot columns elsewhere 0, rows
+    ordered by pivot) hold.
     """
 
     field: FieldSpec
     ambient_dim: int
-    _rows: tuple
     pivot_cols: tuple
-    _basis: tuple = None
+    _rows: tuple = dataclasses.field(default=None, kw_only=True)
+    _basis: tuple = dataclasses.field(default=None, kw_only=True)
 
     @property
     def rows(self):
         if self._rows is None:
-            object.__setattr__(self, "_rows", _pack(self._basis, self.field.q))
+            rows = tuple(_packed_rows(self._basis, self.ambient_dim, self.field.q))
+            object.__setattr__(self, "_rows", rows)
         return self._rows
 
     @property
@@ -350,8 +351,6 @@ class Subspace:
             return NotImplemented
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             return False
-        if self._rows is None and other._rows is None:  # both hold entries only
-            return self._basis == other._basis
         return self.rows == other.rows
 
     def __hash__(self):
@@ -415,7 +414,8 @@ class Subspace:
         if basis is not None:
             pad = (0,) * extra
             basis = tuple(row + pad for row in basis)
-        return Subspace(self.field, self.ambient_dim + extra, rows, self.pivot_cols, basis)
+        n = self.ambient_dim + extra
+        return Subspace(self.field, n, self.pivot_cols, _rows=rows, _basis=basis)
 
     def __repr__(self):
         basis = format_subspace(self) if self.field.p <= TEXT_BASE_MAX else self.basis
@@ -493,15 +493,6 @@ def _entry_rows(rows, n, q):
     return tuple(tuple(_unpack(x, n, q)) for x in rows)
 
 
-def _pack(basis, q):
-    """The packed rows of entry rows over F_q, each read as one base-q
-    integer; the inverse of _entry_rows."""
-    if q > TEXT_BASE_MAX:
-        return tuple(functools.reduce(lambda x, c: x * q + c, row, 0) for row in basis)
-    text = b";".join(map(bytes, basis)).translate(_DIGIT_BYTES)
-    return tuple(_text_int(part, q) for part in text.split(b";")) if basis else ()
-
-
 class Echelon:
     """A reduced echelon basis of F_q^n that grows one packed row at a time.
 
@@ -562,10 +553,10 @@ class Echelon:
         field, n = self.field, self.n
         if field.q == 2:
             rows = tuple(sorted(self.rows, reverse=True))
-            return Subspace(field, n, rows, tuple(n - x.bit_length() for x in rows))
+            return Subspace(field, n, tuple(n - x.bit_length() for x in rows), _rows=rows)
         ordered = sorted(zip(self.pivots, self.rows))  # distinct pivots: rows never compared
         basis = tuple(tuple(row) for _, row in ordered)
-        return Subspace(field, n, None, tuple(pc for pc, _ in ordered), basis)
+        return Subspace(field, n, tuple(pc for pc, _ in ordered), _basis=basis)
 
 
 class _Annihilator:
@@ -664,7 +655,7 @@ class _Annihilator:
                     if u & bit:
                         x |= fbit
                 rows.append(x)
-            return Subspace(field, k, tuple(rows), tuple(pivots))
+            return Subspace(field, k, tuple(pivots), _rows=tuple(rows))
         unit = (0,) * (k - 1) + (1,) + (0,) * (k - 1)
         columns = [None] * k
         for pc in pivots:
@@ -672,7 +663,7 @@ class _Annihilator:
         for f, u in zip(self.free, cols):
             columns[f] = u  # zip stops at the k entries of a unit
         rows = list(zip(*columns))
-        return Subspace(field, k, None, tuple(pivots), tuple(map(rows.__getitem__, pivots)))
+        return Subspace(field, k, tuple(pivots), _basis=tuple(map(rows.__getitem__, pivots)))
 
 
 def rref(rows, n, field):
@@ -703,7 +694,7 @@ def _packed_rows(rows, n, q):
 
 
 def zero_subspace(n, field):
-    return Subspace(field, n, (), (), ())
+    return Subspace(field, n, (), _rows=(), _basis=())
 
 
 def full_space(n, field):
@@ -727,7 +718,7 @@ def _member(pivots, values, n, field):
     units = {p: unit[k - 1 - i : 2 * k - 1 - i] for i, p in enumerate(pivots)}
     free = zip(*rows)
     columns = [units[j] if j in units else next(free) for j in range(n)]
-    return Subspace(field, n, None, tuple(pivots), tuple(zip(*columns)))
+    return Subspace(field, n, tuple(pivots), _basis=tuple(zip(*columns)))
 
 
 def enumerate_grassmannian(k, n, field):
@@ -847,13 +838,6 @@ def from_text(text, base):
     bad = text.lstrip(_DIGITS[:base])
     if bad:
         raise ValueError(f"digit {bad[0]!r} out of range for base {base}")
-    return _text_int(text, base)
-
-
-def _text_int(text, base):
-    """int(text, base) for a text (str or bytes) of valid digits, of any length."""
-    if 0 < len(text) <= _INT_CHUNK:
-        return int(text, base)
     x = 0
     for i in range(0, len(text), _INT_CHUNK):
         chunk = text[i:i + _INT_CHUNK]

@@ -317,6 +317,14 @@ def test_packed_rows_of_every_builder(q):
             assert hash(a) == hash(b)
 
 
+def test_subspace_forms_are_keyword_only():
+    # a call with the entry rows in third place is refused, not stored as rows
+    with pytest.raises(TypeError):
+        gf.Subspace(F2, 3, ((1, 0, 0),), (0,))
+    v = gf.Subspace(F2, 3, (0,), _basis=((1, 0, 0),))
+    assert v == gf.rref([[1, 0, 0]], 3, F2) and v.rows == (4,)
+
+
 def test_sum_intersect_examples():
     line_x = gf.rref([(1, 0)], 2, F2)
     line_y = gf.rref([(0, 1)], 2, F2)
