@@ -25,7 +25,7 @@ Delta bisects their partial sums, and mu and `check_aep` share
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .entropy import binary_quadratic_entropy, log_q_int
@@ -85,14 +85,10 @@ def mu(d, theta, q):
     return next(itertools.islice(_mu_values(theta, q), d, None))[1]
 
 
-@dataclass(frozen=True)
-class MuTable:
+class MuTable(namedtuple("MuTable", "theta q values tail_bound")):
     """Tabulated mu(0..d_max) with a bound on the truncated tail mass."""
 
-    theta: float
-    q: int
-    values: tuple
-    tail_bound: float
+    __slots__ = ()
 
     @property
     def d_max(self):
@@ -150,19 +146,13 @@ def is_continuity_point(p, table):
     return all(abs(p - c) > tol for c in cumulative)
 
 
-@dataclass(frozen=True)
-class TypicalSet:
+class TypicalSet(namedtuple(
+    "TypicalSet",
+    "n q theta epsilon delta_codim exact_size limit_delta discontinuity bracket",
+)):
     """Descriptor of A_n = union of Gr(n-d, n) for d = 0..delta_codim."""
 
-    n: int
-    q: int
-    theta: float
-    epsilon: float
-    delta_codim: int
-    exact_size: int
-    limit_delta: int
-    discontinuity: bool
-    bracket: tuple
+    __slots__ = ()
 
     @property
     def member_codims(self):
@@ -356,8 +346,9 @@ def greedy_min_set_size(n, epsilon, theta, q):
 
 # -- block coding ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockCode:
+class BlockCode(namedtuple(
+    "BlockCode", "n field codim_bound class_sizes exact_size codeword_len"
+)):
     """Fixed-length base-q code for the typical subspaces at time n.
 
     Ranking order: codimension ascending, then gf's Grassmannian order
@@ -366,12 +357,7 @@ class BlockCode:
     gf._unrank_in_class.
     """
 
-    n: int
-    field: object
-    codim_bound: int
-    class_sizes: tuple
-    exact_size: int
-    codeword_len: int
+    __slots__ = ()
 
 
 def make_block_code(n, epsilon, theta, field):

@@ -58,7 +58,6 @@ have no text form.
 """
 
 import bisect
-import dataclasses
 import functools
 import itertools
 import math
@@ -311,7 +310,6 @@ class FieldSpec:
         return self._texts
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of F_q^n, held as its unique RREF basis.
 
@@ -323,14 +321,21 @@ class Subspace:
     `_rows` or `_basis`, and the other form is built on first use.  Built
     only by rref and the other builders of this module, so the
     canonical-form invariants (pivots 1, pivot columns elsewhere 0, rows
-    ordered by pivot) hold.
+    ordered by pivot) hold.  Frozen: setting or deleting an attribute
+    raises AttributeError.
     """
 
-    field: FieldSpec
-    ambient_dim: int
-    pivot_cols: tuple
-    _rows: tuple = dataclasses.field(default=None, kw_only=True)
-    _basis: tuple = dataclasses.field(default=None, kw_only=True)
+    def __init__(self, field, ambient_dim, pivot_cols, *, _rows=None, _basis=None):
+        self.__dict__.update(
+            field=field, ambient_dim=ambient_dim, pivot_cols=pivot_cols,
+            _rows=_rows, _basis=_basis,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def rows(self):

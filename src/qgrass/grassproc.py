@@ -39,32 +39,28 @@ against.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .gf import Subspace, _Annihilator, dilations, format_subspace, zero_subspace
+from .gf import _Annihilator, dilations, format_subspace, zero_subspace
 from .qdist import QBinomialParams, bernoulli_chain
 
 
-@dataclass(frozen=True)
-class ProcessState:
-    step: int
-    current: Subspace
+class ProcessState(namedtuple("ProcessState", "step current")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.current.ambient_dim != self.step:
-            raise ValueError(
-                f"ambient dimension {self.current.ambient_dim} != step {self.step}"
-            )
+    def __new__(cls, step, current):
+        if current.ambient_dim != step:
+            raise ValueError(f"ambient dimension {current.ambient_dim} != step {step}")
+        return super().__new__(cls, step, current)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks the fields too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    q: int
-    theta: float
-    seed: object
-    final: ProcessState
-    history: tuple = None
+class Trajectory(namedtuple("Trajectory", "q theta seed final history", defaults=(None,))):
+    __slots__ = ()
 
 
 def substream(rng, label):

@@ -11,7 +11,7 @@ rationals.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .entropy import log_q_int, quadratic_entropy, round_to_type
@@ -22,29 +22,31 @@ DEGENERATE_DET_CUT = 1e-14
 NEIGHBORHOOD_RADIUS = 6
 
 
-@dataclass(frozen=True)
-class EnergyModel:
-    energies: tuple
-    target_mean: float
+class EnergyModel(namedtuple("EnergyModel", "energies target_mean")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
-        if not self.energies:
+    def __new__(cls, energies, target_mean):
+        energies = tuple(float(e) for e in energies)
+        if not energies:
             raise ValueError("at least one energy level is required")
-        if not all(map(math.isfinite, self.energies)):
-            raise ValueError(f"energies must be finite, got {self.energies}")
-        if not min(self.energies) <= self.target_mean <= max(self.energies):
+        if not all(map(math.isfinite, energies)):
+            raise ValueError(f"energies must be finite, got {energies}")
+        if not min(energies) <= target_mean <= max(energies):
             raise ValueError(
-                f"target mean {self.target_mean} outside the feasible range "
-                f"[{min(self.energies)}, {max(self.energies)}]"
+                f"target mean {target_mean} outside the feasible range "
+                f"[{min(energies)}, {max(energies)}]"
             )
+        return super().__new__(cls, energies, target_mean)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks the fields too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class MaxEntSolution:
-    probs: tuple
-    multipliers: tuple  # (a, b): g_i = a + b E_i on the active support
-    active_support: tuple
+class MaxEntSolution(namedtuple("MaxEntSolution", "probs multipliers active_support")):
+    """multipliers is (a, b): g_i = a + b E_i on the active support."""
+
+    __slots__ = ()
 
 
 def _solve_on_support(energies, support, target, det_cut):

@@ -30,9 +30,8 @@ import functools
 import itertools
 import math
 import operator
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 from .entropy import binary_quadratic_entropy, log_q_int
 from .qcomb import _gaussian_column, q_binomial
@@ -42,19 +41,21 @@ MLE_DEFAULT_TOL = 1e-12
 C_INF_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class QBinomialParams:
-    n: int
-    theta: float
-    q: int
+class QBinomialParams(namedtuple("QBinomialParams", "n theta q")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"n must be a nonnegative integer, got {self.n!r}")
-        if not self.theta >= 0:
-            raise ValueError(f"theta must be >= 0, got {self.theta!r}")
-        if not isinstance(self.q, int) or self.q < 2:
-            raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
+    def __new__(cls, n, theta, q):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        if not theta >= 0:
+            raise ValueError(f"theta must be >= 0, got {theta!r}")
+        if not isinstance(q, int) or q < 2:
+            raise ValueError(f"q must be an integer >= 2, got {q!r}")
+        return super().__new__(cls, n, theta, q)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks the fields too
+        return cls(*fields)
 
 
 def growth_terms(theta, q):

@@ -162,24 +162,32 @@ def test_f2_bulk_draw_matches_randrange():
 
 @pytest.mark.parametrize("n", [1, 6, 24, 64])
 def test_simulate_f2_history_matches_reference(n, echelon_reference):
-    # theta = 2^-40 holds codim > dim over F_2 up to n = 64
+    # theta = 2^-40 holds codim > dim over F_2 up to n = 64; seed 5 at
+    # theta = 1 grows at codim 1 over F_2, with x in V_m and with x outside it
+    f2_kinds = set()  # (codim V_m, x in V_m) of the F_2 growth steps at codim >= 1
     for q in (2, 3, 4, 9, 16, 251):
         field = gf.FieldSpec(q)
         for theta in (0, 2**-40, 1 / 256, 1, 1e6):
-            for seed in (0, "h"):
+            for seed in (0, "h", 5) if q == 2 else (0, "h"):
                 traj = grassproc.simulate(n, theta, field, seed, keep_history=True)
                 # the span of the dilations drawn so far, in F_q^(m + 1) at step m + 1
                 echelon = echelon_reference(field)
                 for m, rng in enumerate(_replayed_growth(n, theta, q, seed)):
                     echelon.widen()
                     if rng is not None:
-                        echelon.insert([rng.randrange(q) for _ in range(m)] + [rng.randrange(1, q)])
+                        x = [rng.randrange(q) for _ in range(m)]
+                        v = traj.history[m].current
+                        if q == 2 and m > v.dim:
+                            f2_kinds.add((m - v.dim, v.contains_vector(x)))
+                        echelon.insert(x + [rng.randrange(1, q)])
                     state = traj.history[m + 1]
                     assert state.step == m + 1
                     assert (state.current.basis, state.current.pivot_cols) == echelon.state()
                 assert len(traj.history) == n + 1
                 assert traj.history[-1] == traj.final
                 assert grassproc.simulate(n, theta, field, seed).final == traj.final
+    if n > 1:
+        assert {(1, True), (1, False)} <= f2_kinds
     codim = 64 - grassproc.simulate(64, 2**-40, F2, 0).final.current.dim
     assert codim > 64 - codim
 

@@ -1,7 +1,16 @@
+import copy
 import os
+import pickle
+import subprocess
+import sys
 import types
 
+import pytest
+
 import qgrass
+from qgrass import aep, gf, grassproc, maxent, qdist
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # Every public name of the package.  Each has a CLI path, states one of the
 # paper's identities, serves as an oracle or is a type that one of these
@@ -43,3 +52,121 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3 and lines[-1].endswith(" True")
+
+
+_F2 = gf.FieldSpec(2)
+_V = gf.rref([[1, 0, 1], [0, 1, 1]], 3, _F2)
+
+# One value of each public value type, built twice from the same fields,
+# one of its fields and its repr.
+VALUES = {
+    "Subspace": (
+        lambda: gf.rref([[1, 0, 1], [0, 1, 1]], 3, _F2),
+        "ambient_dim",
+        "Subspace(q=2, n=3, basis='101;011')",
+    ),
+    "MuTable": (
+        lambda: aep.MuTable(theta=1.0, q=2, values=(0.5, 0.25), tail_bound=0.25),
+        "theta",
+        "MuTable(theta=1.0, q=2, values=(0.5, 0.25), tail_bound=0.25)",
+    ),
+    "TypicalSet": (
+        lambda: aep.typical_set(4, 0.1, 1.0, 2),
+        "n",
+        "TypicalSet(n=4, q=2, theta=1.0, epsilon=0.1, delta_codim=2, exact_size=51,"
+        " limit_delta=2, discontinuity=False, bracket=(2, 2))",
+    ),
+    "BlockCode": (
+        lambda: aep.make_block_code(4, 0.1, 1.0, _F2),
+        "n",
+        "BlockCode(n=4, field=FieldSpec(2), codim_bound=2, class_sizes=(1, 15, 35),"
+        " exact_size=51, codeword_len=6)",
+    ),
+    "QBinomialParams": (
+        lambda: qdist.QBinomialParams(n=6, theta=1.0, q=2),
+        "n",
+        "QBinomialParams(n=6, theta=1.0, q=2)",
+    ),
+    "ProcessState": (
+        lambda: grassproc.ProcessState(3, _V),
+        "step",
+        "ProcessState(step=3, current=Subspace(q=2, n=3, basis='101;011'))",
+    ),
+    "Trajectory": (
+        lambda: grassproc.Trajectory(2, 1.0, 7, grassproc.ProcessState(3, _V)),
+        "q",
+        "Trajectory(q=2, theta=1.0, seed=7, final=ProcessState(step=3,"
+        " current=Subspace(q=2, n=3, basis='101;011')), history=None)",
+    ),
+    "EnergyModel": (
+        lambda: maxent.EnergyModel((0, 1, 2), 1),
+        "energies",
+        "EnergyModel(energies=(0.0, 1.0, 2.0), target_mean=1)",
+    ),
+    "MaxEntSolution": (
+        lambda: maxent.MaxEntSolution((0.5, 0.5), (0.5, 0.0), (0, 1)),
+        "probs",
+        "MaxEntSolution(probs=(0.5, 0.5), multipliers=(0.5, 0.0), active_support=(0, 1))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_types_are_frozen_values(name):
+    make, field, text = VALUES[name]
+    value = make()
+    assert type(value) is getattr(qgrass, name)
+    assert repr(value) == text
+    twin = make()
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+    copies = [pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)]
+    for other in copies:
+        assert type(other) is type(value) and other == value and hash(other) == hash(value)
+        assert repr(other) == text
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        value.not_a_field = None
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: qdist.QBinomialParams(-1, 1.0, 2), "n must be a nonnegative integer, got -1"),
+    (lambda: qdist.QBinomialParams(2, -1.0, 2), "theta must be >= 0, got -1.0"),
+    (lambda: qdist.QBinomialParams(2, float("nan"), 2), "theta must be >= 0, got nan"),
+    (lambda: qdist.QBinomialParams(2, 1.0, 1), "q must be an integer >= 2, got 1"),
+    (lambda: grassproc.ProcessState(2, _V), "ambient dimension 3 != step 2"),
+    (lambda: maxent.EnergyModel((), 0.0), "at least one energy level is required"),
+    (lambda: maxent.EnergyModel((1, float("inf")), 1.0), "energies must be finite, got (1.0, inf)"),
+    (lambda: maxent.EnergyModel((0, 1), 5), "target mean 5 outside the feasible range [0.0, 1.0]"),
+])
+def test_value_type_checks_keep_their_messages(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_replace_goes_through_the_checks():
+    with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+        qdist.QBinomialParams(6, 1.0, 2)._replace(n=-1)
+    with pytest.raises(ValueError, match="ambient dimension 3 != step 2"):
+        grassproc.ProcessState(3, _V)._replace(step=2)
+    model = maxent.EnergyModel((0, 1), 0.5)._replace(energies=[2, 0])
+    assert model == maxent.EnergyModel((2.0, 0.0), 0.5) and type(model.energies) is tuple
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # a CLI call imports the package first: keep the modules that cost most
+    # of that import out of it (measured against the set that site loaded)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules);"
+        " import qgrass.cli;"
+        " print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code, SRC],
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"
