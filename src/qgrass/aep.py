@@ -26,7 +26,6 @@ import bisect
 import itertools
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .entropy import binary_quadratic_entropy, log_q_int
 from .gf import TEXT_BASE_MAX, _rank_in_class, _unrank_in_class, from_text, full_space, to_text
@@ -167,6 +166,8 @@ def _stop_need(n, epsilon):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
+    from fractions import Fraction  # only a stop builds one; the import costs ~3 ms
+
     return 1 - Fraction(str(epsilon))
 
 
@@ -174,6 +175,8 @@ def _class_mass_stop(n, epsilon, theta, q):
     """a_n, the first codimension class whose cumulative mass reaches
     1 - epsilon (n if the sum never does), exact for every theta: a float
     theta is the dyadic rational it equals."""
+    from fractions import Fraction  # only a stop builds one; the import costs ~3 ms
+
     a, b = Fraction(theta).as_integer_ratio()
     return _ratio_stop(n, _stop_need(n, epsilon), a, b, q)
 
@@ -196,6 +199,8 @@ def _ratio_stop(n, need, a, b, q, start=None):
     side whose bound is larger.  The answer does not depend on start.
     """
     if a < 0:
+        from fractions import Fraction  # only this error text builds one; ~3 ms to import
+
         raise ValueError(f"theta must be >= 0, got {Fraction(a, b)}")
     if a == 0:  # class n alone has mass
         return n
@@ -255,6 +260,8 @@ def _stop_deficit(n, epsilon, theta, q):
     rational it equals, class d has the numerator
     [n, d]_q q^(m(m-1)/2) a^m b^d, m = n - d, over prod_(i<n) (b + a q^i),
     formed only up to a_n."""
+    from fractions import Fraction  # only a stop builds one; the import costs ~3 ms
+
     need = _stop_need(n, epsilon)
     a, b = Fraction(theta).as_integer_ratio()
     d = _ratio_stop(n, need, a, b, q)

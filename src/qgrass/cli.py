@@ -33,9 +33,7 @@ import json
 import math
 import os
 import sys
-import threading
 from collections import Counter
-from fractions import Fraction
 
 from . import aep, entropy, gf, grassproc, maxent, qcomb, qdist
 
@@ -117,7 +115,12 @@ def _csv(header, rows):
 def _theta_value(text):
     """Parse theta >= 0, keeping exact rationals exact (e.g. '1', '1/2')."""
     try:
-        value = Fraction(text) if "/" in text else float(text)
+        if "/" in text:
+            from fractions import Fraction  # only an a/b theta needs it; ~3 ms to import
+
+            value = Fraction(text)
+        else:
+            value = float(text)
     except (ValueError, ZeroDivisionError):
         value = math.nan
     if not value >= 0 or value == math.inf:
@@ -167,10 +170,12 @@ def _affinity(steps):
     growth steps is worth splitting across them, else None: below
     2 * _BLOCK_STEPS steps, without os.fork or os.sched_getaffinity, and
     while a second thread runs, since a forked child of a threaded process
-    may deadlock."""
+    may deadlock.  threading counts only the threads it started, and none
+    run before it is imported, so it is read only where already loaded."""
     if steps < 2 * _BLOCK_STEPS or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return None
-    if threading.active_count() > 1:
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
         return None
     return os.sched_getaffinity(0)
 

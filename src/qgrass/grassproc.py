@@ -40,7 +40,6 @@ against.
 
 import random
 from collections import namedtuple
-from fractions import Fraction
 
 from .gf import _Annihilator, dilations, format_subspace, zero_subspace
 from .qdist import QBinomialParams, bernoulli_chain
@@ -170,6 +169,8 @@ def outcome_tree_law(n, theta, field):
     Fraction probabilities; feasible only at desk scale (n <= ~5).  This is
     the independent oracle against which the closed-form law is checked.
     """
+    from fractions import Fraction  # no process step builds one; the import costs ~3 ms
+
     t = Fraction(theta)
     law = {zero_subspace(0, field): Fraction(1)}
     q = field.q

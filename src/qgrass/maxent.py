@@ -12,7 +12,6 @@ rationals.
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .entropy import log_q_int, quadratic_entropy, round_to_type
 from .qcomb import q_multinomial
@@ -116,6 +115,8 @@ def solve(model):
     except OverflowError:  # energies past ~1.3e154 square past the double range
         sol = None
     if sol is None or not _meets_constraints(sol.probs, model):
+        from fractions import Fraction  # only the exact branch needs it; ~3 ms to import
+
         exact = [Fraction(e) for e in model.energies]
         sol = _active_set(exact, Fraction(model.target_mean), 0, 0)
     assert sol is not None, "the exact active set fails the KKT conditions"
@@ -155,6 +156,8 @@ def finite_n_check(model, n, q):
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
+    from fractions import Fraction  # only the finite-n check needs it; ~3 ms to import
+
     sol = solve(model)
     nominal = tuple(round_to_type(sol.probs, n))
     candidates = _integer_types_near(nominal, NEIGHBORHOOD_RADIUS)

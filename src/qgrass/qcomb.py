@@ -14,7 +14,6 @@ products and the q-gamma function.
 
 import functools
 import math
-from fractions import Fraction
 
 INF_PRODUCT_REL_TOL = 1e-15
 
@@ -194,6 +193,8 @@ def check_gauss_identity(n, q, x, y):
     _check_q(q)
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    from fractions import Fraction  # only this check needs it; the import costs ~3 ms
+
     x = Fraction(x)
     y = Fraction(y)
     lhs = Fraction(1)

@@ -1,4 +1,5 @@
 import copy
+import json
 import os
 import pickle
 import subprocess
@@ -170,3 +171,59 @@ def test_cli_import_skips_dataclasses_and_inspect():
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out.strip() == "[]"
+
+
+# A fresh `python -I -S` child (no site, so no .pth file preloads anything)
+# that imports the CLI, then runs each argv of argv[2] (JSON) through
+# cli.main.  It prints, per step, the exit code and which watched modules
+# that step added to sys.modules.
+_IMPORT_STEPS_CHILD = """
+import io, json, sys
+sys.path.insert(0, sys.argv[1])
+watched = {"fractions", "decimal", "numbers", "threading"}
+loaded = set(sys.modules)
+import qgrass.cli
+report = [["import qgrass.cli", 0, sorted(watched & (set(sys.modules) - loaded))]]
+for argv in json.loads(sys.argv[2]):
+    loaded = set(sys.modules)
+    sys.stdin, sys.stdout = io.StringIO("3\\n4\\n5\\n4\\n"), io.StringIO()
+    try:
+        rc = qgrass.cli.main(argv)
+    finally:
+        sys.stdout = sys.__stdout__
+    report.append([" ".join(argv), rc, sorted(watched & (set(sys.modules) - loaded))])
+print(json.dumps(report))
+"""
+
+# No step here builds a Fraction or starts a thread.  The histogram holds
+# 3,200 growth steps, enough to reach the CLI's check for a second thread.
+_NO_FRACTION_ARGVS = [
+    ["simulate", "--n", "5", "--theta", "1", "--q", "2", "--samples", "2", "--seed", "4"],
+    ["simulate", "--n", "6", "--theta", "0.5", "--q", "3", "--seed", "1", "--keep-history"],
+    ["simulate", "--n", "8", "--theta", "0.5", "--q", "3", "--samples", "400",
+     "--histogram", "--seed", "9", "--format", "csv"],
+    ["qcoeff", "4", "2", "--q", "2"],
+    ["mu-table", "--q", "2", "--theta", "1"],
+    ["mle", "--n", "8", "--q", "2"],
+    ["growth", "--q", "2", "--n-list", "1,10,20", "--format", "csv"],
+    ["asymptotics", "--probs", "0.5,0.5", "--n-list", "8,16", "--q", "2"],
+    ["maxent", "--energies", "0,1,2", "--mean", "0.5", "--q", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", [
+    ["typical", "--n", "12", "--epsilon", "0.1", "--theta", "1", "--q", "2"],
+    ["simulate", "--n", "5", "--theta", "1/2", "--q", "2", "--seed", "4"],
+], ids=["typical", "simulate-theta-a/b"])
+def test_cli_imports_fractions_only_where_it_builds_one(argv):
+    # fractions (with decimal and numbers) is a quarter of a CLI call's
+    # set-up: the import, the Fraction-free subcommands and threading stay
+    # clear of it, and the first command that builds a Fraction imports it
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _IMPORT_STEPS_CHILD, SRC,
+         json.dumps(_NO_FRACTION_ARGVS + [argv])],
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    *clean, (_, rc, added) = json.loads(out)
+    assert [step for step in clean if step[1:] != [0, []]] == []
+    assert rc == 0 and added == ["decimal", "fractions", "numbers"]
