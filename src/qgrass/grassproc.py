@@ -169,10 +169,10 @@ def outcome_tree_law(n, theta, field):
     Fraction probabilities; feasible only at desk scale (n <= ~5).  This is
     the independent oracle against which the closed-form law is checked.
     """
-    from fractions import Fraction  # no process step builds one; the import costs ~3 ms
+    import fractions  # no process step needs it; ~3 ms to load
 
-    t = Fraction(theta)
-    law = {zero_subspace(0, field): Fraction(1)}
+    t = fractions.Fraction(theta)
+    law = {zero_subspace(0, field): fractions.Fraction(1)}
     q = field.q
     for m in range(n):
         p_grow = t * q**m / (1 + t * q**m)
@@ -181,12 +181,12 @@ def outcome_tree_law(n, theta, field):
             stay = prob * (1 - p_grow)
             if stay:
                 w = v.embedded(1)
-                nxt[w] = nxt.get(w, Fraction(0)) + stay
+                nxt[w] = nxt.get(w, fractions.Fraction(0)) + stay
             if p_grow:
                 dils = dilations(v)
                 share = prob * p_grow / len(dils)
                 for w in dils:
-                    nxt[w] = nxt.get(w, Fraction(0)) + share
+                    nxt[w] = nxt.get(w, fractions.Fraction(0)) + share
         law = nxt
     return law
 

@@ -115,10 +115,10 @@ def solve(model):
     except OverflowError:  # energies past ~1.3e154 square past the double range
         sol = None
     if sol is None or not _meets_constraints(sol.probs, model):
-        from fractions import Fraction  # only the exact branch needs it; ~3 ms to import
+        import fractions  # only the exact branch needs it; ~3 ms to load
 
-        exact = [Fraction(e) for e in model.energies]
-        sol = _active_set(exact, Fraction(model.target_mean), 0, 0)
+        exact = [fractions.Fraction(e) for e in model.energies]
+        sol = _active_set(exact, fractions.Fraction(model.target_mean), 0, 0)
     assert sol is not None, "the exact active set fails the KKT conditions"
     return sol
 
@@ -156,14 +156,14 @@ def finite_n_check(model, n, q):
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    from fractions import Fraction  # only the finite-n check needs it; ~3 ms to import
+    import fractions  # only the finite-n check needs it; ~3 ms to load
 
     sol = solve(model)
     nominal = tuple(round_to_type(sol.probs, n))
     candidates = _integer_types_near(nominal, NEIGHBORHOOD_RADIUS)
     # sum_i k_i E_i = n * mean, in integers over one denominator
-    target = Fraction(model.target_mean) * n
-    energies = [Fraction(e) for e in model.energies]
+    target = fractions.Fraction(model.target_mean) * n
+    energies = [fractions.Fraction(e) for e in model.energies]
     den = math.lcm(target.denominator, *(e.denominator for e in energies))
     weights = [e.numerator * (den // e.denominator) for e in energies]
     goal = target.numerator * (den // target.denominator)
@@ -180,7 +180,7 @@ def finite_n_check(model, n, q):
         "argmax": argmax,
         "ties": len(argmax) > 1,
         "nominal_is_optimal": nominal in argmax,
-        "constraint_deviation": float(Fraction(best_dev, den)),
+        "constraint_deviation": float(fractions.Fraction(best_dev, den)),
         "growth_rate": growth,
         "h2_continuous": quadratic_entropy(sol.probs),
     }

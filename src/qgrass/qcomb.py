@@ -193,16 +193,17 @@ def check_gauss_identity(n, q, x, y):
     _check_q(q)
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    from fractions import Fraction  # only this check needs it; the import costs ~3 ms
+    import fractions  # only this check needs it; ~3 ms to load
 
-    x = Fraction(x)
-    y = Fraction(y)
-    lhs = Fraction(1)
+    x = fractions.Fraction(x)
+    y = fractions.Fraction(y)
+    lhs = fractions.Fraction(1)
     for i in range(n):
         lhs *= x + y * q**i
-    rhs = Fraction(0)
+    rhs = fractions.Fraction(0)
     for k in range(n + 1):
-        rhs += q_binomial(n, k, q) * Fraction(q) ** (k * (k - 1) // 2) * y**k * x ** (n - k)
+        rhs += (q_binomial(n, k, q) * fractions.Fraction(q) ** (k * (k - 1) // 2)
+                * y**k * x ** (n - k))
     return lhs == rhs
 
 
