@@ -25,7 +25,7 @@ what its subcommand uses.  `fractions` (with `decimal` and `numbers`,
 `simulate`, `qcoeff`, `mu-table`, `mle`, `growth`, `asymptotics` and
 `maxent` otherwise never import it; nor `threading`, which is read only
 where something else loaded it.  The benchmark's set-up (import and build
-the fields, `setup_s`) reads ~0.0066 s at its reference speed.
+the fields, `setup_s`) reads ~0.0067 s at its reference speed.
 
 Errors: every failure, argparse usage errors included, writes one JSON
 object {"error": code, "detail": text} to stderr, nothing to stdout, and
