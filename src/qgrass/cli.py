@@ -10,12 +10,12 @@ a failing run never leaves a partial file.
 that os.sched_getaffinity allows, where they hold enough growth steps to
 pay for a fork (`_BLOCK_STEPS`): this process counts the first block, and
 a child made by os.fork, pinned to its own CPU, counts each other one and
-writes its counts to a pipe.  Each sample draws from its own substreams,
-so a block's counts do not depend on where it is counted, and a block
-whose child fails is counted here: the counts, and so the output, are the
-same for every CPU count.  The histogram stays in one process below
-2 * _BLOCK_STEPS steps, on one CPU, where os.fork or os.sched_getaffinity
-is missing, and while a second thread runs.
+leaves its counts in its own slot of one shared mmap.  Each sample draws
+from its own substreams, so a block's counts do not depend on where it is
+counted, and a block whose child fails is counted here: the counts, and
+so the output, are the same for every CPU count.  The histogram stays in
+one process below 2 * _BLOCK_STEPS steps, on one CPU, where os.fork or
+os.sched_getaffinity is missing, and while a second thread runs.
 
 Importing this module is most of what a call costs, so a call loads only
 what its subcommand uses.  `fractions` (with `decimal` and `numbers`,
@@ -51,9 +51,10 @@ SCHEMA = "qgrass/1"
 BASIS_PRINT_LIMIT = 64
 # The fewest growth steps a block of the histogram holds.  On a 2-vCPU VM
 # (Python 3.11) one step took ~7.5 us, and a split took ~3.5 ms more than
-# half the serial time: a fork, pipe and waitpid round trip of ~1.2 ms
-# (2.0 ms at most) and ~2 ms before the child's first step.  A block of
-# 1024 steps, ~7.7 ms, earns that back twice over.
+# half the serial time: a fork and waitpid round trip of ~1.2 ms (1.1-1.2
+# ms in the median, 1.5 ms at the 90th percentile, of 3 x 300 forks that
+# each wrote a slot of the shared mmap) and ~2 ms before the child's first
+# step.  A block of 1024 steps, ~7.7 ms, earns that back twice over.
 _BLOCK_STEPS = 1024
 
 
@@ -201,58 +202,28 @@ def _pin(pid, cpus):
         pass
 
 
-def _fork_block(chain, seed, start, stop, cpu):
-    """(pid, read end of its pipe) of a forked child, pinned to cpu, that
-    counts samples start..stop-1 and writes the counts to the pipe as
-    decimal text, or None if no child could be made.  The child leaves by
-    os._exit, status 0 once the counts are written, so it runs no exit
-    handler and flushes no buffer of this process."""
-    try:
-        r, w = os.pipe()
-    except OSError:
-        return None
+def _fork_block(chain, seed, start, stop, cpu, shared, slot):
+    """pid of a forked child, pinned to cpu, that counts samples
+    start..stop-1 into shared[slot] as 64-bit integers, or None if no child
+    could be made.  Counts of the wrong length do not fit the slot, so
+    their child fails.  The child leaves by os._exit, status 0 once the
+    counts are written, so it runs no exit handler and flushes no buffer of
+    this process."""
+    import array  # only a split histogram needs it; loaded once, before the first fork
+
     try:
         pid = os.fork()
     except OSError:
-        os.close(r)
-        os.close(w)
         return None
     if pid == 0:
         status = 1
         try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                pipe.write(" ".join(map(str, _dim_counts(chain, seed, start, stop))).encode())
+            shared[slot] = array.array("q", _dim_counts(chain, seed, start, stop))
             status = 0
         finally:
             os._exit(status)
-    os.close(w)
     _pin(pid, {cpu})
-    return pid, r
-
-
-def _child_counts(pid, fd, size, n):
-    """The n + 1 counts a child wrote for a block of size samples, or None
-    if it failed: exited nonzero, or wrote anything else.  The pipe is read
-    to EOF before the child is reaped, since the counts may not fit in the
-    pipe's buffer; if reading fails, the child is killed, then reaped."""
-    try:
-        chunks = []
-        while chunk := os.read(fd, 65536):
-            chunks.append(chunk)
-    except BaseException:
-        _kill(pid)
-        raise
-    finally:
-        os.close(fd)
-        status = os.waitpid(pid, 0)[1]
-    try:
-        counts = [int(c) for c in b"".join(chunks).split()]
-    except ValueError:
-        return None
-    if status or len(counts) != n + 1 or min(counts) < 0 or sum(counts) != size:
-        return None
-    return counts
+    return pid
 
 
 def _kill(pid):
@@ -265,37 +236,45 @@ def _histogram_counts(chain, seed, samples):
     """`_dim_counts` of samples 0..samples-1.  Where `_affinity` allows,
     they are counted in contiguous blocks, one per CPU, at most one per
     sample and one per _BLOCK_STEPS steps: the first here, each other one
-    in a forked child pinned to its own CPU, or here where its child could
-    not be made or failed.  Meanwhile this process is pinned to the first
-    CPU; its affinity is restored, and every child reaped, before this
-    returns or raises, and an exception here kills the children first."""
+    in a forked child pinned to its own CPU, which leaves its counts in its
+    own slot of one shared mapping.  A slot is read once its child exited
+    with status 0; a block whose child could not be made or failed, or left
+    a negative count or the wrong total, is counted here.  Meanwhile this
+    process is pinned to the first CPU; its affinity is restored, and every
+    child reaped, before this returns or raises, and an exception here
+    kills the children first."""
     steps = samples * len(chain)
     affinity = _affinity(steps)
     cpus = sorted(affinity or ())[:min(samples, steps // _BLOCK_STEPS)]
     if len(cpus) < 2:
         return _dim_counts(chain, seed, 0, samples)
+    import mmap  # only a split histogram needs it
+
     bounds = [samples * j // len(cpus) for j in range(len(cpus) + 1)]
-    children = {}  # block -> (pid, read end of its pipe), until reaped
-    try:
-        for j in range(1, len(cpus)):
-            child = _fork_block(chain, seed, bounds[j], bounds[j + 1], cpus[j])
-            if child is not None:
-                children[j] = child
-        _pin(0, {cpus[0]})
-        counts = _dim_counts(chain, seed, bounds[0], bounds[1])
-        for j in range(1, len(cpus)):
-            size = bounds[j + 1] - bounds[j]
-            part = _child_counts(*children.pop(j), size, len(chain)) if j in children else None
-            if part is None:
-                part = _dim_counts(chain, seed, bounds[j], bounds[j + 1])
-            counts = [a + b for a, b in zip(counts, part)]
-        return counts
-    finally:
-        _pin(0, affinity)
-        for pid, fd in children.values():  # left only by an exception
-            os.close(fd)
-            _kill(pid)
-            os.waitpid(pid, 0)
+    width = 8 * (len(chain) + 1)  # a block's n + 1 counts, 8 bytes each
+    slots = [slice(width * j, width * (j + 1)) for j in range(len(cpus))]
+    with mmap.mmap(-1, width * len(cpus)) as shared:
+        children = {}  # block -> pid, until reaped
+        try:
+            for j in range(1, len(cpus)):
+                pid = _fork_block(chain, seed, bounds[j], bounds[j + 1], cpus[j], shared, slots[j])
+                if pid is not None:
+                    children[j] = pid
+            _pin(0, {cpus[0]})
+            counts = _dim_counts(chain, seed, bounds[0], bounds[1])
+            for j in range(1, len(cpus)):
+                status = os.waitpid(children[j], 0)[1] if j in children else None
+                children.pop(j, None)  # once reaped; an interrupted wait leaves it to kill
+                part = memoryview(shared[slots[j]]).cast("q").tolist() if status == 0 else None
+                if part is None or min(part) < 0 or sum(part) != bounds[j + 1] - bounds[j]:
+                    part = _dim_counts(chain, seed, bounds[j], bounds[j + 1])
+                counts = [a + b for a, b in zip(counts, part)]
+            return counts
+        finally:
+            _pin(0, affinity)
+            for pid in children.values():  # left only by an exception
+                _kill(pid)
+                os.waitpid(pid, 0)
 
 
 def _cmd_simulate(args):

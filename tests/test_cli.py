@@ -622,8 +622,8 @@ def test_histogram_with_fewer_samples_than_cpus(cpus):
 
 
 def test_histogram_reads_counts_past_the_pipe_buffer(cpus, monkeypatch):
-    # 100,001 counts are ~200 kB of text, more than a pipe holds: the child
-    # blocks in its write until the parent reads
+    # 100,001 counts fill a slot of ~800 kB of the shared mapping, all of
+    # which the child writes and the parent reads back
     def one_class(chain, seed, start, stop):
         return [stop - start] + [0] * len(chain)
 
@@ -661,12 +661,13 @@ def _raise(counts):
 @pytest.mark.parametrize("child, exit_status", [
     (_exit_3, None),
     (_raise, None),
-    (lambda counts: counts[:-1], None),  # a short message
+    (lambda counts: counts[:-1], None),  # one count too few
     (lambda counts: [counts[0] + 1] + counts[1:], None),  # one sample too many
     (lambda counts: counts + [0], None),  # one count too many
     (lambda counts: ["x"] + counts[1:], None),
     (lambda counts: counts, 5),  # the right counts, then a nonzero exit
-], ids=["exit_3", "raise", "short", "wrong_sum", "long", "not_a_number", "exit_5"])
+    (lambda counts: [-1, counts[0] + counts[1] + 1] + counts[2:], None),  # -1, the right total
+], ids=["exit_3", "raise", "short", "wrong_sum", "long", "not_a_number", "exit_5", "negative"])
 def test_histogram_counts_a_failed_block_itself(child, exit_status, cpus, monkeypatch, capsys):
     if exit_status is not None:
         pid, exit = os.getpid(), os._exit
@@ -688,7 +689,7 @@ def _interrupt(*args):
     raise KeyboardInterrupt
 
 
-@pytest.mark.parametrize("where", ["own_block", "pipe_read"])
+@pytest.mark.parametrize("where", ["own_block", "wait"])
 def test_histogram_interrupted_kills_and_reaps_its_children(where, cpus, monkeypatch):
     pid = os.getpid()
 
@@ -700,8 +701,9 @@ def test_histogram_interrupted_kills_and_reaps_its_children(where, cpus, monkeyp
         return [0] * len(chain) + [stop - start]
 
     monkeypatch.setattr(cli, "_dim_counts", dim_counts)
-    if where == "pipe_read":
-        monkeypatch.setattr(os, "read", _interrupt)
+    if where == "wait":  # the first wait for a child is interrupted, later ones reap
+        waitpid, waits = os.waitpid, iter([_interrupt])
+        monkeypatch.setattr(os, "waitpid", lambda pid, options: next(waits, waitpid)(pid, options))
     cpus.count = 3
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
