@@ -175,9 +175,7 @@ def _class_mass_stop(n, epsilon, theta, q):
     """a_n, the first codimension class whose cumulative mass reaches
     1 - epsilon (n if the sum never does), exact for every theta: a float
     theta is the dyadic rational it equals."""
-    import fractions  # ~3 ms to load, so only a stop does; a from-import costs ~1 us a call
-
-    a, b = fractions.Fraction(theta).as_integer_ratio()
+    a, b = theta.as_integer_ratio()
     return _ratio_stop(n, _stop_need(n, epsilon), a, b, q)
 
 
@@ -260,10 +258,8 @@ def _stop_deficit(n, epsilon, theta, q):
     rational it equals, class d has the numerator
     [n, d]_q q^(m(m-1)/2) a^m b^d, m = n - d, over prod_(i<n) (b + a q^i),
     formed only up to a_n."""
-    import fractions  # ~3 ms to load, so only a stop does; a from-import costs ~1 us a call
-
     need = _stop_need(n, epsilon)
-    a, b = fractions.Fraction(theta).as_integer_ratio()
+    a, b = theta.as_integer_ratio()
     d = _ratio_stop(n, need, a, b, q)
     total = _chain_denominator(n, a, b, q)
     before = _class_sizes(n, d - 1, q)
