@@ -53,6 +53,8 @@ def _mu_values(theta, q):
     summed over ceil(x0) + 80 factors of (-1/theta; 1/q) (the factors left
     out differ from 1 by less than q^-80).
     """
+    if not theta >= 0:
+        raise ValueError(f"theta must be >= 0, got {theta}")
     if not theta > 0:
         raise ValueError("mu is undefined at theta = 0 (degenerate process)")
     if float(theta) == 0.0 or 1.0 / float(theta) == math.inf:
@@ -286,11 +288,13 @@ def typical_set(n, epsilon, theta, q):
     The stop index a_n comes from cumulative class probabilities at finite n;
     the limiting Delta(1 - epsilon) is reported next to it.  When 1 - epsilon
     collides with a partial sum of mu, the discontinuity flag is set and the
-    limit is only bracketed between Delta and Delta + 1.
+    limit is only bracketed between Delta and Delta + 1.  The mu table is
+    built first, so a theta that mu refuses is refused before the stop and
+    the class sizes run.
     """
+    table = build_mu_table(theta, q)
     a_n = _class_mass_stop(n, epsilon, theta, q)
     size = sum(_class_sizes(n, a_n, q))
-    table = build_mu_table(theta, q)
     # a 1 - epsilon that rounds to 1.0 is read as the double just below it
     p_eps = min(1.0 - epsilon, math.nextafter(1.0, 0.0))
     limit_delta = delta(p_eps, table)

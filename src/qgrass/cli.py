@@ -34,7 +34,12 @@ codes: a ``CliError`` carries its own code (usage, bad_theta, bad_seed,
 bad_subspace, bad_word, bad_samples, basis_print_guard, domain),
 ``ValueError`` becomes domain, ``OverflowError`` overflow (values beyond
 the float range, e.g. n > 1023 at q = 2) and ``OSError`` io.  Any other
-exception is a bug and keeps its traceback.
+exception is a bug and keeps its traceback.  Where an argv has two faults,
+the check that runs first reports, and each runs before the exact work:
+`typical` and `aep-check` refuse a theta that mu refuses (0, or one whose
+1/theta overflows a double) before a bad epsilon or a negative n (`aep-check`
+checks n and --delta first), and `code-encode` refuses a bad --subspace
+before a bad epsilon, but after a negative n or a q above 36.
 """
 
 import argparse
@@ -370,11 +375,16 @@ def _block_code(args):
 
 
 def _cmd_code_encode(args):
-    code = _block_code(args)
+    # the subspace is read before the block code, which can take seconds at
+    # large n; where no code exists (n < 0, q > 36) make_block_code says so
+    if args.n < 0 or args.q > gf.TEXT_BASE_MAX:
+        _block_code(args)
+    field = _field(args.q)
     try:
-        v, canonical = gf.parse_subspace(args.subspace, args.n, code.field)
+        v, canonical = gf.parse_subspace(args.subspace, args.n, field)
     except ValueError as exc:
         raise CliError("bad_subspace", str(exc))
+    code = _block_code(args)
     word = aep.encode(v, code)
     return _json(
         {

@@ -4,8 +4,9 @@ q-integers, q-factorials, Gaussian binomial / q-multinomial coefficients,
 finite and infinite q-Pochhammer products, the q-gamma function, and the
 polynomial and flag identities built on them.  `_gaussian_column` walks one
 column [n, 0]_q .. [n, n]_q of Gaussian binomials, one exact multiply and
-divide per entry; the pmf column, the class-mass walk, the typical-set and
-block-code class sizes and the total Grassmannian size read it.
+divide per entry; the pmf column's linear branch (n <= 30), the class sizes
+of the typical set, the greedy set and the block code, and the total
+Grassmannian size read it.
 
 All coefficient arithmetic is exact (Python big integers; Fractions for the
 polynomial identities).  Floating point appears only in the infinite

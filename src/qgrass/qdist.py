@@ -7,10 +7,11 @@ yields the growth factor theta q^i / (1 + theta q^i) and its complement
 1 / (1 + theta q^i), kept to relative accuracy.  `bernoulli_chain`, which
 the mean sums and the process draws against, takes its factors; the
 variance, c_n and c_inf sum its pairs.  `_ln1p_q_pow` is the one factor
-ln(1 + q^u) of the log products (-theta; q)_n, (-1/theta; 1/q)_n and the
-two-parameter normaliser, summed left to right on every Python version.
-`_log_class_masses`, one walk of the Gaussian column, yields every float
-class mass, for the log branch of the pmf column alone.
+ln(1 + q^u) of the log products (-theta; q)_n and (-1/theta; 1/q)_n, summed
+left to right on every Python version.  `_log_class_masses`, one float walk
+of the ratios of neighbouring codimension classes out from the mode, gives
+every log class mass, for the pmf column's log branch, `log_pmf` and
+`pmf_xy`; it forms no big integer.
 `_completed_square` holds x0 = 1/2 - log_q theta and the exponent
 -(d - x0)^2/2 + x0^2/2 that the codimension form and `aep`'s mu share.  The
 exact rational pmf and subspace law, the oracles of these floats, live with
@@ -33,8 +34,8 @@ import operator
 from collections import Counter, namedtuple
 from collections.abc import Mapping
 
-from .entropy import binary_quadratic_entropy, log_q_int
-from .qcomb import _gaussian_column, q_binomial
+from .entropy import binary_quadratic_entropy
+from .qcomb import _gaussian_column
 
 LOG_DOMAIN_THRESHOLD = 30
 MLE_DEFAULT_TOL = 1e-12
@@ -126,16 +127,6 @@ def log_q_neg_inv_pochhammer(theta, n, q):
     return _sum_left(_ln1p_q_pow(u - i, q) for i in range(n)) / math.log(q)
 
 
-def _log_pmf_term(k, coeff, t, q, log_poch):
-    """log_q pmf(k) from coeff = [n, k]_q and log_poch = log_q (-t; q)_n."""
-    return (
-        log_q_int(coeff, q)
-        + k * (k - 1) / 2.0
-        + k * math.log(t) / math.log(q)
-        - log_poch
-    )
-
-
 def log_pmf(k, params):
     """log_q of the pmf; -inf outside the support."""
     n, t, q = params.n, params.theta, params.q
@@ -143,21 +134,29 @@ def log_pmf(k, params):
         return -math.inf
     if t == 0:
         return 0.0 if k == 0 else -math.inf
-    return _log_pmf_term(k, q_binomial(n, k, q), t, q, log_q_neg_pochhammer(t, n, q))
+    return _log_class_masses(n, math.log(t), q)[n - k]
 
 
-def _log_class_masses(params):
-    """Yield log_pmf(n - d, params), the log_q mass of the codimension-d
-    class, for d = 0..n: one normaliser, and [n, d]_q = [n, n - d]_q is
-    entry d of one walk of the Gaussian column: the pmf column's log branch."""
-    n, t, q = params.n, params.theta, params.q
-    if t == 0:
-        yield from itertools.repeat(-math.inf, n)
-        yield 0.0
-        return
-    log_poch = log_q_neg_pochhammer(t, n, q)
-    for d, coeff in enumerate(_gaussian_column(n, q)):
-        yield _log_pmf_term(n - d, coeff, t, q, log_poch)
+def _log_class_masses(n, log_theta, q):
+    """[log_q pmf(n - d) for d in 0..n] at theta = e^log_theta and a real
+    q > 1: the log_q masses of the codimension classes, from one float walk.
+
+    Class d has weight w(d) = [n, d]_q theta^(n-d) q^((n-d)(n-d-1)/2), and
+    w(d+1) / w(d) = q (1 - q^-(n-d)) / ((q^(d+1) - 1) theta); its log_q takes
+    1 - q^-m as -expm1(-m ln q), so no power of q above 1 is formed.  These
+    ratios decrease in d; the walk sums them outwards from the mode, whose
+    weight is 1, and divides by the sum of the weights once, left to right.
+    """
+    ln_q = math.log(q)
+    u = log_theta / ln_q
+    ln_1m = [math.log(-math.expm1(-m * ln_q)) for m in range(1, n + 1)]  # ln(1 - q^-m)
+    # log_q w(d+1)/w(d) = 1 - u - log_q(q^(d+1) - 1) + log_q(1 - q^-(n-d))
+    steps = [(ln_1m[n - d - 1] - ln_1m[d]) / ln_q - d - u for d in range(n)]
+    mode = sum(step > 0 for step in steps)
+    down = itertools.accumulate((-step for step in reversed(steps[:mode])), initial=0.0)
+    walk = list(down)[::-1] + list(itertools.accumulate(steps[mode:]))
+    log_total = math.log(_sum_left(q**w for w in walk)) / ln_q
+    return [w - log_total for w in walk]
 
 
 def pmf(k, params):
@@ -168,11 +167,11 @@ def pmf(k, params):
 
 
 def _pmf_column(params):
-    """[pmf(k, params) for k in 0..n] in one pass over the Gaussian column
-    `qcomb._gaussian_column`, with the normaliser computed once.
+    """[pmf(k, params) for k in 0..n], with the normaliser computed once.
 
-    Linear-domain evaluation at small n, log-domain beyond (the factor
-    q^(k(k-1)/2) overflows doubles quickly) from the class masses, d = n - k.
+    Linear-domain evaluation at small n, one pass over the Gaussian column
+    `qcomb._gaussian_column`; log-domain beyond (the factor q^(k(k-1)/2)
+    overflows doubles quickly), from the class masses, d = n - k.
     """
     n, t, q = params.n, params.theta, params.q
     if t == 0:
@@ -180,7 +179,7 @@ def _pmf_column(params):
     # linear domain only while every intermediate stays well under 1e308
     magnitude = (n * (n - 1) / 2) * math.log10(q) + n * math.log10(max(t, 1.0))
     if n > LOG_DOMAIN_THRESHOLD or magnitude >= 140:
-        return [float(q) ** log_p for log_p in _log_class_masses(params)][::-1]
+        return [float(q) ** log_p for log_p in _log_class_masses(n, math.log(t), q)][::-1]
     den = math.prod(1.0 + t * q**i for i in range(n))
     return [
         coeff * float(q) ** (k * (k - 1) // 2) * t**k / den
@@ -215,22 +214,12 @@ def log_pmf_by_codim(d, n, theta, q):
     return next(itertools.islice(_codim_log_probs(n, theta, q), d, None))[0]
 
 
-def _log_q_binomial_real(n, k, q):
-    """ln [n, k]_q for real q > 1, forming no power of q above 1: the factor
-    (q^(n-k+i) - 1) / (q^i - 1) is q^(n-k) (1 - q^-(n-k+i)) / (1 - q^-i),
-    and 1 - q^-u is -expm1(-u ln q)."""
-    ln_q = math.log(q)
-    return k * (n - k) * ln_q + math.fsum(
-        math.log(math.expm1(-(n - k + i) * ln_q) / math.expm1(-i * ln_q))
-        for i in range(1, k + 1)
-    )
-
-
 def pmf_xy(k, n, x, y, q):
     """Two-parameter pmf with weights x, y >= 0 (theta = y/x when x > 0).
 
     q may be a real number > 1 here; the q -> 1 limit recovers the
-    classical binomial with success probability y/(x+y).
+    classical binomial with success probability y/(x+y).  theta is taken
+    as ln y - ln x, so y/x need not fit a double.
     """
     if not q > 1:
         raise ValueError(f"q must exceed 1, got {q!r}")
@@ -244,15 +233,7 @@ def pmf_xy(k, n, x, y, q):
         return 1.0 if k == n else 0.0
     if y == 0:
         return 1.0 if k == 0 else 0.0
-    if isinstance(q, int):
-        log_coeff = math.log(q_binomial(n, k, q))
-    else:
-        log_coeff = _log_q_binomial_real(n, k, q)
-    # log domain, divided through by x^n: x + y q^i = x (1 + q^(u + i))
-    u = (math.log(y) - math.log(x)) / math.log(q)
-    log_num = log_coeff + (k * (k - 1) / 2.0 + k * u) * math.log(q)
-    log_den = _sum_left(_ln1p_q_pow(u + i, q) for i in range(n))
-    return math.exp(log_num - log_den)
+    return float(q) ** _log_class_masses(n, math.log(y) - math.log(x), q)[n - k]
 
 
 def mean(params):

@@ -540,6 +540,26 @@ def test_simulate_refuses_text_base_before_running(q, monkeypatch, capsys):
     assert json.loads(err) == {"error": "domain", "detail": "text format supports base <= 36"}
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["typical", "--n", "1024", "--epsilon", "1e-15", "--theta", "0/1", "--q", "256"],
+     {"error": "domain", "detail": "mu is undefined at theta = 0 (degenerate process)"}),
+    (["aep-check", "--n", "1023", "--epsilon", "0.5", "--delta", "1", "--theta", "0", "--q", "3"],
+     {"error": "domain", "detail": "mu is undefined at theta = 0 (degenerate process)"}),
+    (["code-encode", "--n", "1023", "--epsilon", "0.5", "--theta", "0", "--q", "3",
+      "--subspace", "12;01"],
+     {"error": "bad_subspace", "detail": "row '12' must have 1023 digits for n=1023"}),
+])
+def test_refusals_come_before_the_exact_work(argv, error, monkeypatch, capsys):
+    def exact_work(*args, **kwargs):
+        raise AssertionError("the exact work ran")
+
+    monkeypatch.setattr(aep, "_class_mass_stop", exact_work)
+    monkeypatch.setattr(aep, "make_block_code", exact_work)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == error
+
+
 class FakeCpus:
     """Runs of the CLI in this process as if it could run on `count` CPUs:
     os.sched_getaffinity reports range(count), os.sched_setaffinity records

@@ -272,8 +272,8 @@ def test_mle_below_the_bisection_reach():
 
 
 def test_pmf_column_is_one_pass_of_the_formula():
-    # the recurrence [n, k]_q -> [n, k+1]_q gives pmf exactly as
-    # q_binomial(n, k, q) does, in the linear and the log domain
+    # the linear domain reads the Gaussian column exactly as
+    # q_binomial(n, k, q) gives it, and the log domain is log_pmf's walk
     for n, theta, q in ((8, 0.5, 2), (30, 1.0, 2), (40, 1.0, 2), (64, 7.0, 3), (100, 0.1, 16)):
         p = qdist.QBinomialParams(n, theta, q)
         column = qdist._pmf_column(p)
@@ -288,8 +288,45 @@ def test_pmf_column_is_one_pass_of_the_formula():
                 for k in range(n + 1)
             ]
     assert qdist._pmf_column(qdist.QBinomialParams(3, 0.0, 2)) == [1.0, 0.0, 0.0, 0.0]
-    column = qdist._pmf_column(qdist.QBinomialParams(1100, 1.0, 2))
-    assert len(column) == 1101 and abs(sum(column) - 1) < 1e-9
+
+
+def test_the_log_domain_forms_no_gaussian_column(monkeypatch):
+    def no_column(n, q):
+        raise AssertionError("the exact Gaussian column was formed")
+
+    monkeypatch.setattr(qdist, "_gaussian_column", no_column)
+    for n in (31, 1100, 3000):
+        column = qdist._pmf_column(qdist.QBinomialParams(n, 1.0, 2))
+        assert len(column) == n + 1 and abs(math.fsum(column) - 1) < 1e-9, n
+    for theta in (1e-30, 1.0, 1e6):
+        p = qdist.QBinomialParams(1100, theta, 2)
+        assert all(math.isfinite(qdist.log_pmf(k, p)) for k in range(1101)), theta
+
+
+def test_log_domain_column_matches_the_exact_pmf():
+    # theta = a/b: pmf(k) = [n, k]_q q^(k(k-1)/2) a^k b^(n-k) / prod_{i<n} (b + a q^i),
+    # and int / int rounds correctly.  Wherever that exceeds 1e-300 the
+    # column is within 1e-12 of it, relatively.  An entry whose bit lengths
+    # put it below 2^-1099 is not formed, and [n, k]_q q^(k(k-1)/2) is
+    # formed once for every theta
+    for n in (31, 64, 100, 200, 400):
+        for q in (2, 3, 4, 16):
+            column = list(qcomb._gaussian_column(n, q))
+            scaled = {}
+            for theta in (1e-30, 2.0**-40, 0.1, 1 / 3, 1.0, 7.0, 1e6):
+                a, b = theta.as_integer_ratio()
+                den = math.prod(b + a * q**i for i in range(n))
+                got = qdist._pmf_column(qdist.QBinomialParams(n, theta, q))
+                for k, coeff in enumerate(column):
+                    bits = (coeff.bit_length() - den.bit_length() + k * (k - 1) / 2 * math.log2(q)
+                            + k * math.log2(a) + (n - k) * math.log2(b))
+                    if bits < -1100:
+                        continue
+                    if k not in scaled:
+                        scaled[k] = coeff * q ** (k * (k - 1) // 2)
+                    exact = scaled[k] * (a**k * b ** (n - k)) / den
+                    if exact > 1e-300:
+                        assert abs(got[k] - exact) <= 1e-12 * exact, (n, q, theta, k)
 
 
 def _log_q_ratio(num, den, q):
@@ -340,13 +377,18 @@ def test_moments_match_exact_sums():
 
 
 def test_pmf_xy_past_the_double_range():
-    # x + y q^i overflows a double at i >= 1024; the log factors do not
-    total = math.fsum(qdist.pmf_xy(k, 1100, 1.0, 1.5, 2) for k in range(1090, 1101))
+    # x + y q^i overflows a double at i >= 1024; the walk forms no power of
+    # q above 1.  At y/x = 3/2 the pmf is
+    # [n, k]_2 2^(k(k-1)/2) 3^k 2^(n-k) / prod_{i<n} (2 + 3 2^i)
+    n = 1100
+    total = math.fsum(qdist.pmf_xy(k, n, 1.0, 1.5, 2) for k in range(1090, n + 1))
     assert abs(total - 1.0) < 1e-9
-    # a real q takes the log-domain coefficient, where q^u overflows too
+    den = math.prod(2 + 3 * 2**i for i in range(n))
     for k in (0, 1, 550, 1090, 1095, 1099, 1100):
-        exact_q = qdist.pmf_xy(k, 1100, 1.0, 1.5, 2)
-        assert abs(qdist.pmf_xy(k, 1100, 1.0, 1.5, 2.0) - exact_q) <= 1e-12 * exact_q, k
+        int_q = qdist.pmf_xy(k, n, 1.0, 1.5, 2)
+        assert qdist.pmf_xy(k, n, 1.0, 1.5, 2.0) == int_q, k  # a real q takes the same walk
+        exact = (qcomb.q_binomial(n, k, 2) * 3**k << k * (k - 1) // 2 + n - k) / den
+        assert abs(int_q - exact) <= 1e-12 * exact, k
     assert qdist.pmf_xy(500, 1000, 1.0, 1.0, 2.5) == 0.0
 
 
