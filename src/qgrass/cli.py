@@ -38,8 +38,10 @@ exception is a bug and keeps its traceback.  Where an argv has two faults,
 the check that runs first reports, and each runs before the exact work:
 `typical` and `aep-check` refuse a theta that mu refuses (0, or one whose
 1/theta overflows a double) before a bad epsilon or a negative n (`aep-check`
-checks n and --delta first), and `code-encode` refuses a bad --subspace
-before a bad epsilon, but after a negative n or a q above 36.
+checks n and --delta first), `code-encode` refuses a bad --subspace before
+a bad epsilon, but after a negative n or a q above 36, and `code-decode`
+refuses a digit of --word outside base q in the same place, so a bad digit
+wins over a wrong length.
 """
 
 import argparse
@@ -374,12 +376,17 @@ def _block_code(args):
     return aep.make_block_code(args.n, args.epsilon, args.theta, _field(args.q))
 
 
-def _cmd_code_encode(args):
-    # the subspace is read before the block code, which can take seconds at
-    # large n; where no code exists (n < 0, q > 36) make_block_code says so
+def _text_field(args):
+    """The field of q, for the text checks that run before the block code,
+    which can take seconds at large n; where no code exists (n < 0, q > 36)
+    make_block_code says so first."""
     if args.n < 0 or args.q > gf.TEXT_BASE_MAX:
         _block_code(args)
-    field = _field(args.q)
+    return _field(args.q)
+
+
+def _cmd_code_encode(args):
+    field = _text_field(args)
     try:
         v, canonical = gf.parse_subspace(args.subspace, args.n, field)
     except ValueError as exc:
@@ -398,6 +405,11 @@ def _cmd_code_encode(args):
 
 
 def _cmd_code_decode(args):
+    q = _text_field(args).q
+    try:  # a bad digit needs no code; only the length check does
+        gf.check_digits(args.word, q)
+    except ValueError as exc:
+        raise CliError("bad_word", str(exc))
     code = _block_code(args)
     try:
         v = aep.decode(args.word, code)

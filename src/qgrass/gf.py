@@ -603,11 +603,12 @@ class _Annihilator:
         """V <- span(V x 0, (x, c)) in F_q^(k+1), for x in F_q^k and c != 0.
 
         Over F_2, x is packed as rref takes a row of F_2^k and c is 1; over
-        other fields x is a list of k entries.  t_f = <w_f, x> is entry f
-        of x reduced against V's rows, so the least f with t_f != 0 becomes
-        a pivot and coordinate k + 1 a free column; with no such f,
-        coordinate k + 1 becomes the pivot and nothing else changes.  With
-        no free column at all (V = F_q^k) x is never read.
+        other fields x is a sequence of k entries (a list, or bytes).
+        t_f = <w_f, x> is entry f of x reduced against V's rows, so the
+        least f with t_f != 0 becomes a pivot and coordinate k + 1 a free
+        column; with no such f, coordinate k + 1 becomes the pivot and
+        nothing else changes.  With no free column at all (V = F_q^k) x is
+        never read.
         """
         field, k, cols = self.field, self.k, self.cols
         if field.q == 2:
@@ -836,13 +837,19 @@ def to_text(x, length, base):
     return "".join(reversed(digits))
 
 
-def from_text(text, base):
-    """The integer written by to_text; only lowercase digits are accepted."""
+def check_digits(text, base):
+    """Refuse text (ValueError) unless every character is a lowercase digit
+    of base."""
     if base > TEXT_BASE_MAX:
         raise ValueError(f"text format supports base <= {TEXT_BASE_MAX}")
     bad = text.lstrip(_DIGITS[:base])
     if bad:
         raise ValueError(f"digit {bad[0]!r} out of range for base {base}")
+
+
+def from_text(text, base):
+    """The integer written by to_text; only lowercase digits are accepted."""
+    check_digits(text, base)
     x = 0
     for i in range(0, len(text), _INT_CHUNK):
         chunk = text[i:i + _INT_CHUNK]

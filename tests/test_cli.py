@@ -115,6 +115,27 @@ def test_simulate_stdout_over_a_grid_is_pinned(capsys):
     assert digest.hexdigest() == SIMULATE_GRID_SHA256
 
 
+# SHA-256 of simulate's stdout over the prime orders 5..31, which the grid
+# above leaves out, recorded while every coordinate at q > 2 was drawn by
+# its own randrange(q) call.
+SIMULATE_PRIME_GRID_SHA256 = "6c67f3f1a883d7d4968b768e3df988aa1cd1e934d0c877a5617110b6fd170710"
+
+
+def test_simulate_stdout_over_prime_orders_is_pinned(capsys):
+    # the bulk draw's tables at k = q.bit_length() = 3, 4 and 5
+    digest = hashlib.sha256()
+    for n in (1, 24, 64):
+        for q in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+            for theta in (repr(2**-40), "1", "1e6"):
+                for seed in (0, 7):
+                    for history in ([], ["--keep-history"]):
+                        argv = ["simulate", "--n", str(n), "--q", str(q), "--theta", theta,
+                                "--seed", str(seed), "--samples", "2", *history]
+                        assert cli.main(argv) == 0
+                        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SIMULATE_PRIME_GRID_SHA256
+
+
 def test_simulate_histogram_tv():
     r = run(
         "simulate", "--n", "5", "--theta", "1", "--q", "2",
@@ -476,6 +497,8 @@ BAD_INPUTS = [
     (["growth", "--q", "2", "--n-list", "4", "--format", "xml"], "usage"),
     (["code-encode", "--n", "4", "--epsilon", "0.2", "--theta", "1", "--q", "2",
       "--subspace", "1#00;0010"], "bad_subspace"),
+    (["code-decode", "--n", "4", "--epsilon", "0.2", "--theta", "1", "--q", "4",
+      "--word", "0#"], "bad_word"),
     (["simulate", "--n", "2", "--theta", "1", "--q", "37"], "domain"),
     (["qcoeff", "--q", "2", "-5", "0"], "domain"),
 ] + [
@@ -548,6 +571,9 @@ def test_simulate_refuses_text_base_before_running(q, monkeypatch, capsys):
     (["code-encode", "--n", "1023", "--epsilon", "0.5", "--theta", "0", "--q", "3",
       "--subspace", "12;01"],
      {"error": "bad_subspace", "detail": "row '12' must have 1023 digits for n=1023"}),
+    (["code-decode", "--n", "1023", "--epsilon", "0.5", "--theta", "0", "--q", "3",
+      "--word", "#"],
+     {"error": "bad_word", "detail": "digit '#' out of range for base 3"}),
 ])
 def test_refusals_come_before_the_exact_work(argv, error, monkeypatch, capsys):
     def exact_work(*args, **kwargs):

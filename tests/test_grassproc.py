@@ -153,11 +153,43 @@ def test_f2_bulk_draw_matches_randrange():
         ref = random.Random(seed)
         want = [ref.randrange(2) for _ in range(m)]
         rng = _CountingRandom(seed)
-        x = grassproc._f2_coordinates(rng, m)
+        x = grassproc._coordinates(rng, m, 2)
         assert [x >> (m - 1 - j) & 1 for j in range(m)] == want, (seed, m)
         assert x >> m == 0
         extra_reads += rng.reads > 1
     assert extra_reads > 0  # the branch that reads more words ran
+
+
+def test_fq_bulk_draw_matches_randrange():
+    # At 2 < q < 256 the dilation draw reads getrandbits in bulk, exactly
+    # the words its m values take: the values, and the c = randrange(1, q)
+    # and the random() drawn after them, must be those of randrange on the
+    # running interpreter.  Every q, prime power or not, takes its own table.
+    extra_reads = 0
+    for q in range(3, 256):
+        for m in (0, 1, 2, 7, 31, 63):
+            for seed in (f"fq/{q}/{m}", q * 64 + m, f"{q}/step/{m + 1}"):
+                ref = random.Random(seed)
+                want = [ref.randrange(q) for _ in range(m)]
+                want += [ref.randrange(1, q), ref.random()]
+                rng = _CountingRandom(seed)
+                got = list(grassproc._coordinates(rng, m, q))
+                extra_reads += rng.reads > 1
+                assert got + [rng.randrange(1, q), rng.random()] == want, (seed, m, q)
+    assert extra_reads > 0  # the branch that reads more words ran
+    # q = 257 > 255 draws by randrange: the basis is the rref of dilations
+    # replayed from fresh generators, some of them grown at codim >= 1
+    field = gf.FieldSpec(257)
+    for n, theta, seed in ((12, 2**-40, 3), (24, 2**-80, "r")):
+        rows, stayed, drawn = [], False, 0
+        for m, rng in enumerate(_replayed_growth(n, theta, 257, seed)):
+            stayed |= rng is None
+            if rng is not None:
+                drawn += stayed
+                row = [rng.randrange(257) for _ in range(m)] + [rng.randrange(1, 257)]
+                rows.append(row + [0] * (n - m - 1))
+        assert drawn
+        assert grassproc.simulate(n, theta, field, seed).final.current == gf.rref(rows, n, field)
 
 
 @pytest.mark.parametrize("n", [1, 6, 24, 64])
@@ -277,9 +309,9 @@ def test_growth_at_codim_0_reads_nothing(q, monkeypatch):
         reads = []
         with monkeypatch.context() as patch:
             if q == 2:
-                coordinates = grassproc._f2_coordinates
-                patch.setattr(grassproc, "_f2_coordinates",
-                              lambda rng, m: reads.append(m) or coordinates(rng, m))
+                coordinates = grassproc._coordinates
+                patch.setattr(grassproc, "_coordinates",
+                              lambda rng, m, q: reads.append(m) or coordinates(rng, m, q))
             else:
                 randrange = random.Random.randrange
 
@@ -295,7 +327,7 @@ def test_growth_at_codim_0_reads_nothing(q, monkeypatch):
     assert skipped and read  # growth steps at codim 0 and at codim >= 1 both ran
     # theta = 1e6: every step grows, so V_m = F_q^m at every step and no
     # step draws a coordinate
-    monkeypatch.setattr(grassproc, "_f2_coordinates", _raise)
+    monkeypatch.setattr(grassproc, "_coordinates", _raise)
     monkeypatch.setattr(random.Random, "randrange", _raise)
     for seed in range(3):
         assert grassproc.simulate(64, 1e6, field, seed).final.current == gf.full_space(64, field)
