@@ -18,14 +18,22 @@ one process below 2 * _BLOCK_STEPS steps, on one CPU, where os.fork or
 os.sched_getaffinity is missing, and while a second thread runs.
 
 Importing this module is most of what a call costs, so a call loads only
-what its subcommand uses.  `fractions` (with `decimal` and `numbers`,
-~3 ms) is imported by the first call that builds a Fraction: `typical`,
-`aep-check`, `code-encode`, `code-decode`, `maxent --finite-n` (and a
-`maxent` whose float solve misses its checks), and a theta given as a/b.
-`simulate`, `qcoeff`, `mu-table`, `mle`, `growth`, `asymptotics` and
-`maxent` otherwise never import it; nor `threading`, which is read only
-where something else loaded it.  The benchmark's set-up (import and build
-the fields, `setup_s`) reads ~0.0067 s at its reference speed.
+what its subcommand uses.  The package imports none of its modules, and
+this one imports `gf`, `qcomb`, `qdist` and `grassproc`, all that
+`simulate`, `qcoeff` and `mle` run; each other handler imports the modules
+it calls: `typical`, `aep-check`, the code commands, `mu-table` and
+`growth` load `aep` and `entropy`, `maxent` loads `maxent` and `entropy`,
+and `asymptotics` loads `entropy`.  These imports are absolute
+(`import qgrass.aep as aep`): of a module already loaded one costs ~0.3 us
+a call, against ~1 us for `from . import aep`, which resolves its package
+in Python each time.  `fractions` (with `decimal` and `numbers`, ~3 ms) is
+imported by the first call that builds a Fraction: `typical`, `aep-check`,
+`code-encode`, `code-decode`, `maxent --finite-n` (and a `maxent` whose
+float solve misses its checks), and a theta given as a/b.  `simulate`,
+`qcoeff`, `mu-table`, `mle`, `growth`, `asymptotics` and `maxent`
+otherwise never import it; nor `threading`, which is read only where
+something else loaded it.  The benchmark's set-up (import and build the
+fields, `setup_s`) reads ~0.0054 s at its reference speed.
 
 Errors: every failure, argparse usage errors included, writes one JSON
 object {"error": code, "detail": text} to stderr, nothing to stdout, and
@@ -52,7 +60,7 @@ import os
 import sys
 from collections import Counter
 
-from . import aep, entropy, gf, grassproc, maxent, qcomb, qdist
+from . import gf, grassproc, qcomb, qdist
 
 SCHEMA = "qgrass/1"
 BASIS_PRINT_LIMIT = 64
@@ -332,6 +340,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_mu_table(args):
+    import qgrass.aep as aep
+
     table = aep.build_mu_table(float(args.theta), args.q)
     if args.format == "csv":
         rows = [(d, v) for d, v in enumerate(table.values)]
@@ -349,6 +359,8 @@ def _cmd_mu_table(args):
 
 
 def _cmd_typical(args):
+    import qgrass.aep as aep
+
     ts = aep.typical_set(args.n, args.epsilon, args.theta, args.q)
     return _json(
         {
@@ -367,12 +379,16 @@ def _cmd_typical(args):
 
 
 def _cmd_aep_check(args):
+    import qgrass.aep as aep
+
     report = aep.check_aep(args.n, args.epsilon, args.delta, args.theta, args.q)
     report = dict(report, schema=SCHEMA)
     return _json(report)
 
 
 def _block_code(args):
+    import qgrass.aep as aep
+
     return aep.make_block_code(args.n, args.epsilon, args.theta, _field(args.q))
 
 
@@ -386,6 +402,8 @@ def _text_field(args):
 
 
 def _cmd_code_encode(args):
+    import qgrass.aep as aep
+
     field = _text_field(args)
     try:
         v, canonical = gf.parse_subspace(args.subspace, args.n, field)
@@ -405,6 +423,8 @@ def _cmd_code_encode(args):
 
 
 def _cmd_code_decode(args):
+    import qgrass.aep as aep
+
     q = _text_field(args).q
     try:  # a bad digit needs no code; only the length check does
         gf.check_digits(args.word, q)
@@ -460,6 +480,8 @@ def _cmd_mle(args):
 
 
 def _cmd_maxent(args):
+    import qgrass.maxent as maxent
+
     energies = [float(t) for t in args.energies.split(",")]
     model = maxent.EnergyModel(tuple(energies), args.mean)
     sol = maxent.solve(model)
@@ -475,6 +497,8 @@ def _cmd_maxent(args):
 
 
 def _finite_n_payload(model, n, q):
+    import qgrass.maxent as maxent
+
     report = maxent.finite_n_check(model, n, q)
     return {
         "nominal": list(report["nominal"]),
@@ -487,6 +511,8 @@ def _finite_n_payload(model, n, q):
 
 
 def _cmd_asymptotics(args):
+    import qgrass.entropy as entropy
+
     probs = [float(t) for t in args.probs.split(",")]
     n_list = [int(t) for t in args.n_list.split(",")]
     if args.q:
@@ -505,6 +531,8 @@ def _cmd_asymptotics(args):
 
 
 def _cmd_growth(args):
+    import qgrass.aep as aep
+
     n_list = [int(t) for t in args.n_list.split(",")]
     rows = aep.grassmannian_growth(n_list, args.q)
     if args.format == "csv":

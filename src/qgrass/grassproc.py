@@ -84,10 +84,11 @@ def _top_byte_table(q):
     )
 
 
-def _coordinates(rng, m, q):
+def _coordinates(rng, m, q, tables=None):
     """The next m values of rng.randrange(q), 2 <= q < 256, read from
     getrandbits in bulk: over F_2 the bits of one int, most significant
-    first, else one bytes object.
+    first, else one bytes object.  tables is `_top_byte_table(q)`, which
+    `simulate` looks up once per trajectory rather than once per read.
 
     getrandbits(32 * w) holds the next w words, the first in the low bits,
     so its little-endian bytes 3, 7, ... are their top bytes in draw order.
@@ -95,7 +96,7 @@ def _coordinates(rng, m, q):
     the words still missing; over F_2 nothing follows, and a read takes
     2 * missing + 8 words, so that one read almost always suffices.
     """
-    table, rejected = _top_byte_table(q)
+    table, rejected = tables or _top_byte_table(q)
     drawn = b""
     while len(drawn) < m:
         words = m - len(drawn)
@@ -157,6 +158,7 @@ def simulate(n, theta, field, seed, keep_history=False):
     q = field.q
     chain = bernoulli_chain(QBinomialParams(n, theta, q))
     state = _Annihilator(field, n)
+    tables = _top_byte_table(q) if q < 256 else None
     grown = 0
     history = [ProcessState(0, zero_subspace(0, field))] if keep_history else None
     for m, rng in enumerate(growth_steps(chain, seed)):
@@ -167,9 +169,10 @@ def simulate(n, theta, field, seed, keep_history=False):
             if not state.free:  # V_m = F_q^m: every dilation is F_q^(m+1)
                 state.dilate(0, 1)
             elif q == 2:
-                state.dilate(_coordinates(rng, m, 2), 1)
+                state.dilate(_coordinates(rng, m, 2, tables), 1)
             else:
-                x = _coordinates(rng, m, q) if q < 256 else [rng.randrange(q) for _ in range(m)]
+                x = (_coordinates(rng, m, q, tables) if q < 256
+                     else [rng.randrange(q) for _ in range(m)])
                 state.dilate(x, rng.randrange(1, q))
         if keep_history:
             v = history[-1].current.embedded(1) if rng is None else state.subspace()

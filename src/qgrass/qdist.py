@@ -34,7 +34,6 @@ import operator
 from collections import Counter, namedtuple
 from collections.abc import Mapping
 
-from .entropy import binary_quadratic_entropy
 from .qcomb import _gaussian_column
 
 LOG_DOMAIN_THRESHOLD = 30
@@ -198,9 +197,11 @@ def _completed_square(theta, q):
 def _codim_log_probs(n, theta, q):
     """Yield (log_pmf_by_codim(d, n, theta, q), g(d, n)) for d = 0..n from one
     tail log_q (-1/theta; 1/q)_n; g(d, n) is the tail minus the completed square."""
+    import qgrass.entropy as entropy  # no other qdist path needs it
+
     tail = log_q_neg_inv_pochhammer(theta, n, q)
     for d, (_, expo) in zip(range(n + 1), _completed_square(theta, q)):
-        h2_term = (n * n) * binary_quadratic_entropy(d / n) / 2.0 if n else 0.0
+        h2_term = (n * n) * entropy.binary_quadratic_entropy(d / n) / 2.0 if n else 0.0
         yield expo - h2_term - tail, -expo + tail
 
 

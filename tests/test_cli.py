@@ -822,8 +822,8 @@ def test_code_ops_compute_no_mu(name, monkeypatch, capsys):
     def no_mu(*args, **kwargs):
         raise AssertionError("a coding op computed mu")
 
-    monkeypatch.setattr(cli.aep, "build_mu_table", no_mu)
-    monkeypatch.setattr(cli.aep, "_mu_values", no_mu, raising=False)
+    monkeypatch.setattr(aep, "build_mu_table", no_mu)
+    monkeypatch.setattr(aep, "_mu_values", no_mu, raising=False)
     assert cli.main(list(GOLDEN_CASES[name][0])) == 0
     out, err = capsys.readouterr()
     assert err == ""

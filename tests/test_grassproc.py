@@ -311,7 +311,7 @@ def test_growth_at_codim_0_reads_nothing(q, monkeypatch):
             if q == 2:
                 coordinates = grassproc._coordinates
                 patch.setattr(grassproc, "_coordinates",
-                              lambda rng, m, q: reads.append(m) or coordinates(rng, m, q))
+                              lambda rng, m, *rest: reads.append(m) or coordinates(rng, m, *rest))
             else:
                 randrange = random.Random.randrange
 

@@ -36,11 +36,42 @@ PUBLIC_SURFACE = [
 
 
 def test_public_surface():
+    # the package imports its modules lazily, so its names are read through
+    # __all__ and dir(), and each one is the object its module holds
+    assert sorted(qgrass.__all__) == PUBLIC_SURFACE
     names = sorted(
-        name for name, value in vars(qgrass).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        name for name in dir(qgrass)
+        if not name.startswith("_") and not isinstance(getattr(qgrass, name), types.ModuleType)
     )
     assert names == PUBLIC_SURFACE
+    for name in PUBLIC_SURFACE:
+        value = getattr(qgrass, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    star = {}
+    exec("from qgrass import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == PUBLIC_SURFACE
+    assert qgrass.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        qgrass.not_a_name
+
+
+def test_attribute_access_loads_the_module():
+    # in a fresh child, a public name or a module read from the package
+    # loads that module (and what it imports) on first use
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import qgrass\n"
+        "for name in ('pmf', 'maxent'):\n"
+        "    loaded = set(sys.modules); getattr(qgrass, name)\n"
+        "    print(sorted(m for m in set(sys.modules) - loaded if m.startswith('qgrass')))\n"
+        "print(qgrass.maxent is sys.modules['qgrass.maxent'], qgrass.pmf is qgrass.qdist.pmf)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, SRC],
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.splitlines() == [
+        "['qgrass.qcomb', 'qgrass.qdist']", "['qgrass.entropy', 'qgrass.maxent']", "True True",
+    ]
 
 
 def test_readme_library_example_runs(capsys):
@@ -174,16 +205,27 @@ def test_cli_import_skips_dataclasses_and_inspect():
 
 
 # A fresh `python -I -S` child (no site, so no .pth file preloads anything)
-# that imports the CLI, then runs each argv of argv[2] (JSON) through
-# cli.main.  It prints, per step, the exit code and which watched modules
-# that step added to sys.modules.
+# that imports the package, then the CLI, then runs each argv of argv[2]
+# (JSON) through cli.main.  It prints, per step, the exit code, which
+# watched stdlib modules and which qgrass modules that step added to
+# sys.modules.
 _IMPORT_STEPS_CHILD = """
 import io, json, sys
 sys.path.insert(0, sys.argv[1])
 watched = {"fractions", "decimal", "numbers", "threading"}
+report = []
+
+def step(name, rc, loaded):
+    added = set(sys.modules) - loaded
+    own = sorted(m for m in added if m.partition(".")[0] == "qgrass")
+    report.append([name, rc, sorted(watched & added), own])
+
+loaded = set(sys.modules)
+import qgrass
+step("import qgrass", 0, loaded)
 loaded = set(sys.modules)
 import qgrass.cli
-report = [["import qgrass.cli", 0, sorted(watched & (set(sys.modules) - loaded))]]
+step("import qgrass.cli", 0, loaded)
 for argv in json.loads(sys.argv[2]):
     loaded = set(sys.modules)
     sys.stdin, sys.stdout = io.StringIO("3\\n4\\n5\\n4\\n"), io.StringIO()
@@ -191,20 +233,30 @@ for argv in json.loads(sys.argv[2]):
         rc = qgrass.cli.main(argv)
     finally:
         sys.stdout = sys.__stdout__
-    report.append([" ".join(argv), rc, sorted(watched & (set(sys.modules) - loaded))])
+    step(" ".join(argv), rc, loaded)
 print(json.dumps(report))
 """
 
+
+def _import_steps(argvs):
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _IMPORT_STEPS_CHILD, SRC, json.dumps(argvs)],
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    return json.loads(out)
+
+
 # No step here builds a Fraction or starts a thread.  The histogram holds
 # 3,200 growth steps, enough to reach the CLI's check for a second thread.
+# The first five run only the modules that `import qgrass.cli` loads.
 _NO_FRACTION_ARGVS = [
     ["simulate", "--n", "5", "--theta", "1", "--q", "2", "--samples", "2", "--seed", "4"],
     ["simulate", "--n", "6", "--theta", "0.5", "--q", "3", "--seed", "1", "--keep-history"],
     ["simulate", "--n", "8", "--theta", "0.5", "--q", "3", "--samples", "400",
      "--histogram", "--seed", "9", "--format", "csv"],
     ["qcoeff", "4", "2", "--q", "2"],
-    ["mu-table", "--q", "2", "--theta", "1"],
     ["mle", "--n", "8", "--q", "2"],
+    ["mu-table", "--q", "2", "--theta", "1"],
     ["growth", "--q", "2", "--n-list", "1,10,20", "--format", "csv"],
     ["asymptotics", "--probs", "0.5,0.5", "--n-list", "8,16", "--q", "2"],
     ["maxent", "--energies", "0,1,2", "--mean", "0.5", "--q", "2"],
@@ -219,11 +271,39 @@ def test_cli_imports_fractions_only_where_it_builds_one(argv):
     # fractions (with decimal and numbers) is a quarter of a CLI call's
     # set-up: the import, the Fraction-free subcommands and threading stay
     # clear of it, and the first command that builds a Fraction imports it
-    out = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", _IMPORT_STEPS_CHILD, SRC,
-         json.dumps(_NO_FRACTION_ARGVS + [argv])],
-        capture_output=True, text=True, check=True, timeout=120,
-    ).stdout
-    *clean, (_, rc, added) = json.loads(out)
-    assert [step for step in clean if step[1:] != [0, []]] == []
+    *clean, (_, rc, added, _) = _import_steps(_NO_FRACTION_ARGVS + [argv])
+    assert [step for step in clean if step[1:3] != [0, []]] == []
     assert rc == 0 and added == ["decimal", "fractions", "numbers"]
+
+
+# What `import qgrass.cli` loads: the modules that simulate, qcoeff and mle
+# run, and no other.
+_CLI_MODULES = ["qgrass.cli", "qgrass.gf", "qgrass.grassproc", "qgrass.qcomb", "qgrass.qdist"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["typical", "--n", "12", "--epsilon", "0.1", "--theta", "1", "--q", "2"],
+     ["aep", "entropy"]),
+    (["aep-check", "--n", "12", "--epsilon", "0.1", "--delta", "0.5", "--theta", "1", "--q", "2"],
+     ["aep", "entropy"]),
+    (["code-encode", "--n", "4", "--epsilon", "0.2", "--theta", "1", "--q", "2",
+      "--subspace", "1100;0010"], ["aep", "entropy"]),
+    (["code-decode", "--n", "4", "--epsilon", "0.2", "--theta", "1", "--q", "2",
+      "--word", "001010"], ["aep", "entropy"]),
+    (["mu-table", "--q", "2", "--theta", "1"], ["aep", "entropy"]),
+    (["growth", "--q", "2", "--n-list", "1,10,20"], ["aep", "entropy"]),
+    (["maxent", "--energies", "0,1,2", "--mean", "0.5", "--q", "2"], ["entropy", "maxent"]),
+    (["maxent", "--energies", "0,1,2", "--mean", "0.5", "--finite-n", "12", "--q", "2"],
+     ["entropy", "maxent"]),
+    (["asymptotics", "--probs", "0.5,0.5", "--n-list", "8,16", "--q", "2"], ["entropy"]),
+], ids=["typical", "aep-check", "code-encode", "code-decode", "mu-table", "growth", "maxent",
+        "maxent-finite-n", "asymptotics"])
+def test_cli_imports_only_the_modules_its_subcommand_runs(argv, modules):
+    # `import qgrass` loads no module of the package, `import qgrass.cli`
+    # only what simulate, qcoeff and mle run, and each other subcommand its
+    # own modules on its first call
+    steps = _import_steps(_NO_FRACTION_ARGVS[:5] + [argv])
+    (_, _, _, package), (_, _, _, cli), *core, (_, rc, _, added) = steps
+    assert package == ["qgrass"] and cli == _CLI_MODULES
+    assert [step for step in core if step[1] != 0 or step[3]] == []
+    assert rc == 0 and added == [f"qgrass.{m}" for m in modules]
