@@ -563,17 +563,26 @@ def _parsers():
     """The one parser of the process and its subcommand parsers by name,
     the `choices` map of its subparsers action.  Built on the first parse;
     no parser keeps state between calls, each of which fills a fresh
-    namespace."""
+    namespace.
+
+    argparse builds a HelpFormatter in add_argument and add_subparsers, and
+    one with no width imports shutil (with bz2, lzma, zlib and fnmatch,
+    ~3 ms) to read the terminal's.  The parsers are built with a fixed
+    width, which no output shows, and then get the plain HelpFormatter
+    back, so -h still fits the terminal."""
+    fixed = functools.partial(argparse.HelpFormatter, width=80)
     top = _Parser(
         prog="qgrass",
         description="q-deformed information theory over finite vector spaces",
+        formatter_class=fixed,
     )
     sub = top.add_subparsers(dest="command", required=True)
 
     def command(name, func, help, flags="", csv=None):
         """Add a subcommand with the SHARED_FLAGS named in flags and --out;
         a command with CSV columns also takes --format."""
-        p = sub.add_parser(name, help=help, epilog=csv and f"CSV columns: {csv}")
+        p = sub.add_parser(name, help=help, epilog=csv and f"CSV columns: {csv}",
+                           formatter_class=fixed)
         for flag in flags.split():
             p.add_argument(f"--{flag}", **SHARED_FLAGS[flag])
         if csv:
@@ -630,6 +639,8 @@ def _parsers():
     p = command("growth", _cmd_growth, "total Grassmannian growth rates", "q", csv="n,value")
     p.add_argument("--n-list", required=True)
 
+    for parser in (top, *sub.choices.values()):
+        parser.formatter_class = argparse.HelpFormatter
     return top, sub.choices
 
 

@@ -196,8 +196,13 @@ def test_fq_bulk_draw_matches_randrange():
 def test_simulate_f2_history_matches_reference(n, echelon_reference):
     # theta = 2^-40 holds codim > dim over F_2 up to n = 64; seed 5 at
     # theta = 1 grows at codim 1 over F_2, with x in V_m and with x outside it
+    # 8, 127, 25, 27 and 131 run each kind of byte row step of the state
+    # (XOR, add and mod-p translate up to p = 127, entry by entry), a few
+    # hundred times each at n <= 24
     f2_kinds = set()  # (codim V_m, x in V_m) of the F_2 growth steps at codim >= 1
-    for q in (2, 3, 4, 9, 16, 251):
+    for q in (2, 3, 4, 8, 9, 16, 25, 27, 127, 131, 251):
+        if n > 24 and q in (8, 25, 27, 127, 131):
+            continue
         field = gf.FieldSpec(q)
         for theta in (0, 2**-40, 1 / 256, 1, 1e6):
             for seed in (0, "h", 5) if q == 2 else (0, "h"):
@@ -227,10 +232,12 @@ def test_simulate_f2_history_matches_reference(n, echelon_reference):
 def test_simulate_state_is_the_annihilator(monkeypatch, reference_field):
     # after every step the state holds one vector u_f per free column f of
     # V's RREF, k - dim V of them at step k: -1 at f, 0 at the other free
-    # columns and past f, and orthogonal to every basis row of V
+    # columns and past f, and orthogonal to every basis row of V.  u_f is
+    # an int over F_2, bytes for 2 < q < 256 and a list from q = 257 on.
     embed, dilate, read = gf._Annihilator.embed, gf._Annihilator.dilate, gf._Annihilator.subspace
     refs = {}
     shapes = Counter()
+    kinds = set()
 
     def check(state):
         v = read(state)
@@ -240,6 +247,9 @@ def test_simulate_state_is_the_annihilator(monkeypatch, reference_field):
         assert len(state.cols) == len(state.free) == k - v.dim
         assert sorted(state.free + state.pivots) == list(range(k))
         assert tuple(state.pivots) == v.pivot_cols
+        types = {type(u) for u in state.cols}
+        assert types <= {int if ref.q == 2 else bytes if ref.q < 256 else list}
+        kinds.update(types)
         for f, u in zip(state.free, state.cols):
             if ref.q == 2:
                 u = [u >> (n - 1 - j) & 1 for j in range(n)]
@@ -252,28 +262,24 @@ def test_simulate_state_is_the_annihilator(monkeypatch, reference_field):
                 assert dot == 0, (k, f, row)
         shapes[v.dim > k - v.dim] += 1
 
-    inside = []  # dilate calls embed before its last row step
-
     def checked_embed(state):
         embed(state)
-        if not inside:
-            check(state)
+        check(state)
 
     def checked_dilate(state, x, c):
-        inside.append(True)
         dilate(state, x, c)
-        inside.pop()
         check(state)
 
     monkeypatch.setattr(gf._Annihilator, "embed", checked_embed)
     monkeypatch.setattr(gf._Annihilator, "dilate", checked_dilate)
-    for q in (2, 3, 4, 9, 16):
+    for q in (2, 3, 4, 9, 16, 257):
         field = gf.FieldSpec(q)
         refs[q] = reference_field(field)
         for n, theta in ((24, 1), (24, 1 / 256), (32, 2**-24), (12, 1e6)):
             for seed in (0, 1):
                 grassproc.simulate(n, theta, field, seed)
     assert shapes[True] and shapes[False]  # dim > codim and codim >= dim both ran
+    assert kinds == {int, bytes, list}
 
 
 def test_simulate_builds_no_echelon(monkeypatch):
@@ -288,6 +294,31 @@ def test_simulate_builds_no_echelon(monkeypatch):
         for keep_history in (False, True):
             traj = grassproc.simulate(64, 1, gf.FieldSpec(q), 3, keep_history=keep_history)
             assert traj.final.current.dim > 32
+
+
+def test_simulate_row_steps_bytes_below_256(monkeypatch):
+    # for 2 < q < 256 the state's columns are bytes and every row step is a
+    # byte step: simulate never calls the entry-list kernel gf._row_step
+    def no_row_step(*args, **kwargs):
+        raise AssertionError("an entry-list row step ran")
+
+    minus = gf._Annihilator._minus
+    steps = Counter()
+
+    def counted(state, u, a, ug):
+        steps[state.field.q] += 1
+        return minus(state, u, a, ug)
+
+    monkeypatch.setattr(gf, "_row_step", no_row_step)
+    monkeypatch.setattr(gf._Annihilator, "_minus", counted)
+    # at theta = 1 codim V stays near 0 and row steps are rare over F_16;
+    # theta = 1/256 holds it higher
+    for q in (3, 16):
+        for theta in (1, 1 / 256):
+            for keep_history in (False, True):
+                for seed in range(4):
+                    grassproc.simulate(64, theta, gf.FieldSpec(q), seed, keep_history=keep_history)
+    assert steps[3] and steps[16]
 
 
 def _raise(*args, **kwargs):

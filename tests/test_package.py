@@ -212,7 +212,7 @@ def test_cli_import_skips_dataclasses_and_inspect():
 _IMPORT_STEPS_CHILD = """
 import io, json, sys
 sys.path.insert(0, sys.argv[1])
-watched = {"fractions", "decimal", "numbers", "threading"}
+watched = {"fractions", "decimal", "numbers", "threading", "shutil"}
 report = []
 
 def step(name, rc, loaded):
@@ -246,9 +246,11 @@ def _import_steps(argvs):
     return json.loads(out)
 
 
-# No step here builds a Fraction or starts a thread.  The histogram holds
-# 3,200 growth steps, enough to reach the CLI's check for a second thread.
-# The first five run only the modules that `import qgrass.cli` loads.
+# No step here builds a Fraction, starts a thread or imports shutil, which
+# a HelpFormatter with no width imports to read the terminal's (only -h
+# needs it).  The histogram holds 3,200 growth steps, enough to reach the
+# CLI's check for a second thread.  The first five run only the modules
+# that `import qgrass.cli` loads.
 _NO_FRACTION_ARGVS = [
     ["simulate", "--n", "5", "--theta", "1", "--q", "2", "--samples", "2", "--seed", "4"],
     ["simulate", "--n", "6", "--theta", "0.5", "--q", "3", "--seed", "1", "--keep-history"],
@@ -270,7 +272,8 @@ _NO_FRACTION_ARGVS = [
 def test_cli_imports_fractions_only_where_it_builds_one(argv):
     # fractions (with decimal and numbers) is a quarter of a CLI call's
     # set-up: the import, the Fraction-free subcommands and threading stay
-    # clear of it, and the first command that builds a Fraction imports it
+    # clear of it, and the first command that builds a Fraction imports it.
+    # No step imports shutil, so building the parser does not either.
     *clean, (_, rc, added, _) = _import_steps(_NO_FRACTION_ARGVS + [argv])
     assert [step for step in clean if step[1:3] != [0, []]] == []
     assert rc == 0 and added == ["decimal", "fractions", "numbers"]
