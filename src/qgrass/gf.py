@@ -15,18 +15,18 @@ objects are equal iff they describe the same subspace.  A row has one
 packed form for every field, the integer of its text (below).  The one
 elimination kernel is Echelon.insert, which adds one packed row to a
 reduced echelon state; rref is a fold of it (and with it parse_subspace,
-sum and intersect) and dilations inserts one row into the embedded
-subspace.  Over F_2 the state keeps the rows packed, whose n bits are the
+sum, intersect and contains) and dilations inserts one row into the
+embedded subspace.  One row step serves this state and the process's state
+(below), over three row forms.  Over F_2 a row is packed, its n bits the
 coordinates, coordinate 1 the most significant: a row step is XOR and a
 row's pivot column is n - x.bit_length() (the word-packed elimination of
-M4RI).  Over other fields a row step is row - c * brow on entry lists, by
-the three arithmetic cases above; tabled characteristic-2 extension fields
-XOR in the row mul_table[c] (table row operations as in M4RIE).  A
-Subspace keeps its rows packed, and == and hash compare them; its basis,
-the rows as int tuples, is a view.  Over F_2 every builder makes the packed
-rows and the view is built on first use; over other fields the builders
-hold entries and hand them over, and the packed rows are built on first
-use.
+M4RI).  For 2 < q < 256 a row is the bytes of its entries and for q >= 256
+their list, and a row step is _minus: on bytes a few C calls on whole rows
+(table row operations as in M4RIE), on lists an entry loop.  A Subspace
+keeps its rows packed, and == and hash compare them; its basis, the rows as
+int tuples, is a view.  Over F_2 every builder makes the packed rows and
+the view is built on first use; over other fields the builders hold
+entries and hand them over, and the packed rows are built on first use.
 
 gf holds the one order of Gr(k, n), which enumeration and block coding
 (module aep) share: pivot sets lexicographic, then free entries row-major.
@@ -37,12 +37,9 @@ The Grassmannian process (module grassproc) keeps its state V as V^perp
 instead, in _Annihilator: a growth step costs O(codim V) inner products
 (_dot) where an echelon state reduces against all dim V rows.  On the
 process's typical paths codim V stays O(1); where codim > dim, roughly
-theta < q^(-n/2), it is the dearer state (see grassproc.simulate).  For
-2 < q < 256 its vectors are bytes, the alphabet in which grassproc reads a
-dilation's coordinates, and a row step is a few C calls on whole vectors,
-again table row operations as in M4RIE: one bytes.translate by a row of
-per-field multiplication tables, then one big-int XOR in characteristic 2,
-or one big-int add and a mod-p translate over a prime p <= 127.
+theta < q^(-n/2), it is the dearer state (see grassproc.simulate).  Its
+vectors take Echelon's row forms, and for 2 < q < 256 bytes are also the
+alphabet in which grassproc reads a dilation's coordinates.
 
 Every text form goes through one digit codec, to_text/from_text: an
 integer written as a fixed number of base-b digits over 0-9a-z, most
@@ -372,23 +369,11 @@ class Subspace:
 
     def contains_vector(self, vec):
         """True iff vec, a row of F_q^n as rref takes one, lies in this subspace."""
-        (x,) = _packed_rows((vec,), self.ambient_dim, self.field.q)
-        return self._holds(x)
-
-    def _holds(self, x):
-        """True iff the packed row x reduces to zero against the rows."""
-        field, n = self.field, self.ambient_dim
-        if field.q == 2:
-            for row, pc in zip(self.rows, self.pivot_cols):
-                if x >> (n - 1 - pc) & 1:
-                    x ^= row
-            return not x
-        return not any(_reduce_vector(field, _unpack(x, n, field.q), self.basis, self.pivot_cols))
+        return self.contains(rref([vec], self.ambient_dim, self.field))
 
     def contains(self, other):
-        """True iff every basis row of `other` lies in this subspace."""
-        _check_compatible(self, other)
-        return all(map(self._holds, other.rows))
+        """True iff `other` lies in this subspace: adding it adds no dimension."""
+        return self.sum(other).dim == self.dim
 
     def sum(self, other):
         """Canonical subspace sum (span of the union of bases)."""
@@ -437,28 +422,19 @@ def _check_compatible(v, w):
         raise ValueError("subspaces live in different ambient spaces")
 
 
-def _row_step(field, row, c, brow, start):
-    """row[j] -= c * brow[j] in place, for j >= start and c != 0.
+def _row_step(field, row, c, brow):
+    """row[j] -= c * brow[j] in place, for c != 0: the entry loop of _minus.
 
-    Prime fields compute (r - c*b) % p and tabled characteristic-2
-    extension fields XOR the entry of the row mul_table[c]; other fields go
-    through FieldSpec.sub and FieldSpec.mul.
+    Prime fields compute (r - c*b) % p; other fields go through
+    FieldSpec.sub and FieldSpec.mul.
     """
     if field.e == 1:
         p = field.p
-        for j in range(start, len(row)):
-            b = brow[j]
+        for j, b in enumerate(brow):
             if b:
                 row[j] = (row[j] - c * b) % p
-    elif field.p == 2 and field._mul_table is not None:
-        cm = field._mul_table[c]
-        for j in range(start, len(row)):
-            b = brow[j]
-            if b:
-                row[j] ^= cm[b]
     else:
-        for j in range(start, len(row)):
-            b = brow[j]
+        for j, b in enumerate(brow):
             if b:
                 row[j] = field.sub(row[j], field.mul(c, b))
 
@@ -478,29 +454,68 @@ def _dot(field, u, x):
     return functools.reduce(field.add, map(field.mul, u, x), 0)
 
 
-def _reduce_vector(field, vec, basis, pivot_cols):
-    """Reduce vec against an RREF basis; returns the residual vector."""
-    vec = list(vec)
-    for row, pc in zip(basis, pivot_cols):
-        c = vec[pc]
-        if c:
-            _row_step(field, vec, c, row, pc)
-    return vec
-
-
 def _unpack(x, n, q):
-    """The n entries of the packed row x of F_q^n, as a sequence of ints."""
+    """The n entries of the packed row x of F_q^n: bytes for q < 256, a
+    list from 256 on."""
     if q in _FORMAT_SPECS:  # one format() call
         return to_text(x, n, q).encode().translate(_DIGIT_VALUES)
     row = [0] * n
     for j in range(n - 1, -1, -1):
         x, row[j] = divmod(x, q)
-    return row
+    return bytes(row) if q < 256 else row
 
 
 def _entry_rows(rows, n, q):
     """The basis view of packed rows: one tuple of entries per row."""
     return tuple(tuple(_unpack(x, n, q)) for x in rows)
+
+
+@functools.cache
+def _byte_tables(field):
+    """The bytes.translate tables of the bytes row form over field,
+    2 < q < 256, built on the first call for each field.  scale[a] maps
+    each element b to a * b; fold maps a byte v to v % p over a prime
+    p <= 127 and is None over every other field."""
+    q, p = field.q, field.p
+    scale = [bytes([field.mul(a, b) for b in range(q)]).ljust(256, b"\0") for a in range(q)]
+    fold = bytes(v % p for v in range(256)) if field.e == 1 and p <= 127 else None
+    return scale, fold
+
+
+def _minus(field, tables, u, a, ug):
+    """The row u - a * ug, for a != 0 and q > 2: the one row step of both
+    elimination states, Echelon and _Annihilator.  It returns a new row and
+    leaves u as it was, so rows can be shared.
+
+    tables is _byte_tables(field) where the rows are bytes, 2 < q < 256,
+    and None where they are entry lists, q >= 256.  On bytes the step is
+    table row operations as in M4RIE: one ug.translate(scale[a]) followed
+    by, in characteristic 2, one big-int XOR; over a prime p <= 127, one
+    big-int add of the translate by scale[p - a] and one mod-p translate (a
+    byte of the sum is at most 2(p - 1) < 256, so no slot carries into the
+    next); over the other fields, the primes 131-251 and the
+    odd-characteristic extension fields, the entry loop _row_step on a
+    list copy.  On entry lists the step is that entry loop too.  Over F_2
+    the states step their packed ints by XOR themselves.
+    """
+    if tables is not None:
+        scale, fold = tables
+        if fold is not None:  # -a * ug + u, byte by byte with no carry
+            t = int.from_bytes(ug.translate(scale[field.p - a]), "big")
+            return (int.from_bytes(u, "big") + t).to_bytes(len(u), "big").translate(fold)
+        if field.p == 2:
+            t = int.from_bytes(ug.translate(scale[a]), "big")
+            return (int.from_bytes(u, "big") ^ t).to_bytes(len(u), "big")
+    row = list(u)  # _row_step skips the zero entries of ug
+    _row_step(field, row, a, ug)
+    return row if tables is None else bytes(row)
+
+
+def _times(field, tables, a, u):
+    """The row a * u, for q > 2, in the row form of _minus."""
+    if tables is None:
+        return [field.mul(a, b) for b in u]
+    return u.translate(tables[0][a])
 
 
 class Echelon:
@@ -509,10 +524,13 @@ class Echelon:
     `insert` is the one elimination kernel: rref folds it over its rows
     and dilations inserts one row into a copy of the embedded subspace.
     Rows are kept in the order found, each reduced against all the others.
-    Over F_2 a row stays packed and its pivot is its top set bit, and
-    `subspace` hands the rows over as they are; over other fields a row is
-    its entry list and its pivot a column, and `subspace` hands the
-    entries over.
+    Over F_2 a row stays packed, its pivot is its top set bit and a row
+    step is XOR, and `subspace` hands the rows over as they are.  Over
+    other fields a row is its entries, bytes for q < 256 and a list from
+    256 on, its pivot is a column, a row step is _minus, the one row step
+    it shares with _Annihilator, and `subspace` hands the entries over.  A
+    row step replaces a row and never changes one, so `copy` shares the
+    rows.
     """
 
     def __init__(self, field, n, rows=()):
@@ -520,20 +538,20 @@ class Echelon:
         self.n = n
         self.rows = []
         self.pivots = []
+        self.tables = _byte_tables(field) if 2 < field.q < 256 else None
         for x in _packed_rows(rows, n, field.q):
             self.insert(x)
 
     def copy(self):
         twin = Echelon(self.field, self.n)
-        twin.rows = self.rows[:] if self.field.q == 2 else [row[:] for row in self.rows]
+        twin.rows = self.rows[:]
         twin.pivots = self.pivots[:]
         return twin
 
     def insert(self, x):
         """Add the packed row x in range(q**n); a dependent row changes nothing."""
-        field, rows = self.field, self.rows
-        q = field.q
-        if q == 2:
+        field, rows, tables = self.field, self.rows, self.tables
+        if field.q == 2:
             for bit, brow in zip(self.pivots, rows):
                 if x & bit:
                     x ^= brow
@@ -543,18 +561,22 @@ class Echelon:
                 self.rows.append(x)
                 self.pivots.append(bit)
             return
-        row = _reduce_vector(field, _unpack(x, self.n, q), rows, self.pivots)
-        pc = next((j for j, c in enumerate(row) if c), None)
-        if pc is None:
+        row = _unpack(x, self.n, field.q)
+        for brow, pc in zip(rows, self.pivots):
+            c = row[pc]
+            if c:
+                row = _minus(field, tables, row, c, brow)
+        c = next(filter(None, row), 0)  # the leading entry
+        if not c:
             return
-        if row[pc] != 1:
-            inv = field.inv(row[pc])
-            row[pc:] = [field.mul(inv, b) for b in row[pc:]]
+        pc = row.index(c)
+        if c != 1:
+            row = _times(field, tables, field.inv(c), row)
         # clear the new pivot column in the existing rows
-        for brow in rows:
+        for i, brow in enumerate(rows):
             c = brow[pc]
             if c:
-                _row_step(field, brow, c, row, pc)
+                rows[i] = _minus(field, tables, brow, c, row)
         rows.append(row)
         self.pivots.append(pc)
 
@@ -569,18 +591,6 @@ class Echelon:
         return Subspace(field, n, tuple(pc for pc, _ in ordered), _basis=basis)
 
 
-@functools.cache
-def _byte_tables(field):
-    """The bytes.translate tables of _Annihilator's byte columns over
-    field, 2 < q < 256, built on the first call for each field.  scale[a]
-    maps each element b to a * b; fold maps a byte v to v % p over a prime
-    p <= 127 and is None over every other field."""
-    q, p = field.q, field.p
-    scale = [bytes([field.mul(a, b) for b in range(q)]).ljust(256, b"\0") for a in range(q)]
-    fold = bytes(v % p for v in range(256)) if field.e == 1 and p <= 127 else None
-    return scale, fold
-
-
 class _Annihilator:
     """A subspace V of F_q^k, k <= n, held as its annihilator V^perp and
     grown one coordinate at a time: the state of the Grassmannian process.
@@ -592,21 +602,16 @@ class _Annihilator:
     arithmetic.  `embed` appends a zero coordinate; `dilate` adds one row
     by one inner product and at most one row step per free column.
 
-    A column u_f has n entries in one of three forms.  Over F_2 it is
-    packed at width n like a row, a row step is XOR, and `subspace` builds
-    V's packed rows from bit tests.  For 2 < q < 256 it is a bytes object,
-    the alphabet in which grassproc._coordinates hands over a dilation, and
-    a row step u - a * u_g is one u_g.translate(scale[a]) (_byte_tables)
-    followed by, in characteristic 2, one big-int XOR; over a prime p <=
-    127, one big-int add of the translate by scale[p - a] and one mod-p
-    translate (a byte of the sum is at most 2(p - 1) < 256, so no slot
-    carries into the next); over other fields, _row_step on a bytearray
-    copy, entry by entry.  For q >= 256 it is an entry list and a row step
-    is _row_step.  Over every field but F_2 `subspace` hands over V's
-    entries.  At theta = 1, simulate took 408 against 445 us with
-    entry-list columns at F_3, n = 32, and 304 against 326 us at F_16, n =
-    24 (medians of 9 alternating pairs, each the best of 9 runs of seeds
-    0-299; 2-vCPU VM, Python 3.11.7).
+    A column u_f has n entries in one of Echelon's three row forms, and its
+    row step is Echelon's.  Over F_2 it is packed at width n like a row, a
+    row step is XOR, and `subspace` builds V's packed rows from bit tests.
+    Over other fields a row step is _minus and `subspace` hands over V's
+    entries.  For 2 < q < 256 bytes are also the alphabet in which
+    grassproc._coordinates hands over a dilation, and they pay: at theta =
+    1, simulate took 408 against 445 us with entry-list columns at F_3, n =
+    32, and 304 against 326 us at F_16, n = 24 (medians of 9 alternating
+    pairs, each the best of 9 runs of seeds 0-299; 2-vCPU VM, Python
+    3.11.7).
     """
 
     def __init__(self, field, n):
@@ -617,11 +622,10 @@ class _Annihilator:
         self.free = []  # V's free columns, ascending
         self.cols = []  # u_f for each free column f, in the same order
         q = field.q
-        self.scale = self.fold = None
+        self.tables = _byte_tables(field) if 2 < q < 256 else None
         if q == 2:
             self.zero = 0
         elif q < 256:
-            self.scale, self.fold = _byte_tables(field)
             self.zero, self.minus_one = bytes(n), bytes([field.neg(1)])
         else:
             self.zero, self.minus_one = [0] * n, [field.neg(1)]
@@ -641,28 +645,6 @@ class _Annihilator:
         self.free.append(k)
         self.cols.append(u)
         self.k = k + 1
-
-    def _minus(self, u, a, ug):
-        """The column u - a * ug, for a != 0 and q > 2."""
-        field, fold = self.field, self.fold
-        if fold is not None:  # -a * ug + u, byte by byte with no carry
-            t = int.from_bytes(ug.translate(self.scale[field.p - a]), "big")
-            return (int.from_bytes(u, "big") + t).to_bytes(self.n, "big").translate(fold)
-        if self.scale is None:  # entry lists, q >= 256
-            _row_step(field, u, a, ug, 0)
-            return u
-        if field.p == 2:
-            t = int.from_bytes(ug.translate(self.scale[a]), "big")
-            return (int.from_bytes(u, "big") ^ t).to_bytes(self.n, "big")
-        row = bytearray(u)  # _row_step skips the zero entries of ug
-        _row_step(field, row, a, ug, 0)
-        return bytes(row)
-
-    def _times(self, a, u):
-        """The column a * u, for q > 2."""
-        if self.scale is None:
-            return [self.field.mul(a, b) for b in u]
-        return u.translate(self.scale[a])
 
     def dilate(self, x, c):
         """V <- span(V x 0, (x, c)) in F_q^(k+1), for x in F_q^k and c != 0.
@@ -689,11 +671,11 @@ class _Annihilator:
             s = [_dot(field, u, x) for u in cols]  # s_f = <u_f, x> = -t_f
             hit = next((i for i, t in enumerate(s) if t), None)
             if hit is not None:
-                ug, inv = cols[hit], field.inv(s[hit])
+                ug, inv, tables = cols[hit], field.inv(s[hit]), self.tables
                 for i in range(hit + 1, len(cols)):
                     if s[i]:
-                        cols[i] = self._minus(cols[i], field.mul(s[i], inv), ug)
-                ug = self._times(field.mul(c, inv), ug)
+                        cols[i] = _minus(field, tables, cols[i], field.mul(s[i], inv), ug)
+                ug = _times(field, tables, field.mul(c, inv), ug)
         if hit is None:
             self.pivots.append(k)
             self.k = k + 1

@@ -184,7 +184,7 @@ def test_rref_f2_matches_reference(n, rref_reference):
             gf.rref([bad], n, F2)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 243])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 127, 131, 243, 251, 257])
 def test_rref_packed_rows_every_field(q, rref_reference):
     # a row (c_1..c_n) packs to sum c_i q^(n-i), the integer of its text
     field = gf.FieldSpec(q, EXPLICIT_MODULI.get(q))
@@ -205,8 +205,9 @@ def test_rref_packed_rows_every_field(q, rref_reference):
             assert gf.rref(rows[:half] + packed[half:], n, field) == v
             shifted = [[c + q * rng.randint(-2, 2) for c in row] for row in rows]
             assert gf.rref(shifted, n, field) == v  # entries reduce mod q
-            texts = gf.format_subspace(v).split(";") if v.basis else []
-            assert [gf.to_text(pack(row), n * field.e, field.p) for row in v.basis] == texts
+            if field.p <= gf.TEXT_BASE_MAX:
+                texts = gf.format_subspace(v).split(";") if v.basis else []
+                assert [gf.to_text(pack(row), n * field.e, field.p) for row in v.basis] == texts
         for bad in (-1, q**n):
             with pytest.raises(ValueError, match=f"packed row {bad} is not in range"):
                 gf.rref([bad], n, field)
@@ -357,26 +358,46 @@ def test_dimension_formula_randomized():
         assert u.contains(i) and w.contains(i)
 
 
-def test_f2_subspace_operations_match_reference(rref_reference):
-    rng = random.Random(70)
-    for _ in range(200):
-        n = rng.randint(1, 70)
+@pytest.mark.parametrize("q", [2, 3, 16, 27, 127, 131, 257])
+def test_subspace_operations_match_reference(q, rref_reference):
+    # one kernel branch per order: packed ints, the mod-p add, XOR and the
+    # bytes entry loop, the lists from 256 on
+    field = gf.FieldSpec(q)
+    rng = random.Random(70 if q == 2 else q)
+    cases, top = (200, 70) if q == 2 else (30, 9)
+    for _ in range(cases):
+        n = rng.randint(1, top)
         u_rows, w_rows = (
-            [[rng.randrange(2) for _ in range(n)] for _ in range(rng.randint(0, n))]
+            [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randint(0, n))]
             for _ in range(2)
         )
-        u, w = gf.rref(u_rows, n, F2), gf.rref(w_rows, n, F2)
+        u, w = gf.rref(u_rows, n, field), gf.rref(w_rows, n, field)
         s, i = u.sum(w), u.intersect(w)
-        assert (s.basis, s.pivot_cols) == rref_reference(u_rows + w_rows, n, F2)
+        assert (s.basis, s.pivot_cols) == rref_reference(u_rows + w_rows, n, field)
         # the Zassenhaus intersection, eliminated by the reference
         block = [list(r) + list(r) for r in u.basis] + [list(r) + [0] * n for r in w.basis]
-        reduced, _ = rref_reference(block, 2 * n, F2)
+        reduced, _ = rref_reference(block, 2 * n, field)
         inter = [r[n:] for r in reduced if not any(r[:n])]
-        assert (i.basis, i.pivot_cols) == rref_reference(inter, n, F2)
+        assert (i.basis, i.pivot_cols) == rref_reference(inter, n, field)
         assert u.dim + w.dim == s.dim + i.dim
         assert s.contains(u) and s.contains(w) and u.contains(i) and w.contains(i)
-        in_w = len(rref_reference(list(w.basis) + list(u.basis), n, F2)[0]) == w.dim
+        in_w = len(rref_reference(list(w.basis) + list(u.basis), n, field)[0]) == w.dim
         assert w.contains(u) == in_w
+
+
+@pytest.mark.parametrize("q", [3, 257])
+def test_echelon_copy_leaves_the_original(q):
+    # a row step replaces a row, so an insert into a copy, which shares the
+    # original's rows, clears the new pivot column in the copy's rows alone
+    field = gf.FieldSpec(q)
+    original = gf.Echelon(field, 3, [[1, 1, 0], [0, 0, 1]])
+    v = original.subspace()
+    twin = original.copy()
+    twin.insert(q)  # the row (0, 1, 0)
+    assert [list(row) for row in original.rows] == [[1, 1, 0], [0, 0, 1]]
+    assert original.subspace() == v and v.basis == ((1, 1, 0), (0, 0, 1))
+    assert [list(row) for row in twin.rows] == [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+    assert twin.subspace() == gf.full_space(3, field)
 
 
 def test_enumerate_grassmannian_counts():

@@ -297,20 +297,21 @@ def test_simulate_builds_no_echelon(monkeypatch):
 
 
 def test_simulate_row_steps_bytes_below_256(monkeypatch):
-    # for 2 < q < 256 the state's columns are bytes and every row step is a
-    # byte step: simulate never calls the entry-list kernel gf._row_step
+    # for 2 < q < 256 the rows of both elimination states are bytes and every
+    # row step is a byte step: simulate, rref, sum, intersect and
+    # parse_subspace never call the entry loop gf._row_step
     def no_row_step(*args, **kwargs):
         raise AssertionError("an entry-list row step ran")
 
-    minus = gf._Annihilator._minus
+    minus = gf._minus
     steps = Counter()
 
-    def counted(state, u, a, ug):
-        steps[state.field.q] += 1
-        return minus(state, u, a, ug)
+    def counted(field, tables, u, a, ug):
+        steps[field.q] += 1
+        return minus(field, tables, u, a, ug)
 
     monkeypatch.setattr(gf, "_row_step", no_row_step)
-    monkeypatch.setattr(gf._Annihilator, "_minus", counted)
+    monkeypatch.setattr(gf, "_minus", counted)
     # at theta = 1 codim V stays near 0 and row steps are rare over F_16;
     # theta = 1/256 holds it higher
     for q in (3, 16):
@@ -319,6 +320,22 @@ def test_simulate_row_steps_bytes_below_256(monkeypatch):
                 for seed in range(4):
                     grassproc.simulate(64, theta, gf.FieldSpec(q), seed, keep_history=keep_history)
     assert steps[3] and steps[16]
+    steps.clear()
+    rng = random.Random(36)
+    rows = [[rng.randrange(3) for _ in range(8)] for _ in range(6)]
+    for q in (3, 16):
+        field = gf.FieldSpec(q)
+        v, w = gf.rref(rows[:4], 8, field), gf.rref(rows[2:], 8, field)
+        assert v.sum(w).dim + v.intersect(w).dim == v.dim + w.dim
+        packed = [sum(c * q ** (7 - j) for j, c in enumerate(row)) for row in rows]
+        texts = [gf.to_text(x, 8 * field.e, field.p) for x in packed]
+        assert gf.parse_subspace(";".join(texts), 8, field)[0] == v.sum(w)
+    assert steps[3] and steps[16]
+    monkeypatch.undo()
+    # the row forms: packed ints over F_2, bytes below 256, lists from 256 on
+    for q, form in ((2, int), (3, bytes), (16, bytes), (257, list)):
+        echelon = gf.Echelon(gf.FieldSpec(q), 8, rows)
+        assert echelon.rows and {type(row) for row in echelon.rows} == {form}
 
 
 def _raise(*args, **kwargs):
