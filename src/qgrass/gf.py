@@ -2,12 +2,13 @@
 
 Field elements are plain ints in range(q): for prime fields the residue
 itself, for extension fields the base-p digit encoding of the polynomial
-coefficients (value = c_0 + c_1 p + ... + c_{e-1} p^{e-1}).  Arithmetic has
-three cases.  Prime fields add, subtract and multiply modulo p, invert by
-pow and build no tables.  Characteristic-2 extension fields add and
-subtract by XOR.  Odd-characteristic extension fields add and subtract
-digit by digit.  Extension fields of order up to _TABLE_LIMIT multiply and
-invert through q x q tables; larger orders multiply digit by digit.
+coefficients (value = c_0 + c_1 p + ... + c_{e-1} p^{e-1}).  Prime fields
+add, subtract and multiply modulo p and invert by pow.  Extension fields
+add and subtract by XOR in characteristic 2 and digit by digit otherwise.
+A field of order 2 < q <= _TABLE_LIMIT keeps one multiplication table, its
+rows bytes.translate tables, and over a prime p <= 127 a mod-p fold table;
+extension fields of such an order multiply and invert through it, and
+larger ones multiply digit by digit.
 
 Subspaces of F_q^n are kept in reduced row echelon form with pivots
 normalized to 1, which makes the representative unique: two Subspace
@@ -20,13 +21,14 @@ embedded subspace.  One row step serves this state and the process's state
 (below), over three row forms.  Over F_2 a row is packed, its n bits the
 coordinates, coordinate 1 the most significant: a row step is XOR and a
 row's pivot column is n - x.bit_length() (the word-packed elimination of
-M4RI).  For 2 < q < 256 a row is the bytes of its entries and for q >= 256
-their list, and a row step is _minus: on bytes a few C calls on whole rows
-(table row operations as in M4RIE), on lists an entry loop.  A Subspace
-keeps its rows packed, and == and hash compare them; its basis, the rows as
-int tuples, is a view.  Over F_2 every builder makes the packed rows and
-the view is built on first use; over other fields the builders hold
-entries and hand them over, and the packed rows are built on first use.
+M4RI).  Where the field has its table a row is the bytes of its entries,
+and above _TABLE_LIMIT their list; a row step is _minus: on bytes a few C
+calls on whole rows (table row operations as in M4RIE), on lists an entry
+loop.  A Subspace keeps its rows packed, and == and hash compare them; its
+basis, the rows as int tuples, is a view.  Over F_2 every builder makes the
+packed rows and the view is built on first use; over other fields the
+builders hold entries and hand them over, and the packed rows are built on
+first use.
 
 gf holds the one order of Gr(k, n), which enumeration and block coding
 (module aep) share: pivot sets lexicographic, then free entries row-major.
@@ -79,7 +81,7 @@ _DEFAULT_MODULI = {
     27: (3, (1, 2, 0, 1)),    # x^3 + 2x + 1 over F_3
 }
 
-_TABLE_LIMIT = 256  # extension fields up to this order get q x q tables
+_TABLE_LIMIT = 256  # fields of order 2 < q <= this keep a table and step bytes rows
 
 GRASSMANNIAN_GUARD = 10**7
 
@@ -182,10 +184,9 @@ class FieldSpec:
         self.q = q
         self.modulus = modulus
         self._hash = hash((p, e, modulus))
-        self._mul_table = None
-        self._inv_table = None
+        self._mul_table = self._inv_table = self._fold = None  # see _build_tables
         self._texts = None  # element texts, built by the first element_texts()
-        if e > 1 and q <= _TABLE_LIMIT:
+        if 2 < q <= _TABLE_LIMIT:
             self._build_tables()
 
     def __eq__(self, other):
@@ -281,26 +282,32 @@ class FieldSpec:
         return out
 
     def _build_tables(self):
-        """Tables from the powers of a primitive element g: a*b is
-        g^(log a + log b), so q - 1 slow products per tried g build them."""
+        """Row a of the table maps each element b to a * b, as a
+        bytes.translate table; a prime p <= 127 adds its mod-p fold table.
+        An extension field reads a * b = g^(log a + log b) off the powers of
+        a primitive element g, q - 1 slow products per tried g."""
         q = self.q
-        for g in range(2, q):
-            powers = [1]  # g^0, g^1, ... up to the first return to 1
-            x = g
-            while x != 1:
-                powers.append(x)
-                x = self._mul_slow(x, g)
-            if len(powers) == q - 1:
-                break
-        log = [0] * q
-        for i, x in enumerate(powers):
-            log[x] = i
-        exp = powers + powers
-        logs = log[1:]
-        self._mul_table = [[0] * q] + [
-            [0] + [exp[log[a] + lb] for lb in logs] for a in range(1, q)
-        ]
-        self._inv_table = [0] + [row.index(1) for row in self._mul_table[1:]]
+        if self.e == 1:
+            rows = [[a * b % q for b in range(q)] for a in range(q)]
+            if q <= 127:
+                self._fold = bytes(v % q for v in range(256))
+        else:
+            for g in range(2, q):
+                powers = [1]  # g^0, g^1, ... up to the first return to 1
+                x = g
+                while x != 1:
+                    powers.append(x)
+                    x = self._mul_slow(x, g)
+                if len(powers) == q - 1:
+                    break
+            log = [0] * q
+            for i, x in enumerate(powers):
+                log[x] = i
+            exp = powers + powers
+            logs = log[1:]
+            rows = [[0] * q] + [[0] + [exp[log[a] + lb] for lb in logs] for a in range(1, q)]
+            self._inv_table = [0] + [row.index(1) for row in rows[1:]]
+        self._mul_table = [bytes(row).ljust(256, b"\0") for row in rows]
 
     def elements(self):
         return range(self.q)
@@ -443,7 +450,7 @@ def _dot(field, u, x):
     """The inner product sum u_j x_j, over the length of the shorter vector.
 
     Prime fields sum the products and reduce once, tabled characteristic-2
-    extension fields XOR the entries of the rows mul_table[u_j]; other
+    extension fields XOR the entries of their table's rows u_j; other
     fields go through FieldSpec.add and FieldSpec.mul.
     """
     if field.e == 1:
@@ -455,14 +462,14 @@ def _dot(field, u, x):
 
 
 def _unpack(x, n, q):
-    """The n entries of the packed row x of F_q^n: bytes for q < 256, a
-    list from 256 on."""
+    """The n entries of the packed row x of F_q^n: bytes up to _TABLE_LIMIT,
+    a list above."""
     if q in _FORMAT_SPECS:  # one format() call
         return to_text(x, n, q).encode().translate(_DIGIT_VALUES)
     row = [0] * n
     for j in range(n - 1, -1, -1):
         x, row[j] = divmod(x, q)
-    return bytes(row) if q < 256 else row
+    return bytes(row) if q <= _TABLE_LIMIT else row
 
 
 def _entry_rows(rows, n, q):
@@ -470,52 +477,39 @@ def _entry_rows(rows, n, q):
     return tuple(tuple(_unpack(x, n, q)) for x in rows)
 
 
-@functools.cache
-def _byte_tables(field):
-    """The bytes.translate tables of the bytes row form over field,
-    2 < q < 256, built on the first call for each field.  scale[a] maps
-    each element b to a * b; fold maps a byte v to v % p over a prime
-    p <= 127 and is None over every other field."""
-    q, p = field.q, field.p
-    scale = [bytes([field.mul(a, b) for b in range(q)]).ljust(256, b"\0") for a in range(q)]
-    fold = bytes(v % p for v in range(256)) if field.e == 1 and p <= 127 else None
-    return scale, fold
-
-
-def _minus(field, tables, u, a, ug):
+def _minus(field, u, a, ug):
     """The row u - a * ug, for a != 0 and q > 2: the one row step of both
     elimination states, Echelon and _Annihilator.  It returns a new row and
     leaves u as it was, so rows can be shared.
 
-    tables is _byte_tables(field) where the rows are bytes, 2 < q < 256,
-    and None where they are entry lists, q >= 256.  On bytes the step is
-    table row operations as in M4RIE: one ug.translate(scale[a]) followed
-    by, in characteristic 2, one big-int XOR; over a prime p <= 127, one
-    big-int add of the translate by scale[p - a] and one mod-p translate (a
-    byte of the sum is at most 2(p - 1) < 256, so no slot carries into the
-    next); over the other fields, the primes 131-251 and the
+    The rows are bytes where the field has its table, 2 < q <=
+    _TABLE_LIMIT, and entry lists above.  On bytes the step is table row
+    operations as in M4RIE: one ug.translate of a table row followed by, in
+    characteristic 2, one big-int XOR; over a prime p <= 127, one big-int
+    add of the translate by row p - a and one translate by the fold table
+    (a byte of the sum is at most 2(p - 1) < 256, so no slot carries into
+    the next); over the other fields, the primes 131-251 and the
     odd-characteristic extension fields, the entry loop _row_step on a
     list copy.  On entry lists the step is that entry loop too.  Over F_2
     the states step their packed ints by XOR themselves.
     """
-    if tables is not None:
-        scale, fold = tables
-        if fold is not None:  # -a * ug + u, byte by byte with no carry
-            t = int.from_bytes(ug.translate(scale[field.p - a]), "big")
-            return (int.from_bytes(u, "big") + t).to_bytes(len(u), "big").translate(fold)
-        if field.p == 2:
-            t = int.from_bytes(ug.translate(scale[a]), "big")
-            return (int.from_bytes(u, "big") ^ t).to_bytes(len(u), "big")
+    scale, fold = field._mul_table, field._fold
+    if fold is not None:  # -a * ug + u, byte by byte with no carry
+        t = int.from_bytes(ug.translate(scale[field.p - a]), "big")
+        return (int.from_bytes(u, "big") + t).to_bytes(len(u), "big").translate(fold)
+    if scale is not None and field.p == 2:
+        t = int.from_bytes(ug.translate(scale[a]), "big")
+        return (int.from_bytes(u, "big") ^ t).to_bytes(len(u), "big")
     row = list(u)  # _row_step skips the zero entries of ug
     _row_step(field, row, a, ug)
-    return row if tables is None else bytes(row)
+    return row if scale is None else bytes(row)
 
 
-def _times(field, tables, a, u):
+def _times(field, a, u):
     """The row a * u, for q > 2, in the row form of _minus."""
-    if tables is None:
+    if field._mul_table is None:
         return [field.mul(a, b) for b in u]
-    return u.translate(tables[0][a])
+    return u.translate(field._mul_table[a])
 
 
 class Echelon:
@@ -526,11 +520,11 @@ class Echelon:
     Rows are kept in the order found, each reduced against all the others.
     Over F_2 a row stays packed, its pivot is its top set bit and a row
     step is XOR, and `subspace` hands the rows over as they are.  Over
-    other fields a row is its entries, bytes for q < 256 and a list from
-    256 on, its pivot is a column, a row step is _minus, the one row step
-    it shares with _Annihilator, and `subspace` hands the entries over.  A
-    row step replaces a row and never changes one, so `copy` shares the
-    rows.
+    other fields a row is its entries, bytes where the field has its table
+    and a list above _TABLE_LIMIT, its pivot is a column, a row step is
+    _minus, the one row step it shares with _Annihilator, and `subspace`
+    hands the entries over.  A row step replaces a row and never changes
+    one, so `copy` shares the rows.
     """
 
     def __init__(self, field, n, rows=()):
@@ -538,7 +532,6 @@ class Echelon:
         self.n = n
         self.rows = []
         self.pivots = []
-        self.tables = _byte_tables(field) if 2 < field.q < 256 else None
         for x in _packed_rows(rows, n, field.q):
             self.insert(x)
 
@@ -550,7 +543,7 @@ class Echelon:
 
     def insert(self, x):
         """Add the packed row x in range(q**n); a dependent row changes nothing."""
-        field, rows, tables = self.field, self.rows, self.tables
+        field, rows = self.field, self.rows
         if field.q == 2:
             for bit, brow in zip(self.pivots, rows):
                 if x & bit:
@@ -565,18 +558,18 @@ class Echelon:
         for brow, pc in zip(rows, self.pivots):
             c = row[pc]
             if c:
-                row = _minus(field, tables, row, c, brow)
+                row = _minus(field, row, c, brow)
         c = next(filter(None, row), 0)  # the leading entry
         if not c:
             return
         pc = row.index(c)
         if c != 1:
-            row = _times(field, tables, field.inv(c), row)
+            row = _times(field, field.inv(c), row)
         # clear the new pivot column in the existing rows
         for i, brow in enumerate(rows):
             c = brow[pc]
             if c:
-                rows[i] = _minus(field, tables, brow, c, row)
+                rows[i] = _minus(field, brow, c, row)
         rows.append(row)
         self.pivots.append(pc)
 
@@ -605,8 +598,9 @@ class _Annihilator:
     A column u_f has n entries in one of Echelon's three row forms, and its
     row step is Echelon's.  Over F_2 it is packed at width n like a row, a
     row step is XOR, and `subspace` builds V's packed rows from bit tests.
-    Over other fields a row step is _minus and `subspace` hands over V's
-    entries.  For 2 < q < 256 bytes are also the alphabet in which
+    Over other fields a row step is _minus, its zero and -1 rows come from
+    _unpack in the field's row form, and `subspace` hands over V's entries.
+    For 2 < q < 256 bytes are also the alphabet in which
     grassproc._coordinates hands over a dilation, and they pay: at theta =
     1, simulate took 408 against 445 us with entry-list columns at F_3, n =
     32, and 304 against 326 us at F_16, n = 24 (medians of 9 alternating
@@ -621,14 +615,8 @@ class _Annihilator:
         self.pivots = []  # V's pivot columns, ascending
         self.free = []  # V's free columns, ascending
         self.cols = []  # u_f for each free column f, in the same order
-        q = field.q
-        self.tables = _byte_tables(field) if 2 < q < 256 else None
-        if q == 2:
-            self.zero = 0
-        elif q < 256:
-            self.zero, self.minus_one = bytes(n), bytes([field.neg(1)])
-        else:
-            self.zero, self.minus_one = [0] * n, [field.neg(1)]
+        self.zero = 0 if field.q == 2 else _unpack(0, n, field.q)
+        self.minus_one = _unpack(field.neg(1), 1, field.q)
 
     def embed(self):
         """V <- V x 0: coordinate k + 1 is a new free column, u = -e_(k+1)."""
@@ -671,11 +659,11 @@ class _Annihilator:
             s = [_dot(field, u, x) for u in cols]  # s_f = <u_f, x> = -t_f
             hit = next((i for i, t in enumerate(s) if t), None)
             if hit is not None:
-                ug, inv, tables = cols[hit], field.inv(s[hit]), self.tables
+                ug, inv = cols[hit], field.inv(s[hit])
                 for i in range(hit + 1, len(cols)):
                     if s[i]:
-                        cols[i] = _minus(field, tables, cols[i], field.mul(s[i], inv), ug)
-                ug = _times(field, tables, field.mul(c, inv), ug)
+                        cols[i] = _minus(field, cols[i], field.mul(s[i], inv), ug)
+                ug = _times(field, field.mul(c, inv), ug)
         if hit is None:
             self.pivots.append(k)
             self.k = k + 1

@@ -149,11 +149,11 @@ def simulate(n, theta, field, seed, keep_history=False):
     simulate(64, 1, F_2, 7) took 2.0 ms with its history against 1.0 ms
     without.
 
-    For 2 < q < 256 the state's vectors are bytes like the coordinates, so
-    a row step is a few C calls on whole vectors rather than a loop over
-    entries: at theta = 1 a trajectory took 408 against 445 us with entry
-    lists at F_3, n = 32, and 304 against 326 us at F_16, n = 24 (see
-    gf._Annihilator).
+    For 2 < q <= 256, where the field keeps its table, the state's vectors
+    are bytes, like the coordinates below 256, so a row step is a few C
+    calls on whole vectors rather than a loop over entries: at theta = 1 a
+    trajectory took 408 against 445 us with entry lists at F_3, n = 32, and
+    304 against 326 us at F_16, n = 24 (see gf._Annihilator).
 
     Where codim > dim, roughly theta < q^(-n/2), this state is the dearer
     one.  Over F_2 at n = 64 and theta = 1e-12 (codim ~40) a trajectory and

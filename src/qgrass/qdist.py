@@ -6,12 +6,12 @@ Gr(k, n), so the codimension-d class has mass pmf(n - d).
 yields the growth factor theta q^i / (1 + theta q^i) and its complement
 1 / (1 + theta q^i), kept to relative accuracy.  `bernoulli_chain`, which
 the mean sums and the process draws against, takes its factors; the
-variance, c_n and c_inf sum its pairs.  `_ln1p_q_pow` is the one factor
-ln(1 + q^u) of the log products (-theta; q)_n and (-1/theta; 1/q)_n, summed
-left to right on every Python version.  `_log_class_masses`, one float walk
-of the ratios of neighbouring codimension classes out from the mode, gives
-every log class mass, for the pmf column's log branch, `log_pmf` and
-`pmf_xy`; it forms no big integer.
+variance, c_n and c_inf sum its pairs.  `_ln1p_q_pow` is the factor
+ln(1 + q^u) of the log product (-1/theta; 1/q)_n, summed left to right on
+every Python version.  `_log_class_masses`, one float walk of the ratios
+of neighbouring codimension classes out from the mode, gives every log
+class mass, for the pmf column's log branch, `log_pmf` and `pmf_xy`; it
+forms no big integer.
 `_completed_square` holds x0 = 1/2 - log_q theta and the exponent
 -(d - x0)^2/2 + x0^2/2 that the codimension form and `aep`'s mu share.  The
 exact rational pmf and subspace law, the oracles of these floats, live with
@@ -105,15 +105,6 @@ def _ln1p_q_pow(u, q):
     if u <= 0:
         return math.log1p(q**u)
     return u * math.log(q) + math.log1p(q**-u)
-
-
-def log_q_neg_pochhammer(theta, n, q):
-    """log_q of (-theta; q)_n = prod_{i<n} (1 + q^u), u = log_q theta + i.
-
-    theta > 0.  Finite for every n: no power of q above 1 is formed.
-    """
-    u = math.log(theta) / math.log(q)
-    return _sum_left(_ln1p_q_pow(u + i, q) for i in range(n)) / math.log(q)
 
 
 def log_q_neg_inv_pochhammer(theta, n, q):

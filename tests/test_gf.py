@@ -45,7 +45,11 @@ def test_field_arithmetic_above_table_limit():
 @pytest.mark.parametrize("p", [251, 257, 65521])
 def test_prime_field_arithmetic_is_modular(p):
     f = gf.FieldSpec(p)
-    assert f._mul_table is None and f._inv_table is None
+    if p == 251:  # a table row maps b to a * b mod p, and pow inverts
+        assert [list(row[:p]) for row in f._mul_table] == [[a * b % p for b in range(p)] for a in range(p)]
+        assert f._inv_table is None
+    else:
+        assert f._mul_table is None and f._inv_table is None
     rng = random.Random(p)
     for _ in range(2000):
         a, b = rng.randrange(p), rng.randrange(p)
@@ -61,6 +65,7 @@ EXPLICIT_MODULI = {
     32: (1, 0, 1, 0, 0, 1),  # x^5 + x^2 + 1 over F_2
     243: (1, 0, 0, 0, 2, 1),  # x^5 + 2x^4 + 1 over F_3
 }
+F256_MODULUS = (1, 1, 0, 1, 1, 0, 0, 0, 1)  # x^8 + x^4 + x^3 + x + 1 over F_2
 UNTABLED_MODULI = {
     512: (1, 0, 0, 0, 0, 0, 0, 0, 1, 1),  # x^9 + x^8 + 1 over F_2
     729: (1, 0, 0, 0, 1, 1, 1),  # x^6 + x^5 + x^4 + 1 over F_3
@@ -184,10 +189,10 @@ def test_rref_f2_matches_reference(n, rref_reference):
             gf.rref([bad], n, F2)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 127, 131, 243, 251, 257])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 127, 131, 243, 251, 256, 257])
 def test_rref_packed_rows_every_field(q, rref_reference):
     # a row (c_1..c_n) packs to sum c_i q^(n-i), the integer of its text
-    field = gf.FieldSpec(q, EXPLICIT_MODULI.get(q))
+    field = gf.FieldSpec(q, F256_MODULUS if q == 256 else EXPLICIT_MODULI.get(q))
     rng = random.Random(q)
 
     def pack(row):
@@ -358,11 +363,11 @@ def test_dimension_formula_randomized():
         assert u.contains(i) and w.contains(i)
 
 
-@pytest.mark.parametrize("q", [2, 3, 16, 27, 127, 131, 257])
+@pytest.mark.parametrize("q", [2, 3, 16, 27, 127, 131, 256, 257])
 def test_subspace_operations_match_reference(q, rref_reference):
     # one kernel branch per order: packed ints, the mod-p add, XOR and the
-    # bytes entry loop, the lists from 256 on
-    field = gf.FieldSpec(q)
+    # bytes entry loop, the lists above 256
+    field = gf.FieldSpec(q, F256_MODULUS if q == 256 else None)
     rng = random.Random(70 if q == 2 else q)
     cases, top = (200, 70) if q == 2 else (30, 9)
     for _ in range(cases):

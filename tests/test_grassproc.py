@@ -11,6 +11,7 @@ from qgrass.entropy import log_q_int
 
 F2 = gf.FieldSpec(2)
 F3 = gf.FieldSpec(3)
+F256_MODULUS = (1, 1, 0, 1, 1, 0, 0, 0, 1)  # x^8 + x^4 + x^3 + x + 1 over F_2
 
 
 def test_process_state_invariant():
@@ -196,14 +197,14 @@ def test_fq_bulk_draw_matches_randrange():
 def test_simulate_f2_history_matches_reference(n, echelon_reference):
     # theta = 2^-40 holds codim > dim over F_2 up to n = 64; seed 5 at
     # theta = 1 grows at codim 1 over F_2, with x in V_m and with x outside it
-    # 8, 127, 25, 27 and 131 run each kind of byte row step of the state
+    # 8, 127, 25, 27, 131 and 256 run each kind of byte row step of the state
     # (XOR, add and mod-p translate up to p = 127, entry by entry), a few
     # hundred times each at n <= 24
     f2_kinds = set()  # (codim V_m, x in V_m) of the F_2 growth steps at codim >= 1
-    for q in (2, 3, 4, 8, 9, 16, 25, 27, 127, 131, 251):
-        if n > 24 and q in (8, 25, 27, 127, 131):
+    for q in (2, 3, 4, 8, 9, 16, 25, 27, 127, 131, 251, 256):
+        if n > 24 and q in (8, 25, 27, 127, 131, 256):
             continue
-        field = gf.FieldSpec(q)
+        field = gf.FieldSpec(q, F256_MODULUS if q == 256 else None)
         for theta in (0, 2**-40, 1 / 256, 1, 1e6):
             for seed in (0, "h", 5) if q == 2 else (0, "h"):
                 traj = grassproc.simulate(n, theta, field, seed, keep_history=True)
@@ -306,9 +307,9 @@ def test_simulate_row_steps_bytes_below_256(monkeypatch):
     minus = gf._minus
     steps = Counter()
 
-    def counted(field, tables, u, a, ug):
+    def counted(field, u, a, ug):
         steps[field.q] += 1
-        return minus(field, tables, u, a, ug)
+        return minus(field, u, a, ug)
 
     monkeypatch.setattr(gf, "_row_step", no_row_step)
     monkeypatch.setattr(gf, "_minus", counted)
@@ -332,9 +333,9 @@ def test_simulate_row_steps_bytes_below_256(monkeypatch):
         assert gf.parse_subspace(";".join(texts), 8, field)[0] == v.sum(w)
     assert steps[3] and steps[16]
     monkeypatch.undo()
-    # the row forms: packed ints over F_2, bytes below 256, lists from 256 on
-    for q, form in ((2, int), (3, bytes), (16, bytes), (257, list)):
-        echelon = gf.Echelon(gf.FieldSpec(q), 8, rows)
+    # the row forms: packed ints over F_2, bytes up to 256, lists above
+    for q, form in ((2, int), (3, bytes), (16, bytes), (256, bytes), (257, list)):
+        echelon = gf.Echelon(gf.FieldSpec(q, F256_MODULUS if q == 256 else None), 8, rows)
         assert echelon.rows and {type(row) for row in echelon.rows} == {form}
 
 
